@@ -657,11 +657,6 @@ let replay_config ~backend () =
     max_rollbacks = 3;
   }
 
-let replay_counter sys name =
-  match Rcoe_obs.Metrics.find_counter (System.metrics sys) name with
-  | Some c -> Rcoe_obs.Metrics.count c
-  | None -> failwith ("baseline: metric " ^ name ^ " not registered")
-
 let replay_max_lag sys =
   match
     Rcoe_obs.Metrics.find_histogram (System.metrics sys) "replay.lag_cycles"
@@ -711,8 +706,8 @@ let measure_replay_engine ?fault ~backend wl =
       if
         System.now sys <> System.now first
         || System.output sys 0 <> System.output first 0
-        || replay_counter sys "replay.chunks"
-           <> replay_counter first "replay.chunks"
+        || System.counter sys "replay.chunks"
+           <> System.counter first "replay.chunks"
       then
         failwith
           (Printf.sprintf
@@ -756,8 +751,8 @@ let measure_replay () =
           p_overhead = over (System.now interp);
           p_dmr_cycles = dmr.m_cycles;
           p_dmr_overhead = over dmr.m_cycles;
-          p_chunks = replay_counter interp "replay.chunks";
-          p_verified = replay_counter interp "replay.chunks_verified";
+          p_chunks = System.counter interp "replay.chunks";
+          p_verified = System.counter interp "replay.chunks_verified";
           p_max_lag = replay_max_lag interp;
           p_lag_bound = span * cfg.Config.replay_queue_depth;
           p_wall_interp = wall_interp;
@@ -768,8 +763,8 @@ let measure_replay () =
           p_fault =
             {
               f_cycles = System.now fault_sys;
-              f_chunks = replay_counter fault_sys "replay.chunks";
-              f_mismatches = replay_counter fault_sys "replay.mismatches";
+              f_chunks = System.counter fault_sys "replay.chunks";
+              f_mismatches = System.counter fault_sys "replay.mismatches";
               f_rollbacks = List.length (System.rollbacks fault_sys);
               f_max_lag = replay_max_lag fault_sys;
               f_output_matches =

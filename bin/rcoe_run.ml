@@ -189,11 +189,7 @@ let reject_parallel_under_replay ~detection ~parallel =
   end
 
 let print_replay_summary sys =
-  let c name =
-    match Rcoe_obs.Metrics.find_counter (System.metrics sys) name with
-    | Some c -> Rcoe_obs.Metrics.count c
-    | None -> 0
-  in
+  let c = System.counter sys in
   Printf.printf
     "replay:     %d chunks, %d verified, %d mismatches, %d rollbacks\n"
     (c "replay.chunks")
@@ -332,11 +328,11 @@ let run_cmd =
     Printf.printf "cycles:     %d (%.1f us at %d MHz)\n" r.Runner.cycles
       (Rcoe_machine.Arch.cycles_to_us profile r.Runner.cycles)
       profile.Rcoe_machine.Arch.freq_mhz;
-    let st = r.Runner.stats in
+    let c = System.counter r.Runner.sys in
     Printf.printf
       "sync:       %d rounds, %d ticks, %d votes, %d bp fires, %d FT rounds\n"
-      st.System.rounds st.System.ticks_delivered st.System.votes
-      st.System.bp_fires st.System.ft_rounds;
+      (c "sync.rounds") (c "kernel.ticks_delivered") (c "sync.votes")
+      (c "catchup.bp_fires") (c "sync.ft_rounds");
     if config.Config.checkpoint_every > 0 then
       Printf.printf "recovery:   %d checkpoints (%s), %d rollbacks\n"
         (System.checkpoints_taken r.Runner.sys)

@@ -43,7 +43,7 @@ let run_with label config =
   Printf.printf "%-18s %8d cycles   sum=%d   output=%S   sync rounds=%d\n"
     label r.Runner.cycles sum
     (System.output r.Runner.sys 0)
-    r.Runner.stats.System.rounds
+    (System.counter r.Runner.sys "sync.rounds")
 
 let () =
   Printf.printf "quickstart: 1 + 2 + ... + 100000 (expected %d)\n\n"

@@ -59,11 +59,7 @@ let classify ~sys ~client_corrupt ~client_error =
      device's NACK count also covers LC, where the guest drops frames
      over MMIO without the scheduler ever seeing it. *)
   let had_ingress_drop =
-    (match
-       Rcoe_obs.Metrics.find_counter (System.metrics sys) "net.ingress_dropped"
-     with
-    | Some c -> Rcoe_obs.Metrics.count c > 0
-    | None -> false)
+    System.counter sys "net.ingress_dropped" > 0
     ||
     match System.netdev sys with
     | Some nd -> Rcoe_machine.Netdev.rx_nacked nd > 0

@@ -429,8 +429,6 @@ let fig4 () =
   let windows = ref [] in
   let last_mark = ref (0, 0) in
   let inject sys =
-    let c_done = (System.stats sys).System.rounds in
-    ignore c_done;
     if (not !injected) && System.tick_count sys > 40 then begin
       injected := true;
       (* Corrupt a non-primary replica's signature accumulator. *)
@@ -520,7 +518,7 @@ let ablation_fast_catchup ?(runs = 3) () =
           }
         in
         let r = Runner.run_program ~config ~program:(whet ()) () in
-        fires := !fires + r.Runner.stats.System.bp_fires;
+        fires := !fires + System.counter r.Runner.sys "catchup.bp_fires";
         cycles := float_of_int r.Runner.cycles :: !cycles
       done;
       let s = Stats.summarize !cycles in

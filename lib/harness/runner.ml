@@ -4,7 +4,6 @@ type result = {
   cycles : int;
   finished : bool;
   halted : System.halt_reason option;
-  stats : System.stats;
   sys : System.t;
 }
 
@@ -15,7 +14,6 @@ let run_program ~config ~program ?(max_cycles = 200_000_000) () =
     cycles = System.now sys;
     finished = System.finished sys;
     halted = System.halted sys;
-    stats = System.stats sys;
     sys;
   }
 

@@ -5,7 +5,6 @@ type result = {
   cycles : int;  (** Simulated cycles until the program finished. *)
   finished : bool;
   halted : Rcoe_core.System.halt_reason option;
-  stats : Rcoe_core.System.stats;
   sys : Rcoe_core.System.t;
 }
 

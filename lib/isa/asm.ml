@@ -200,7 +200,7 @@ let assemble ?entry ?(branch_count = false) ?(verify = false) t =
     }
   in
   if branch_count then begin
-    match Check.reserved_register_violations program with
+    match Lint.reserved_register_violations program with
     | [] -> ()
     | (addr, instr) :: _ ->
         invalid_arg

@@ -95,7 +95,7 @@ val assemble :
 (** Resolve labels and produce the program. [entry] defaults to address
     0. Raises [Invalid_argument] on undefined labels or (with
     [~branch_count:true]) if the program uses the reserved branch-counter
-    register (see {!Check.reserved_register_violations}).
+    register (see {!Lint.reserved_register_violations}).
 
     [~verify:true] additionally runs the full static analyzer
     ({!Lint.analyze}) and raises [Invalid_argument] if the program is

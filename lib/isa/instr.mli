@@ -89,8 +89,7 @@ val with_target : t -> target -> t
 val regs_used : t -> Reg.t list
 (** Every integer register an instruction reads or writes, including the
     implicit [sp]/[lr] of [Push]/[Pop]/[Jal]/[Ret]. [Syscall] and
-    [Cntinc] report none — this is the historical behaviour that
-    {!Check.regs_used} re-exports for the syntactic scans. *)
+    [Cntinc] report none. *)
 
 val defs : t -> Reg.t list
 (** Integer registers an instruction may write (kill set for dataflow).

@@ -4,7 +4,6 @@ type gauge = { mutable g : float }
 type histogram = {
   mutable samples : float list;  (* newest first *)
   mutable n : int;
-  hbuckets : float list option;
 }
 
 type instrument =
@@ -32,8 +31,8 @@ let gauge t name =
   register t name (Gauge g);
   g
 
-let histogram ?buckets t name =
-  let h = { samples = []; n = 0; hbuckets = buckets } in
+let histogram t name =
+  let h = { samples = []; n = 0 } in
   register t name (Histogram h);
   h
 
@@ -52,7 +51,6 @@ let observe h v =
 let count c = c.c
 let value g = g.g
 let samples h = List.rev h.samples
-let buckets h = h.hbuckets
 let names t = List.rev_map fst t.instruments
 
 let find t name =

@@ -20,9 +20,8 @@ val create : unit -> t
 val counter : t -> string -> counter
 val gauge : t -> string -> gauge
 
-val histogram : ?buckets:float list -> t -> string -> histogram
-(** [buckets] are the upper bounds handed to {!Rcoe_util.Stats.histogram}
-    when rendering; sample storage is exact regardless. *)
+val histogram : t -> string -> histogram
+(** Exact sample storage: every observation is kept. *)
 
 val hdr : t -> string -> Hdr.t
 (** Bounded-memory log-linear latency histogram ({!Hdr}); preferred over
@@ -47,7 +46,6 @@ val value : gauge -> float
 val samples : histogram -> float list
 (** Oldest first. *)
 
-val buckets : histogram -> float list option
 val names : t -> string list
 (** Registration order. *)
 

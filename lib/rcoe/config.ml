@@ -161,6 +161,10 @@ let validate ?net_ok t =
     err
       "replay detection cuts its own per-chunk checkpoints; \
        checkpoint_every must be 0"
+  else if t.detection = Replay && t.checkpoint_mode = Full then
+    err
+      "replay detection cuts a delta checkpoint per chunk on a full base; \
+       checkpoint_mode must be Incremental"
   else if t.detection = Replay && t.replay_chunk_ticks < 1 then
     err "replay_chunk_ticks must be >= 1"
   else if t.detection = Replay && t.replay_queue_depth < 1 then

@@ -146,8 +146,9 @@ type t = {
   detection : detection;
       (** Detection strategy; default [Lockstep]. [Replay] requires
           [mode = Base], [engine = Sequential] (the checker domains are
-          owned by the replay engine itself), and [checkpoint_every = 0]
-          (chunks cut their own checkpoints). *)
+          owned by the replay engine itself), [checkpoint_every = 0]
+          (chunks cut their own checkpoints), and [checkpoint_mode =
+          Incremental] (each chunk is a delta on the ring's full base). *)
   replay_chunk_ticks : int;
       (** Replay chunk length in preemption ticks (>= 1, default 1):
           a chunk spans [replay_chunk_ticks * tick_interval] cycles. *)

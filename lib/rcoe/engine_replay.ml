@@ -37,6 +37,120 @@ open Rcoe_kernel
 open Sched
 module Rng = Rcoe_util.Rng
 
+(* Fletcher digest over the replicated memory a replayed chunk must
+   reproduce: the primary partition plus the shared region. The DMA
+   window is deliberately excluded — the device writes it outside the
+   sphere of replication, so the paper's residual DMA vulnerability is
+   preserved under replay detection exactly as under lockstep. *)
+let region_sig t =
+  let f = Rcoe_checksum.Fletcher.create () in
+  let p = t.lay.Layout.partitions.(0) in
+  Rcoe_checksum.Fletcher.add_words f
+    (Mem.read_block (mem t) p.Layout.p_base p.Layout.p_words);
+  let sh = t.lay.Layout.shared in
+  Rcoe_checksum.Fletcher.add_words f
+    (Mem.read_block (mem t) sh.Layout.s_base sh.Layout.s_words);
+  Rcoe_checksum.Fletcher.digest f
+
+(* Freeze the complete execution point. Runs on the primary's domain at
+   a quiescent inter-cycle boundary; the copies it takes are what lets
+   checker domains work without ever touching live or ring state. Call
+   only after any stall for the cut itself has been charged, so the
+   frozen core state already contains it. *)
+let cut_state t =
+  let r = t.replicas.(0) in
+  let core = Kernel.core r.kern in
+  let p = t.lay.Layout.partitions.(0) in
+  let sh = t.lay.Layout.shared in
+  {
+    cs_cycle = now t;
+    cs_ticks = t.ticks;
+    cs_round_seq = t.round_seq;
+    cs_next_tick = t.next_tick;
+    cs_finished = r.finished;
+    cs_kernel = Kernel.snapshot r.kern;
+    cs_part = Mem.read_block (mem t) p.Layout.p_base p.Layout.p_words;
+    cs_shared = Mem.read_block (mem t) sh.Layout.s_base sh.Layout.s_words;
+    cs_dma =
+      Mem.read_block (mem t) t.lay.Layout.dma_base t.lay.Layout.dma_words;
+    cs_cycles = core.Core.cycles;
+    cs_instret = core.Core.instret;
+    cs_jitter = Rng.copy core.Core.jitter;
+    cs_bus = Bus.state t.mach.Machine.buses.(0);
+    cs_net = Option.map Netdev.snapshot t.net;
+    cs_sig = region_sig t;
+  }
+
+(* Rewind the state outside the sphere of replication ("outside-SoR")
+   that a cut freezes and the checkpoint ring does not capture: the
+   core's cycle counters and jitter RNG, the bus credit and the device
+   queues. The rewound timeline runs again, so any halt is cleared. *)
+let restore_outside_sor t (cs : cut_state) =
+  let core = Kernel.core t.replicas.(0).kern in
+  core.Core.cycles <- cs.cs_cycles;
+  core.Core.instret <- cs.cs_instret;
+  Rng.assign ~dst:core.Core.jitter ~src:cs.cs_jitter;
+  Bus.set_state t.mach.Machine.buses.(0) cs.cs_bus;
+  (match (t.net, cs.cs_net) with
+  | Some nd, Some sn -> Netdev.restore nd sn
+  | _ -> ());
+  t.halt <- None
+
+(* Restore a cut into a shadow system: leaves [sys] exactly as the
+   captured system stood at the cut, ready to re-execute the chunk. *)
+let restore_cut sys (cs : cut_state) =
+  let r = sys.replicas.(0) in
+  let p = sys.lay.Layout.partitions.(0) in
+  let sh = sys.lay.Layout.shared in
+  Mem.write_block (mem sys) p.Layout.p_base cs.cs_part;
+  Mem.write_block (mem sys) sh.Layout.s_base cs.cs_shared;
+  Mem.write_block (mem sys) sys.lay.Layout.dma_base cs.cs_dma;
+  Kernel.restore r.kern cs.cs_kernel;
+  r.finished <- cs.cs_finished;
+  r.pending_ft <- None;
+  r.joined <- false;
+  r.defer_publish <- false;
+  r.state <- Rs_run;
+  restore_outside_sor sys cs;
+  Machine.clear_ipi sys.mach ~core_id:0;
+  sys.mach.Machine.now <- cs.cs_cycle;
+  sys.next_tick <- cs.cs_next_tick;
+  sys.ticks <- cs.cs_ticks;
+  sys.round_seq <- cs.cs_round_seq;
+  sys.phase <- Ph_idle
+
+(* Start the pipeline of a freshly created system (run by
+   [System.create]): log every host inject from the first cycle (the
+   harness may feed the device before it first runs the system), and
+   take the cycle-0 base checkpoint the first chunk is relative to. *)
+let setup t =
+  let ring = match t.ckpts with Some ck -> ck | None -> assert false in
+  let ilog = Inputlog.create () in
+  Option.iter
+    (fun nd ->
+      Netdev.set_host_tap nd
+        ~on_inject:(fun ~now:deliver_at payload ->
+          Inputlog.record ilog ~at:(now t) ~deliver_at payload)
+        ())
+    t.net;
+  let snap = capture_checkpoint t ring in
+  t.rp <-
+    Some
+      {
+        rp_ring = ring;
+        rp_log = ilog;
+        rp_span = t.cfg.Config.replay_chunk_ticks * t.cfg.Config.tick_interval;
+        rp_seq = 0;
+        rp_cut = cut_state t;
+        rp_snap = snap;
+        rp_next_cut = t.cfg.Config.replay_chunk_ticks;
+        rp_inflight = [];
+        rp_shadows = [];
+        rp_shadows_made = 0;
+        rp_hwm = 0;
+        rp_idle_cycles = 0;
+      }
+
 let shadow_config cfg =
   {
     cfg with
@@ -71,7 +185,7 @@ let get_shadow t rp =
    end — unless the guest finishes or halts early, which (on a clean
    replay) the primary did at the same cycle. *)
 let verify_chunk sys (ch : chunk) =
-  replay_restore_cut sys ch.ch_start;
+  restore_cut sys ch.ch_start;
   let target = ch.ch_end.cs_cycle in
   let step_to cycle =
     if cycle > now sys && sys.halt = None && not (finished sys) then
@@ -90,7 +204,7 @@ let verify_chunk sys (ch : chunk) =
     | _ -> step_to target
   in
   drive ch.ch_log;
-  replay_region_sig sys = ch.ch_end.cs_sig
+  region_sig sys = ch.ch_end.cs_sig
 
 (* Hand every queued-but-unassigned chunk to a checker, oldest first,
    while shadows are available. *)
@@ -123,31 +237,12 @@ let release_shadow rp inf =
    enforce the queue bound (blocking on the oldest verdict —
    backpressure). *)
 let rec do_cut t rp =
-  let ring = rp.rp_ring in
-  let r = t.replicas.(0) in
   (* The capture stall must be charged before the cut is frozen: the
      restored start state of the *next* chunk has to contain it, or a
      replay of that chunk would run ahead of the primary's timeline. *)
-  let kind =
-    if Checkpoint.count ring = 0 then Checkpoint.Full else Checkpoint.Delta
-  in
-  let snap =
-    Checkpoint.capture (mem t) t.lay ~kind ~cycle:(now t)
-      ~round_seq:t.round_seq ~ticks:t.ticks ~prim:t.prim
-      ~replicas:[ (0, r.kern, r.finished) ]
-  in
-  Checkpoint.push ring snap;
-  Checkpoint.pin ring snap;
-  let words = Checkpoint.words snap in
-  let skipped = Checkpoint.skipped_words snap in
-  let cost = ckpt_copy_cost words in
-  charge r cost;
-  Metrics.incr t.ms.m_ckpt_taken;
-  Metrics.incr ~by:words t.ms.m_ckpt_words_copied;
-  Metrics.incr ~by:skipped t.ms.m_ckpt_words_skipped;
-  Metrics.observe t.ms.m_ckpt_cost (float_of_int cost);
-  Trace.checkpoint t.trace ~words ~skipped ~cost;
-  let cut = replay_cut_state t in
+  let snap = capture_checkpoint t rp.rp_ring in
+  charge_checkpoint t snap;
+  let cut = cut_state t in
   let closed =
     {
       ch_seq = rp.rp_seq;
@@ -260,16 +355,7 @@ and on_mismatch t rp inf rest =
        timing jitter included) minus the fault. Host inputs recorded
        after the chunk started are gone with the cleared log; the
        serving client's retransmission path redelivers them. *)
-    let cs = inf.if_chunk.ch_start in
-    let core = Kernel.core t.replicas.(0).kern in
-    core.Core.cycles <- cs.cs_cycles;
-    core.Core.instret <- cs.cs_instret;
-    Rng.assign ~dst:core.Core.jitter ~src:cs.cs_jitter;
-    Bus.set_state t.mach.Machine.buses.(0) cs.cs_bus;
-    (match (t.net, cs.cs_net) with
-    | Some nd, Some sn -> Netdev.restore nd sn
-    | _ -> ());
-    t.halt <- None;
+    restore_outside_sor t inf.if_chunk.ch_start;
     (* Pipeline reset: empty the ring and re-seed it with a fresh full
        capture of the rolled-back state, which also re-baselines the
        dirty-page tracking for the next delta. *)
@@ -277,15 +363,8 @@ and on_mismatch t rp inf rest =
     while Checkpoint.count rp.rp_ring > 0 do
       Checkpoint.drop_newest rp.rp_ring
     done;
-    let r = t.replicas.(0) in
-    let snap =
-      Checkpoint.capture (mem t) t.lay ~kind:Checkpoint.Full ~cycle:(now t)
-        ~round_seq:t.round_seq ~ticks:t.ticks ~prim:t.prim
-        ~replicas:[ (0, r.kern, r.finished) ]
-    in
-    Checkpoint.push rp.rp_ring snap;
-    Checkpoint.pin rp.rp_ring snap;
-    rp.rp_cut <- replay_cut_state t;
+    let snap = capture_checkpoint t rp.rp_ring in
+    rp.rp_cut <- cut_state t;
     rp.rp_snap <- snap;
     rp.rp_seq <- rp.rp_seq + 1;
     rp.rp_next_cut <- t.ticks + t.cfg.Config.replay_chunk_ticks
@@ -348,20 +427,8 @@ let run ?stop t ~max_cycles =
       && now t - start < max_cycles
     do
       if t.ticks >= rp.rp_next_cut && quiescent t then do_cut t rp;
-      if t.halt = None && not (finished t) then begin
-        let budget = max_cycles - (now t - start) in
-        let budget =
-          match stop with
-          | Some _ -> min budget (128 - (now t land 127))
-          | None -> budget
-        in
-        (match burst_cycles t ~budget with
-        | Some _ -> ()
-        | None -> classic_cycle t);
-        match stop with
-        | Some f when now t land 127 = 0 -> if f t then continue_ := false
-        | _ -> ()
-      end
+      if t.halt = None && not (finished t) then
+        continue_ := Engine_seq.step ?stop t ~start ~max_cycles
     done;
     (* Terminal drain: when the guest finished or the system halted,
        close the final (partial) chunk and process every outstanding

@@ -6,6 +6,25 @@
 
 open Sched
 
+(* One step of a run that started at cycle [start]: a quiescent burst on
+   the block-compiled backend when one is possible (see
+   [Sched.burst_cycles] for the bit-identity argument), else one classic
+   cycle. The burst budget never crosses [max_cycles], and with a [stop]
+   callback it also never crosses a 128-cycle poll boundary, so the poll
+   fires at exactly the cycles per-cycle stepping would poll at. Returns
+   false when [stop] asks the run to end. *)
+let step ?stop t ~start ~max_cycles =
+  let budget = max_cycles - (now t - start) in
+  let budget =
+    match stop with
+    | Some _ -> min budget (128 - (now t land 127))
+    | None -> budget
+  in
+  (match burst_cycles t ~budget with
+  | Some _ -> ()
+  | None -> classic_cycle t);
+  match stop with Some f when now t land 127 = 0 -> not (f t) | _ -> true
+
 let run ?stop t ~max_cycles =
   let start = now t in
   let continue_ = ref true in
@@ -14,21 +33,5 @@ let run ?stop t ~max_cycles =
     && (not (finished t))
     && now t - start < max_cycles
   do
-    (* Block-compiled backend: burn quiescent stretches in one burst
-       (see [Sched.burst_cycles] for the bit-identity argument). The
-       budget never crosses [max_cycles], and with a [stop] callback it
-       also never crosses a 128-cycle poll boundary, so the polls below
-       fire at exactly the cycles per-cycle stepping would poll at. *)
-    let budget = max_cycles - (now t - start) in
-    let budget =
-      match stop with
-      | Some _ -> min budget (128 - (now t land 127))
-      | None -> budget
-    in
-    (match burst_cycles t ~budget with
-    | Some _ -> ()
-    | None -> classic_cycle t);
-    (match stop with
-    | Some f when now t land 127 = 0 -> if f t then continue_ := false
-    | _ -> ())
+    continue_ := step ?stop t ~start ~max_cycles
   done

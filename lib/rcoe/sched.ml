@@ -1,10 +1,11 @@
 (* The replication scheduler: system state, round lifecycle, voting,
    masking, checkpointing, and per-cycle replica stepping. The run loops
-   live in [Engine_seq] (classic sequential stepping) and [Engine_par]
-   (domain-parallel execution windows); [System] is the public facade
-   that dispatches on {!Config.engine}. This module has no interface —
-   the engines need the internals — but nothing outside the library
-   should depend on it. *)
+   live in [Engine_seq] (classic sequential stepping), [Engine_par]
+   (domain-parallel execution windows) and [Engine_replay] (replay
+   detection, which also owns its pipeline's set-up and cut state);
+   [System] is the public facade that dispatches on {!Config.engine}.
+   This module has no interface — the engines need the internals — but
+   nothing outside the library should depend on it. *)
 
 open Rcoe_machine
 open Rcoe_kernel
@@ -35,19 +36,8 @@ type event_kind =
   | E_rollback of int
   | E_ingress_drop of int
 
-type stats = {
-  mutable ticks_delivered : int;
-  mutable rounds : int;
-  mutable votes : int;
-  mutable ipis : int;
-  mutable bp_fires : int;
-  mutable ft_rounds : int;
-  mutable rendezvous : int;
-}
-
-(* Typed handles into the metrics registry; the [stats] record above is
-   reconstructed from these on demand, so callers of [stats] are
-   unaffected by the registry having become the source of truth. *)
+(* Typed handles into the metrics registry, the source of truth for
+   every counter the engine keeps; callers read them back by name. *)
 type metric_set = {
   m_ticks : Metrics.counter;
   m_rounds : Metrics.counter;
@@ -99,30 +89,16 @@ let make_metric_set reg =
     m_ckpt_words_skipped = Metrics.counter reg "ckpt.words_skipped";
     m_ingress_checked = Metrics.counter reg "net.ingress_checked";
     m_ingress_dropped = Metrics.counter reg "net.ingress_dropped";
-    m_catchup_dist =
-      Metrics.histogram reg "catchup.distance_branches"
-        ~buckets:[ 1.; 8.; 32.; 128.; 512.; 2048.; 8192. ];
-    m_catchup_cycles =
-      Metrics.histogram reg "catchup.cycles"
-        ~buckets:[ 100.; 1000.; 10_000.; 100_000. ];
-    m_barrier_wait =
-      Metrics.histogram reg "sync.barrier_wait_cycles"
-        ~buckets:[ 100.; 1000.; 10_000.; 100_000. ];
-    m_detect_latency =
-      Metrics.histogram reg "detect.latency_cycles"
-        ~buckets:[ 1000.; 10_000.; 100_000.; 1_000_000. ];
-    m_ckpt_cost =
-      Metrics.histogram reg "ckpt.cost_cycles"
-        ~buckets:[ 10_000.; 30_000.; 100_000.; 300_000. ];
-    m_recover_latency =
-      Metrics.histogram reg "recover.latency_cycles"
-        ~buckets:[ 10_000.; 100_000.; 1_000_000.; 10_000_000. ];
+    m_catchup_dist = Metrics.histogram reg "catchup.distance_branches";
+    m_catchup_cycles = Metrics.histogram reg "catchup.cycles";
+    m_barrier_wait = Metrics.histogram reg "sync.barrier_wait_cycles";
+    m_detect_latency = Metrics.histogram reg "detect.latency_cycles";
+    m_ckpt_cost = Metrics.histogram reg "ckpt.cost_cycles";
+    m_recover_latency = Metrics.histogram reg "recover.latency_cycles";
     m_replay_chunks = Metrics.counter reg "replay.chunks";
     m_replay_verified = Metrics.counter reg "replay.chunks_verified";
     m_replay_mismatch = Metrics.counter reg "replay.mismatches";
-    m_replay_lag =
-      Metrics.histogram reg "replay.lag_cycles"
-        ~buckets:[ 10_000.; 50_000.; 200_000.; 1_000_000. ];
+    m_replay_lag = Metrics.histogram reg "replay.lag_cycles";
   }
 
 (* Pending events delivered at the end of an asynchronous round. *)
@@ -353,17 +329,6 @@ let kernel t rid = t.replicas.(rid).kern
 let primary t = t.prim
 let now t = t.mach.Machine.now
 
-let stats t =
-  {
-    ticks_delivered = Metrics.count t.ms.m_ticks;
-    rounds = Metrics.count t.ms.m_rounds;
-    votes = Metrics.count t.ms.m_votes;
-    ipis = Metrics.count t.ms.m_ipis;
-    bp_fires = Metrics.count t.ms.m_bp_fires;
-    ft_rounds = Metrics.count t.ms.m_ft_rounds;
-    rendezvous = Metrics.count t.ms.m_rendezvous;
-  }
-
 (* Refresh-on-read gauges over device and trace-ring state. Gauges are
    outside the Seq/Par value-identity contract (names only), which is
    what lets net.tx_pending_hwm depend on how often the host harness
@@ -400,6 +365,14 @@ let metrics t =
         (float_of_int rp.rp_idle_cycles)
   | None -> ());
   t.metrics
+
+(* The one reader of a counter by name. Every engine counter is
+   registered at [create], so an unknown name is a caller bug. *)
+let counter t name =
+  match Metrics.find_counter t.metrics name with
+  | Some c -> Metrics.count c
+  | None -> invalid_arg ("System.counter: no counter named " ^ name)
+
 let trace t = t.trace
 let halted t = t.halt
 let downgrades t = t.downgrade_log
@@ -505,94 +478,45 @@ let tp_begin t r ph =
   end
 
 (* ---------------------------------------------------------------------- *)
-(* Replay detection: cut-state capture                                     *)
-(* ---------------------------------------------------------------------- *)
-
-(* Fletcher digest over the replicated memory a replayed chunk must
-   reproduce: the primary partition plus the shared region. The DMA
-   window is deliberately excluded — the device writes it outside the
-   sphere of replication, so the paper's residual DMA vulnerability is
-   preserved under replay detection exactly as under lockstep. *)
-let replay_region_sig t =
-  let f = Rcoe_checksum.Fletcher.create () in
-  let p = t.lay.Layout.partitions.(0) in
-  Rcoe_checksum.Fletcher.add_words f
-    (Mem.read_block (mem t) p.Layout.p_base p.Layout.p_words);
-  let sh = t.lay.Layout.shared in
-  Rcoe_checksum.Fletcher.add_words f
-    (Mem.read_block (mem t) sh.Layout.s_base sh.Layout.s_words);
-  Rcoe_checksum.Fletcher.digest f
-
-(* Freeze the complete execution point. Runs on the primary's domain at
-   a quiescent inter-cycle boundary; the copies it takes are what lets
-   checker domains work without ever touching live or ring state. Call
-   only after any stall for the cut itself has been charged, so the
-   frozen core state already contains it. *)
-let replay_cut_state t =
-  let r = t.replicas.(0) in
-  let core = Kernel.core r.kern in
-  let p = t.lay.Layout.partitions.(0) in
-  let sh = t.lay.Layout.shared in
-  {
-    cs_cycle = now t;
-    cs_ticks = t.ticks;
-    cs_round_seq = t.round_seq;
-    cs_next_tick = t.next_tick;
-    cs_finished = r.finished;
-    cs_kernel = Kernel.snapshot r.kern;
-    cs_part = Mem.read_block (mem t) p.Layout.p_base p.Layout.p_words;
-    cs_shared = Mem.read_block (mem t) sh.Layout.s_base sh.Layout.s_words;
-    cs_dma =
-      Mem.read_block (mem t) t.lay.Layout.dma_base t.lay.Layout.dma_words;
-    cs_cycles = core.Core.cycles;
-    cs_instret = core.Core.instret;
-    cs_jitter = Rcoe_util.Rng.copy core.Core.jitter;
-    cs_bus = Bus.state t.mach.Machine.buses.(0);
-    cs_net = Option.map Netdev.snapshot t.net;
-    cs_sig = replay_region_sig t;
-  }
-
-(* Restore a cut into [sys] — the shadow side of [replay_cut_state],
-   also used to rewind the primary's outside-SoR state after a
-   replay-detected rollback. Leaves [sys] exactly as the captured
-   system stood at the cut, ready to re-execute the chunk. *)
-let replay_restore_cut sys (cs : cut_state) =
-  let r = sys.replicas.(0) in
-  let p = sys.lay.Layout.partitions.(0) in
-  let sh = sys.lay.Layout.shared in
-  Mem.write_block (mem sys) p.Layout.p_base cs.cs_part;
-  Mem.write_block (mem sys) sh.Layout.s_base cs.cs_shared;
-  Mem.write_block (mem sys) sys.lay.Layout.dma_base cs.cs_dma;
-  Kernel.restore r.kern cs.cs_kernel;
-  r.finished <- cs.cs_finished;
-  r.pending_ft <- None;
-  r.joined <- false;
-  r.defer_publish <- false;
-  r.state <- Rs_run;
-  let core = Kernel.core r.kern in
-  core.Core.cycles <- cs.cs_cycles;
-  core.Core.instret <- cs.cs_instret;
-  Rcoe_util.Rng.assign ~dst:core.Core.jitter ~src:cs.cs_jitter;
-  Bus.set_state sys.mach.Machine.buses.(0) cs.cs_bus;
-  (match (sys.net, cs.cs_net) with
-  | Some nd, Some sn -> Netdev.restore nd sn
-  | _ -> ());
-  Machine.clear_ipi sys.mach ~core_id:0;
-  sys.mach.Machine.now <- cs.cs_cycle;
-  sys.next_tick <- cs.cs_next_tick;
-  sys.ticks <- cs.cs_ticks;
-  sys.round_seq <- cs.cs_round_seq;
-  sys.phase <- Ph_idle;
-  sys.halt <- None
-
-(* ---------------------------------------------------------------------- *)
 (* Construction                                                            *)
 (* ---------------------------------------------------------------------- *)
+
+(* The device windows of a networked replica. The primary maps the real
+   MMIO page and DMA region ([mmio_plan], [dma_plan]) and may write the
+   shared input-replication buffer, whose user-mode copies it performs.
+   Every other replica gets private frames in their place, still
+   DMA-marked so that a promoted primary can find and re-point them
+   (paper Section IV-A), and read-only access to the shared buffer. Runs
+   at [create] and again when masking promotes a new primary. *)
+let map_windows t k ~primary =
+  if t.cfg.Config.with_net then begin
+    List.iter
+      (fun (vpn, pte) ->
+        let pte =
+          if primary then pte
+          else { pte with Page_table.device = false; ppn = Kernel.alloc_frame_high k }
+        in
+        Kernel.map_page ~quiet:true k ~vpn pte)
+      (t.mmio_plan @ t.dma_plan);
+    let page = Layout.page_size in
+    let sh = shared t in
+    for i = 0 to (sh.Layout.inbuf_words / page) - 1 do
+      Kernel.map_page ~quiet:true k
+        ~vpn:((Layout.va_shared_in / page) + i)
+        {
+          Page_table.valid = true;
+          writable = primary;
+          dma = false;
+          device = false;
+          ppn = (sh.Layout.inbuf_base / page) + i;
+        }
+    done
+  end
 
 let check_program cfg (program : Rcoe_isa.Program.t) =
   let profile = Arch.profile_of cfg.Config.arch in
   if cfg.Config.mode = Config.CC then begin
-    (match Rcoe_isa.Check.exclusives program with
+    (match Rcoe_isa.Lint.exclusives program with
     | [] -> ()
     | (addr, i) :: _ ->
         invalid_arg
@@ -854,59 +778,7 @@ let create ~config:cfg ~program =
     (fun r ->
       let k = r.kern in
       Kernel.setup_address_space k;
-      if cfg.Config.with_net then begin
-        let is_primary = r.rid = t.prim in
-        (* MMIO window. *)
-        if is_primary then
-          List.iter
-            (fun (vpn, pte) -> Kernel.map_page ~quiet:true k ~vpn pte)
-            mmio_plan
-        else begin
-          let alias = Kernel.alloc_frame_high k in
-          Kernel.map_page ~quiet:true k ~vpn:(Layout.va_mmio / page)
-            {
-              Page_table.valid = true;
-              writable = true;
-              dma = false;
-              device = false;
-              ppn = alias;
-            }
-        end;
-        (* DMA window: the primary sees the real region; others see private
-           shadow frames. All carry the DMA mark so a new primary can find
-           and patch them (paper Section IV-A). *)
-        if is_primary then
-          List.iter
-            (fun (vpn, pte) -> Kernel.map_page ~quiet:true k ~vpn pte)
-            dma_plan
-        else
-          List.iter
-            (fun (vpn, _) ->
-              let shadow = Kernel.alloc_frame_high k in
-              Kernel.map_page ~quiet:true k ~vpn
-                {
-                  Page_table.valid = true;
-                  writable = true;
-                  dma = true;
-                  device = false;
-                  ppn = shadow;
-                })
-            dma_plan;
-        (* Shared input-replication buffer: same physical pages everywhere;
-           writable by the primary only. *)
-        let in_pages = lay.Layout.shared.Layout.inbuf_words / page in
-        for i = 0 to in_pages - 1 do
-          Kernel.map_page ~quiet:true k
-            ~vpn:((Layout.va_shared_in / page) + i)
-            {
-              Page_table.valid = true;
-              writable = is_primary;
-              dma = false;
-              device = false;
-              ppn = (lay.Layout.shared.Layout.inbuf_base / page) + i;
-            }
-        done
-      end;
+      map_windows t k ~primary:(r.rid = t.prim);
       ignore (Kernel.spawn k ~entry:program.Rcoe_isa.Program.entry ~arg:0);
       Kernel.start k;
       (* Role mappings differ per replica; baseline the signature after
@@ -914,48 +786,6 @@ let create ~config:cfg ~program =
       Signature.reset (mem t) ~base:(sig_base t r.rid))
     replicas;
   Machine.route_irqs_to mach t.prim;
-  (* Replay-based detection: log every host inject from the first
-     cycle (the harness may feed the device before it first runs the
-     system), and take the cycle-0 base checkpoint the first chunk is
-     relative to. Shadow systems are created lazily by
-     [Engine_replay]. *)
-  if cfg.Config.detection = Config.Replay then begin
-    let ring =
-      match t.ckpts with Some ck -> ck | None -> assert false
-    in
-    let ilog = Inputlog.create () in
-    (match net with
-    | Some nd ->
-        Netdev.set_host_tap nd
-          ~on_inject:(fun ~now:deliver_at payload ->
-            Inputlog.record ilog ~at:(now t) ~deliver_at payload)
-          ()
-    | None -> ());
-    let r0 = t.replicas.(0) in
-    let snap =
-      Checkpoint.capture (mem t) lay ~kind:Checkpoint.Full ~cycle:(now t)
-        ~round_seq:t.round_seq ~ticks:t.ticks ~prim:t.prim
-        ~replicas:[ (0, r0.kern, r0.finished) ]
-    in
-    Checkpoint.push ring snap;
-    Checkpoint.pin ring snap;
-    t.rp <-
-      Some
-        {
-          rp_ring = ring;
-          rp_log = ilog;
-          rp_span = cfg.Config.replay_chunk_ticks * cfg.Config.tick_interval;
-          rp_seq = 0;
-          rp_cut = replay_cut_state t;
-          rp_snap = snap;
-          rp_next_cut = cfg.Config.replay_chunk_ticks;
-          rp_inflight = [];
-          rp_shadows = [];
-          rp_shadows_made = 0;
-          rp_hwm = 0;
-          rp_idle_cycles = 0;
-        }
-  end;
   t
 
 (* ---------------------------------------------------------------------- *)
@@ -968,6 +798,68 @@ let ft_words num args =
   else if num = Syscall.sys_ft_add_trace || num = Syscall.sys_ft_mem_rep then
     max 0 args.(1)
   else 0
+
+(* A kernel data abort on replica [r]: physical address [a] lies outside
+   memory. Caught by the exception-handler barrier it halts just this
+   replica, detectably (fail-stop: the others time out). Unreplicated it
+   halts the system. Replicated without barriers it is the uncontrolled
+   kernel exception that takes the whole system down mid-round; such
+   configurations are ineligible for the parallel engine
+   ({!Config.parallel_ineligibility}), so only the Base halt can run
+   inside a window. *)
+let kernel_abort t r a =
+  rlog_event t r (E_kernel_abort r.rid);
+  if t.cfg.Config.exception_barriers || t.cfg.Config.mode = Config.Base then begin
+    r.state <- Rs_halted;
+    (Kernel.core r.kern).Core.halted <- true
+  end;
+  if not t.cfg.Config.exception_barriers then
+    let reason = H_kernel_exception (Printf.sprintf "phys abort @%d" a) in
+    match r.wctx with
+    | Some w -> w.wpark <- Some (w.wv_now, Pk_halt reason)
+    | None -> halt_system t reason
+
+(* An FT operation's copy into or out of [r]'s user memory. A bad user
+   mapping fails the copy softly (the guest gets an error code); a
+   corrupted page table that translates outside physical memory is a
+   kernel data abort on [r]. Returns whether the copy completed. *)
+let user_copy t r copy =
+  try
+    copy ();
+    true
+  with
+  | Kernel.User_mem_error _ -> false
+  | Mem.Abort a ->
+      kernel_abort t r a;
+      false
+
+(* FT_Mem_Rep ingress verification, when configured: recompute the
+   checksum of the [len]-word frame at physical [src] and compare it
+   against the NIC's enqueue-time ground truth (RX_CSUM). The replicas
+   [rs] read the same physical buffer, so the digest is computed once
+   and each is charged for the pass. A mismatch is counted, traced and
+   logged as a drop here; the caller NACKs the frame ([nack_frame]),
+   under replication only after the vote. *)
+let verify_ingress t rs ~src ~len =
+  if not (t.cfg.Config.ingress_check && t.net <> None) then `Unchecked
+  else begin
+    Metrics.incr t.ms.m_ingress_checked;
+    List.iter (fun r -> charge r (ft_word_cost * len)) rs;
+    let data = Mem.read_block (mem t) src len in
+    let got = Rcoe_checksum.Fletcher.frame data in
+    let expect = Machine.dev_read t.mach t.net_dpn Netdev.reg_rx_csum in
+    if got = expect then `Verified got
+    else begin
+      let id = if Array.length data >= 2 then data.(1) else -1 in
+      Metrics.incr t.ms.m_ingress_dropped;
+      Trace.ingress_drop t.trace ~id ~expect ~got;
+      observe_detection t;
+      log_event t (E_ingress_drop id);
+      `Dropped (expect, got)
+    end
+  end
+
+let nack_frame t = Machine.dev_write t.mach t.net_dpn Netdev.reg_rx_nack 1
 
 (* Stage an FT operation: fold its data into every replica's signature and
    return the commit action (externally-visible side effects), which runs
@@ -985,6 +877,14 @@ let ft_stage t num args =
   in
   let set_result r v =
     (Kernel.core r.kern).Core.regs.(0) <- v
+  in
+  (* Deliver [data] into every replica's buffer at [va]. *)
+  let copy_in ~va data () =
+    List.iter
+      (fun r ->
+        ignore (user_copy t r (fun () -> Kernel.write_user_block r.kern ~va data));
+        set_result r 0)
+      live
   in
   List.iter
     (fun r -> charge r (ft_op_cost + (ft_word_cost * ft_words num args)))
@@ -1018,13 +918,7 @@ let ft_stage t num args =
               if i < 32 then Mem.write (mem t) (sh.Layout.scratch_base + i) v)
             values;
           List.iter (fun r -> add_sig r values) live;
-          fun () ->
-            List.iter
-              (fun r ->
-                (try Kernel.write_user_block r.kern ~va values
-                 with Kernel.User_mem_error _ -> ());
-                set_result r 0)
-              live
+          copy_in ~va values
         end
         else begin
           (* Write: fold every replica's outgoing data; the device write
@@ -1032,10 +926,6 @@ let ft_stage t num args =
           let blocks =
             List.map (fun r -> (r.rid, read_block r ~va ~len)) live
           in
-          List.iter
-            (fun (_, b) ->
-              match b with Some _ -> () | None -> ())
-            blocks;
           List.iter2
             (fun r (_, b) ->
               match b with Some ws -> add_sig r ws | None -> add_sig r [| -1 |])
@@ -1053,40 +943,19 @@ let ft_stage t num args =
     and len = max 0 (min args.(1) sh.Layout.inbuf_words)
     and dma_off = max 0 args.(2) in
     let src = t.lay.Layout.dma_base + min dma_off (t.lay.Layout.dma_words - len) in
-    (* Ingress verification: each live replica recomputes the frame
-       checksum over the DMA buffer it is about to consume and compares
-       it against the NIC's enqueue-time ground truth (RX_CSUM). The
-       replicas read the same physical buffer, so the simulation
-       computes the digest once and charges each replica for the pass. *)
-    let verdict =
-      if t.cfg.Config.ingress_check && t.net <> None then begin
-        Metrics.incr t.ms.m_ingress_checked;
-        List.iter (fun r -> charge r (ft_word_cost * len)) live;
-        let data = Mem.read_block (mem t) src len in
-        let got = Rcoe_checksum.Fletcher.frame data in
-        let expect = Machine.dev_read t.mach t.net_dpn Netdev.reg_rx_csum in
-        if got = expect then `Verified got else `Corrupt (data, expect, got)
-      end
-      else `Unchecked
-    in
-    match verdict with
-    | `Corrupt (data, expect, got) ->
+    match verify_ingress t live ~src ~len with
+    | `Dropped (expect, got) ->
         (* The corruption happened outside the sphere of replication, so
            every replica sees the same bad bytes: fold an identical drop
            marker (not the data) so the vote passes — rollback cannot
            repair a buffer no checkpoint covers. Recovery is to NACK the
            frame back to the device and let the client's retransmission
            bridge re-deliver it. *)
-        let id = if Array.length data >= 2 then data.(1) else -1 in
         List.iter (fun r -> add_sig r [| -2; expect; got |]) live;
-        Metrics.incr t.ms.m_ingress_dropped;
-        Trace.ingress_drop t.trace ~id ~expect ~got;
-        observe_detection t;
-        log_event t (E_ingress_drop id);
         fun () ->
-          Machine.dev_write t.mach t.net_dpn Netdev.reg_rx_nack 1;
+          nack_frame t;
           List.iter (fun r -> set_result r 1) live
-    | `Verified _ | `Unchecked ->
+    | (`Verified _ | `Unchecked) as verdict ->
         (* The primary's kernel copies the DMA buffer into the shared
            region; every replica's kernel then copies it inward and
            folds it — plus, on the checked path, the verified digest, so
@@ -1097,14 +966,8 @@ let ft_stage t num args =
         List.iter (fun r -> add_sig r data) live;
         (match verdict with
         | `Verified digest -> List.iter (fun r -> add_sig r [| digest |]) live
-        | _ -> ());
-        fun () ->
-          List.iter
-            (fun r ->
-              (try Kernel.write_user_block r.kern ~va data
-               with Kernel.User_mem_error _ -> ());
-              set_result r 0)
-            live
+        | `Unchecked -> ());
+        copy_in ~va data
   end
   else begin
     (* input_wait: pure rendezvous. *)
@@ -1115,6 +978,7 @@ let ft_stage t num args =
 let ft_base t r num args =
   let k = r.kern in
   let set v = (Kernel.core k).Core.regs.(0) <- v in
+  let copy f = set (if user_copy t r f then 0 else -1) in
   charge r (ft_op_cost + (ft_word_cost * ft_words num args));
   if num = Syscall.sys_ft_add_trace || num = Syscall.sys_input_wait then set 0
   else if num = Syscall.sys_ft_mem_access then begin
@@ -1123,51 +987,30 @@ let ft_base t r num args =
     match Kernel.translate_mmio k ~va:mmio_va with
     | None -> set (-1)
     | Some (dpn, off) ->
-        (try
-           if access = 0 then
-             for i = 0 to len - 1 do
-               Kernel.write_user k ~va:(va + i) (Machine.dev_read t.mach dpn (off + i))
-             done
-           else
-             for i = 0 to len - 1 do
-               Machine.dev_write t.mach dpn (off + i) (Kernel.read_user k ~va:(va + i))
-             done;
-           set 0
-         with Kernel.User_mem_error _ -> set (-1))
+        copy (fun () ->
+            if access = 0 then
+              for i = 0 to len - 1 do
+                Kernel.write_user k ~va:(va + i) (Machine.dev_read t.mach dpn (off + i))
+              done
+            else
+              for i = 0 to len - 1 do
+                Machine.dev_write t.mach dpn (off + i) (Kernel.read_user k ~va:(va + i))
+              done)
   end
   else if num = Syscall.sys_ft_mem_rep then begin
     let va = args.(0)
     and len = max 0 (min args.(1) t.lay.Layout.dma_words)
     and dma_off = max 0 args.(2) in
     let src = t.lay.Layout.dma_base + min dma_off (t.lay.Layout.dma_words - len) in
-    let drop =
-      t.cfg.Config.ingress_check && t.net <> None
-      && begin
-           Metrics.incr t.ms.m_ingress_checked;
-           charge r (ft_word_cost * len);
-           let data = Mem.read_block (mem t) src len in
-           let got = Rcoe_checksum.Fletcher.frame data in
-           let expect = Machine.dev_read t.mach t.net_dpn Netdev.reg_rx_csum in
-           if got = expect then false
-           else begin
-             let id = if Array.length data >= 2 then data.(1) else -1 in
-             Metrics.incr t.ms.m_ingress_dropped;
-             Trace.ingress_drop t.trace ~id ~expect ~got;
-             observe_detection t;
-             log_event t (E_ingress_drop id);
-             Machine.dev_write t.mach t.net_dpn Netdev.reg_rx_nack 1;
-             true
-           end
-         end
-    in
-    if drop then set 1
-    else
-      try
-        for i = 0 to len - 1 do
-          Kernel.write_user k ~va:(va + i) (Mem.read (mem t) (src + i))
-        done;
-        set 0
-      with Kernel.User_mem_error _ -> set (-1)
+    match verify_ingress t [ r ] ~src ~len with
+    | `Dropped _ ->
+        nack_frame t;
+        set 1
+    | `Verified _ | `Unchecked ->
+        copy (fun () ->
+            for i = 0 to len - 1 do
+              Kernel.write_user k ~va:(va + i) (Mem.read (mem t) (src + i))
+            done)
   end
   else set (-1)
 
@@ -1181,25 +1024,7 @@ let promote_new_primary t new_prim =
   (* Scan the page table for DMA-marked pages (the spare-bit trick) and
      re-point them at the real DMA region and device window. *)
   let marked = Kernel.dma_pages_mapped k in
-  List.iter (fun (vpn, pte) -> Kernel.map_page ~quiet:true k ~vpn pte) t.dma_plan;
-  List.iter (fun (vpn, pte) -> Kernel.map_page ~quiet:true k ~vpn pte) t.mmio_plan;
-  (* The primary role includes write access to the shared input-
-     replication buffer (it performs the user-mode input copies). *)
-  if t.cfg.Config.with_net then begin
-    let page = Layout.page_size in
-    let in_pages = (shared t).Layout.inbuf_words / page in
-    for i = 0 to in_pages - 1 do
-      Kernel.map_page ~quiet:true k
-        ~vpn:((Layout.va_shared_in / page) + i)
-        {
-          Page_table.valid = true;
-          writable = true;
-          dma = false;
-          device = false;
-          ppn = ((shared t).Layout.inbuf_base / page) + i;
-        }
-    done
-  end;
+  map_windows t k ~primary:true;
   t.prim <- new_prim;
   Machine.route_irqs_to t.mach new_prim;
   let cc_factor = if t.cfg.Config.mode = Config.CC then 5 else 1 in
@@ -1272,34 +1097,45 @@ let publish_signatures t =
    they model a wide DMA/bulk-copy engine, plus a fixed quiesce cost. *)
 let ckpt_copy_cost words = (words / 32) + 2_000
 
-let take_checkpoint t ck =
-  let lv = live_replicas t in
-  (* The ring's base must be self-contained, so the first capture is
-     always a full copy; after that the configured mode decides. *)
+(* Capture every live replica into the ring. The ring's base must be
+   self-contained, so the first capture is always a full copy; after
+   that the configured mode decides (replay detection is always
+   incremental). Under replay detection every snapshot starts a chunk
+   and stays pinned until that chunk's verdict is in. *)
+let capture_checkpoint t ck =
   let kind =
-    match t.cfg.Config.checkpoint_mode with
-    | Config.Full -> Checkpoint.Full
-    | Config.Incremental ->
-        if Checkpoint.count ck = 0 then Checkpoint.Full else Checkpoint.Delta
+    if t.cfg.Config.checkpoint_mode = Config.Full || Checkpoint.count ck = 0
+    then Checkpoint.Full
+    else Checkpoint.Delta
   in
   let snap =
     Checkpoint.capture (mem t) t.lay ~kind ~cycle:(now t)
       ~round_seq:t.round_seq ~ticks:t.ticks ~prim:t.prim
-      ~replicas:(List.map (fun r -> (r.rid, r.kern, r.finished)) lv)
+      ~replicas:
+        (List.map (fun r -> (r.rid, r.kern, r.finished)) (live_replicas t))
   in
   Checkpoint.push ck snap;
-  (* A fresh verified snapshot is forward progress: reset escalation. *)
-  t.retries_at_newest <- 0;
-  t.escalations <- 0;
+  if t.cfg.Config.detection = Config.Replay then Checkpoint.pin ck snap;
+  snap
+
+(* Charge a capture's copy stall to every live replica and account it. *)
+let charge_checkpoint t snap =
   let words = Checkpoint.words snap in
   let skipped = Checkpoint.skipped_words snap in
   let cost = ckpt_copy_cost words in
-  List.iter (fun r -> charge r cost) lv;
+  List.iter (fun r -> charge r cost) (live_replicas t);
   Metrics.incr t.ms.m_ckpt_taken;
   Metrics.incr ~by:words t.ms.m_ckpt_words_copied;
   Metrics.incr ~by:skipped t.ms.m_ckpt_words_skipped;
   Metrics.observe t.ms.m_ckpt_cost (float_of_int cost);
   Trace.checkpoint t.trace ~words ~skipped ~cost
+
+let take_checkpoint t ck =
+  let snap = capture_checkpoint t ck in
+  (* A fresh verified snapshot is forward progress: reset escalation. *)
+  t.retries_at_newest <- 0;
+  t.escalations <- 0;
+  charge_checkpoint t snap
 
 (* Runs at the end of every successfully voted round (the only verified
    quiescent points). *)
@@ -1587,97 +1423,51 @@ let deliver_events t evs =
             (live_replicas t))
     evs
 
-(* Completion of an asynchronous round: all live replicas are at the same
-   logical time. Execute any rendezvoused FT operation, vote, deliver. *)
 let end_round t =
   Trace.round_end t.trace ~seq:t.round_seq;
   t.phase <- Ph_idle;
   maybe_checkpoint t
 
-let finish_async_round t round =
-  let lv = live_replicas t in
-  let fts = List.map (fun r -> r.pending_ft) lv in
-  let all_none = List.for_all (fun f -> f = None) fts in
-  let all_same =
-    match fts with
-    | [] -> true
-    | f0 :: rest -> List.for_all (fun f -> f = f0) rest
-  in
-  let continue_round () =
-    (match List.find_opt (fun r -> r.pending_ft <> None) lv with
-    | Some { pending_ft = Some (num, args); _ } ->
-        Metrics.incr t.ms.m_ft_rounds;
-        let commit = ft_stage t num args in
-        (* Only reads touch the device *before* the vote (the primary has
-           already distributed device data); writes commit after a
-           successful vote, so a faulty primary can be removed safely. *)
-        let io =
-          (num = Syscall.sys_ft_mem_access && args.(0) = 0)
-          || num = Syscall.sys_ft_mem_rep
-        in
-        vote_signatures t ~io_in_flight:io (fun () ->
-            commit ();
-            deliver_events t round.events;
-            List.iter (fun r -> r.pending_ft <- None) (live_replicas t);
-            maybe_reintegrate t;
-            equalize_stalls t;
-            List.iter (resume_replica t) (live_replicas t);
-            end_round t)
-    | _ ->
-        vote_signatures t ~io_in_flight:false (fun () ->
-            deliver_events t round.events;
-            maybe_reintegrate t;
-            equalize_stalls t;
-            List.iter (resume_replica t) (live_replicas t);
-            end_round t))
-  in
-  if all_none || all_same then continue_round ()
-  else begin
-    (* Divergent pending syscalls: treat as detected divergence. *)
-    publish_signatures t;
-    if handle_mismatch t ~io_in_flight:false then begin
-      List.iter (fun r -> r.pending_ft <- None) (live_replicas t);
-      equalize_stalls t;
-      List.iter (resume_replica t) (live_replicas t);
-      end_round t
-    end
-  end
-
-let finish_rendezvous t =
-  Metrics.incr t.ms.m_rendezvous;
-  let lv = live_replicas t in
-  let fts = List.map (fun r -> r.pending_ft) lv in
-  let all_same =
-    match fts with [] -> true | f0 :: rest -> List.for_all (fun f -> f = f0) rest
-  in
+(* Completion of a round: every live replica is parked at the same
+   logical point. Stage the pending FT operation, if any, vote, commit
+   the operation after a successful vote, and resume. An asynchronous
+   round ([events = Some _]) also delivers its tick or device IRQ and
+   runs a pending re-integration. Replicas that reach the round with
+   different pending operations have diverged; when masking removes the
+   faulty one, the survivors go through the round again. *)
+let rec complete_round t ~events =
+  let fts = List.map (fun r -> r.pending_ft) (live_replicas t) in
   let resume () =
     List.iter (fun r -> r.pending_ft <- None) (live_replicas t);
+    Option.iter
+      (fun evs ->
+        deliver_events t evs;
+        maybe_reintegrate t)
+      events;
     equalize_stalls t;
     List.iter (resume_replica t) (live_replicas t);
     end_round t
   in
-  if all_same then
-    match List.hd fts with
-    | Some (num, args) ->
-        Metrics.incr t.ms.m_ft_rounds;
-        let commit = ft_stage t num args in
-        (* Only reads touch the device *before* the vote (the primary has
-           already distributed device data); writes commit after a
-           successful vote, so a faulty primary can be removed safely. *)
-        let io =
-          (num = Syscall.sys_ft_mem_access && args.(0) = 0)
-          || num = Syscall.sys_ft_mem_rep
-        in
-        vote_signatures t ~io_in_flight:io (fun () ->
-            commit ();
-            resume ())
-    | None ->
-        (* Sync_vote rendezvous: vote only. *)
-        vote_signatures t ~io_in_flight:false resume
-  else begin
-    publish_signatures t;
-    if handle_mismatch t ~io_in_flight:false then resume ()
-  end
+  match fts with
+  | f0 :: rest when not (List.for_all (fun f -> f = f0) rest) ->
+      publish_signatures t;
+      if handle_mismatch t ~io_in_flight:false then complete_round t ~events
+  | Some (num, args) :: _ ->
+      Metrics.incr t.ms.m_ft_rounds;
+      let commit = ft_stage t num args in
+      (* Only reads touch the device *before* the vote (the primary has
+         already distributed device data); writes commit after a
+         successful vote, so a faulty primary can be removed safely. *)
+      let io =
+        (num = Syscall.sys_ft_mem_access && args.(0) = 0)
+        || num = Syscall.sys_ft_mem_rep
+      in
+      vote_signatures t ~io_in_flight:io (fun () ->
+          commit ();
+          resume ())
+  | _ ->
+      (* A tick/IRQ round or a Sync_vote rendezvous: vote only. *)
+      vote_signatures t ~io_in_flight:false resume
 
 (* ---------------------------------------------------------------------- *)
 (* Joining and catch-up                                                    *)
@@ -1867,34 +1657,23 @@ let on_fault t r fault =
   (match Kernel.handle_fault r.kern fault with
   | Kernel.Fd_user_fault | Kernel.Fd_user_exception ->
       rlog_event t r (E_user_fault r.rid)
-  | Kernel.Fd_kernel_abort a ->
-      rlog_event t r (E_kernel_abort r.rid);
-      if t.cfg.Config.exception_barriers then begin
-        (* Caught by the exception-handler barrier: halt this replica in a
-           detectable (fail-stop) way; the others will time out. *)
-        r.state <- Rs_halted;
-        (Kernel.core r.kern).Core.halted <- true
-      end
-      else if t.cfg.Config.mode = Config.Base then begin
-        r.state <- Rs_halted;
-        (Kernel.core r.kern).Core.halted <- true;
-        let reason = H_kernel_exception (Printf.sprintf "phys abort @%d" a) in
-        match r.wctx with
-        | Some w -> w.wpark <- Some (w.wv_now, Pk_halt reason)
-        | None -> halt_system t reason
-      end
-      else
-        (* Replicated without exception barriers: an uncontrolled abort
-           takes the whole system down mid-round. Such configurations
-           are ineligible for the parallel engine
-           ({!Config.parallel_ineligibility}), so this never runs inside
-           a window. *)
-        halt_system t (H_kernel_exception (Printf.sprintf "phys abort @%d" a)));
+  | Kernel.Fd_kernel_abort a -> kernel_abort t r a);
   if Kernel.all_exited r.kern then r.finished <- true;
   if r.state <> Rs_halted then
     match t.phase with
     | Ph_async round when round.stage = `Gather -> join_gather t r
     | _ -> ()
+
+(* The kernel's reaction to a core event that ended a user step. *)
+let on_event t r = function
+  | Core.Ev_syscall n -> on_syscall t r n
+  | Core.Ev_fault f -> on_fault t r f
+  | Core.Ev_halt ->
+      Kernel.exit_current r.kern;
+      if Kernel.all_exited r.kern then r.finished <- true
+  | Core.Ev_breakpoint ->
+      (* Stale breakpoint outside a catch-up: clear and continue. *)
+      (Kernel.core r.kern).Core.bp <- None
 
 (* Execute one core cycle of user code for a running/chasing replica. *)
 let run_user t r =
@@ -1916,14 +1695,7 @@ let run_user t r =
               r.defer_publish <- false;
               join_gather t r
           | _ -> ())
-    | Core.Event (Core.Ev_syscall n) -> on_syscall t r n
-    | Core.Event (Core.Ev_fault f) -> on_fault t r f
-    | Core.Event Core.Ev_halt ->
-        Kernel.exit_current r.kern;
-        if Kernel.all_exited r.kern then r.finished <- true
-    | Core.Event Core.Ev_breakpoint ->
-        (* Stale breakpoint outside a catch-up: clear and continue. *)
-        (Kernel.core r.kern).Core.bp <- None
+    | Core.Event ev -> on_event t r ev
 
 let on_ipi t r =
   Machine.clear_ipi t.mach ~core_id:r.rid;
@@ -1946,6 +1718,12 @@ let on_ipi t r =
       end
       else join_gather t r
   | _ -> ()
+
+(* A core event during a CC catch-up. A syscall means the replica made
+   more syscalls than the leader: it has diverged past it. *)
+let on_catchup_event t r cu ev =
+  on_event t r ev;
+  match ev with Core.Ev_syscall _ -> cu.overshoot <- true | _ -> ()
 
 let step_catchup t r cu =
   let core = Kernel.core r.kern in
@@ -1974,14 +1752,7 @@ let step_catchup t r cu =
           if cu.pmu_active then begin
             (match Kernel.step r.kern with
             | Core.Ran | Core.Stalled -> ()
-            | Core.Event (Core.Ev_syscall n) ->
-                on_syscall t r n;
-                cu.overshoot <- true
-            | Core.Event (Core.Ev_fault f) -> on_fault t r f
-            | Core.Event Core.Ev_halt ->
-                Kernel.exit_current r.kern;
-                if Kernel.all_exited r.kern then r.finished <- true
-            | Core.Event Core.Ev_breakpoint -> core.Core.bp <- None);
+            | Core.Event ev -> on_catchup_event t r cu ev);
             if adj_now () >= leader_adj - 8 then begin
               cu.pmu_active <- false;
               cu.pmu_done <- true;
@@ -2024,14 +1795,7 @@ let step_catchup t r cu =
                 Trace.single_step r.rtrace ~rid:r.rid;
                 core.Core.bp_suppress <- true
               end
-          | Core.Event (Core.Ev_syscall n) ->
-              (* Divergence: more syscalls than the leader. *)
-              on_syscall t r n;
-              cu.overshoot <- true
-          | Core.Event (Core.Ev_fault f) -> on_fault t r f
-          | Core.Event Core.Ev_halt ->
-              Kernel.exit_current r.kern;
-              if Kernel.all_exited r.kern then r.finished <- true
+          | Core.Event ev -> on_catchup_event t r cu ev
   end
 
 let step_replica t r =
@@ -2153,7 +1917,7 @@ let advance_phase t =
               List.for_all
                 (fun r -> r.state = Rs_vote_wait && arrived_bar t r.rid)
                 (live_replicas t)
-            then finish_async_round t round)
+            then complete_round t ~events:(Some round.events))
   | Ph_rdv rdv ->
       if now t - rdv.rdv_started > t.cfg.Config.barrier_timeout then begin
         let stragglers =
@@ -2165,7 +1929,10 @@ let advance_phase t =
         List.for_all
           (fun r -> r.state = Rs_rendezvous && arrived_bar t r.rid)
           (live_replicas t)
-      then finish_rendezvous t
+      then begin
+        Metrics.incr t.ms.m_rendezvous;
+        complete_round t ~events:None
+      end
       (* A replica that exited (or hung) while the others rendezvous is a
          straggler; without timeout masking it is caught by the barrier
          timeout above, not by a vote — the paper's hanging-replica case. *)
@@ -2259,16 +2026,7 @@ let burst_cycles t ~budget =
                  due for delivery — the fuel clip above guarantees the
                  window is device-quiescent. *)
               Machine.tick_devices t.mach;
-              (match ev with
-              | None -> ()
-              | Some (Core.Ev_syscall n) -> on_syscall t r n
-              | Some (Core.Ev_fault f) -> on_fault t r f
-              | Some Core.Ev_halt ->
-                  Kernel.exit_current r.kern;
-                  if Kernel.all_exited r.kern then r.finished <- true
-              | Some Core.Ev_breakpoint ->
-                  (* Unreachable: [bp = None] is a burst precondition. *)
-                  core.Core.bp <- None);
+              Option.iter (on_event t r) ev;
               Some consumed
             end)
     | _ -> None

@@ -53,16 +53,6 @@ type event_kind =
       (** Ingress-checksum mismatch: the request sequence id parsed from
           the dropped frame ([-1] when unparseable). *)
 
-type stats = {
-  mutable ticks_delivered : int;
-  mutable rounds : int;
-  mutable votes : int;
-  mutable ipis : int;
-  mutable bp_fires : int;
-  mutable ft_rounds : int;
-  mutable rendezvous : int;
-}
-
 type t
 
 val create : config:Config.t -> program:Rcoe_isa.Program.t -> t
@@ -105,14 +95,18 @@ val primary : t -> int
 val live : t -> int list
 val now : t -> int
 
-val stats : t -> stats
-(** A snapshot view over the metrics registry (the former hand-
-    maintained record); fresh on each call. *)
-
 val metrics : t -> Rcoe_obs.Metrics.t
-(** The full counter/gauge/histogram registry: everything in {!stats}
-    plus catch-up distances, barrier waits, VM exits, detection
-    latencies, … — the per-phase quantities of paper Tables II/V/X. *)
+(** The full counter/gauge/histogram registry: round, vote, tick and
+    catch-up counters, catch-up distances, barrier waits, VM exits,
+    detection latencies, … — the per-phase quantities of paper Tables
+    II/V/X. *)
+
+val counter : t -> string -> int
+(** The value of the named counter in {!metrics}, e.g.
+    ["sync.rounds"], ["kernel.ticks_delivered"], ["sync.votes"],
+    ["catchup.bp_fires"], ["sync.ft_rounds"], ["sync.rendezvous"].
+    Raises [Invalid_argument] if no counter of that name is
+    registered. *)
 
 val trace : t -> Rcoe_obs.Trace.t
 (** The structured execution trace. Disabled (and free) unless

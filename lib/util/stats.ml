@@ -52,26 +52,6 @@ let percentile p = function
       in
       List.nth sorted rank
 
-let histogram ~buckets xs =
-  if buckets = [] then invalid_arg "Stats.histogram: no buckets";
-  let bounds = List.sort_uniq compare buckets in
-  let counts = Array.make (List.length bounds) 0 in
-  let barr = Array.of_list bounds in
-  List.iter
-    (fun x ->
-      (* First bucket whose bound is >= x; samples above the last bound
-         are not counted (an implicit +inf bucket would hide them in
-         rendering anyway — callers size their bounds). *)
-      let n = Array.length barr in
-      let rec place i =
-        if i >= n then ()
-        else if x <= barr.(i) then counts.(i) <- counts.(i) + 1
-        else place (i + 1)
-      in
-      place 0)
-    xs;
-  List.mapi (fun i b -> (b, counts.(i))) bounds
-
 let format_paper ~decimals s =
   let unit_scale = 10.0 ** float_of_int decimals in
   let sd_units = int_of_float (Float.round (s.stddev *. unit_scale)) in

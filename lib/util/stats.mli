@@ -25,13 +25,6 @@ val geomean : float list -> float
 val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in \[0,100\], nearest-rank on sorted data. *)
 
-val histogram : buckets:float list -> float list -> (float * int) list
-(** [histogram ~buckets xs] counts samples into upper-bound buckets:
-    one [(bound, count)] pair per distinct bucket (sorted ascending),
-    where a sample [x] lands in the first bucket with [x <= bound].
-    Samples above the largest bound are not counted. Raises
-    [Invalid_argument] on an empty bucket list. *)
-
 val format_paper : decimals:int -> summary -> string
 (** Render as the paper does: ["86 (0)"], ["130 (11)"] — mean with the
     standard deviation in parentheses expressed in units of the least

@@ -147,10 +147,7 @@ let replay_serve ?fault ~backend () =
     ~config:(replay_serve_config ~backend)
     ~workload:Ycsb.A ~records ~requests ~chunk ?fault ()
 
-let replay_counter sys name =
-  match Rcoe_obs.Metrics.find_counter (System.metrics sys) name with
-  | Some c -> Rcoe_obs.Metrics.count c
-  | None -> Alcotest.failf "metric %s not registered" name
+let replay_counter = System.counter
 
 let check_replay_clean ~label (r : Loadgen.result) =
   Alcotest.(check bool) (label ^ ": finished") false r.Loadgen.stalled;

@@ -228,11 +228,7 @@ let test_sweep_exercises_catchup () =
   let a = run Config.Interp and b = run Config.Blocks in
   Alcotest.(check bool) "interp run completed" true (System.finished a);
   Test_engine_par.check_identical ~label:"CC-2/seq-catchup" a b;
-  let count name =
-    match Metrics.find_counter (System.metrics b) name with
-    | Some c -> Metrics.count c
-    | None -> 0
-  in
+  let count = System.counter b in
   Alcotest.(check bool) "bp fires on compiled blocks" true
     (count "catchup.bp_fires" > 0);
   Alcotest.(check bool) "single-step resumes on compiled blocks" true
@@ -303,11 +299,7 @@ let test_mid_rep_movs_differential () =
   let a = run Config.Interp and b = run Config.Blocks in
   Alcotest.(check bool) "finished" true (System.finished a);
   Test_engine_par.check_identical ~label:"mid-rep" a b;
-  let rep_steps sys =
-    match Metrics.find_counter (System.metrics sys) "catchup.rep_steps" with
-    | Some c -> Metrics.count c
-    | None -> 0
-  in
+  let rep_steps sys = System.counter sys "catchup.rep_steps" in
   Alcotest.(check bool) "an IPI landed mid-rep-string" true (rep_steps a > 0)
 
 (* --- self-modifying code: invalidation regression ------------------------ *)

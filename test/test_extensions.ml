@@ -237,7 +237,7 @@ let test_fast_catchup_reduces_bp_fires () =
     let sys = System.create ~config:cfg ~program in
     System.run sys ~max_cycles:50_000_000;
     Alcotest.(check bool) "finished" true (System.finished sys);
-    ((System.stats sys).System.bp_fires, System.now sys)
+    (System.counter sys "catchup.bp_fires", System.now sys)
   in
   let slow_fires, slow_cycles = run ~fast_catchup:false in
   let fast_fires, fast_cycles = run ~fast_catchup:true in

@@ -192,6 +192,19 @@ let test_trial_deterministic () =
   Alcotest.(check bool) "same outcome" true (fst t1 = fst t2);
   Alcotest.(check int) "same flip count" (snd t1) (snd t2)
 
+(* A flipped page-table bit can make an FT operation's user copy
+   translate outside physical memory. That is a kernel data abort on the
+   copying replica — an uncontrolled kernel exception on x86 without
+   exception barriers — not an exception escaping the simulator. *)
+let test_ft_copy_phys_abort () =
+  let outcome, _ =
+    Rcoe_harness.Fault_experiments.one_trial_for_debug
+      ~mode:Rcoe_core.Config.CC ~n:2 ~seed:961
+  in
+  Alcotest.(check string) "kernel exception"
+    (Outcome.to_string Outcome.Kernel_exception)
+    (Outcome.to_string outcome)
+
 let suite =
   [
     Alcotest.test_case "kernel regions" `Quick test_kernel_regions_cover_kernel_only;
@@ -212,4 +225,5 @@ let suite =
     Alcotest.test_case "overclock active-user bound" `Quick
       test_overclock_respects_active_user;
     Alcotest.test_case "fault trial deterministic" `Quick test_trial_deterministic;
+    Alcotest.test_case "FT copy physical abort" `Quick test_ft_copy_phys_abort;
   ]

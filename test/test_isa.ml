@@ -99,7 +99,7 @@ let assemble_simple () =
 let test_assemble_resolves_everything () =
   let p = assemble_simple () in
   Alcotest.(check (list (pair int pass))) "no unresolved targets" []
-    (Check.unresolved_targets p);
+    (Lint.unresolved_targets p);
   Alcotest.(check int) "entry at main" (Program.label_addr p "main") p.Program.entry
 
 let test_data_layout () =
@@ -226,7 +226,7 @@ let test_reserved_register_ok_without_pass () =
   Asm.ret a;
   let p = Asm.assemble ~entry:"main" a in
   Alcotest.(check int) "one violation reported" 1
-    (List.length (Check.reserved_register_violations p))
+    (List.length (Lint.reserved_register_violations p))
 
 let test_exclusives_scan () =
   let a = Asm.create "t" in
@@ -235,7 +235,7 @@ let test_exclusives_scan () =
   Asm.emit a (Instr.Stex (Reg.R3, Reg.R1, Reg.R2));
   Asm.ret a;
   let p = Asm.assemble ~entry:"main" a in
-  Alcotest.(check int) "two exclusives" 2 (List.length (Check.exclusives p))
+  Alcotest.(check int) "two exclusives" 2 (List.length (Lint.exclusives p))
 
 let test_rep_scan () =
   let a = Asm.create "t" in
@@ -243,7 +243,7 @@ let test_rep_scan () =
   Asm.emit a Instr.Rep_movs;
   Asm.ret a;
   let p = Asm.assemble ~entry:"main" a in
-  Alcotest.(check int) "one rep" 1 (List.length (Check.rep_strings p))
+  Alcotest.(check int) "one rep" 1 (List.length (Lint.rep_strings p))
 
 let raw_program code =
   (* The assembler cannot emit these shapes; build the record directly. *)
@@ -260,7 +260,7 @@ let raw_program code =
 let test_unresolved_negative_target () =
   let p = raw_program [| Instr.Jmp (Instr.Abs (-1)); Instr.Halt |] in
   Alcotest.(check int) "negative flagged" 1
-    (List.length (Check.unresolved_targets p))
+    (List.length (Lint.unresolved_targets p))
 
 let test_unresolved_target_at_code_length () =
   (* Abs = code length is the first invalid address: one past the last
@@ -268,14 +268,14 @@ let test_unresolved_target_at_code_length () =
   let open Instr in
   let bad = raw_program [| Jmp (Abs 2); Halt |] in
   Alcotest.(check int) "length flagged" 1
-    (List.length (Check.unresolved_targets bad));
+    (List.length (Lint.unresolved_targets bad));
   let ok = raw_program [| Jmp (Abs 1); Halt |] in
   Alcotest.(check int) "length - 1 accepted" 0
-    (List.length (Check.unresolved_targets ok))
+    (List.length (Lint.unresolved_targets ok))
 
 let test_unresolved_symbolic_target () =
   let p = raw_program [| Instr.Jal (Instr.Lbl "ghost"); Instr.Halt |] in
-  match Check.unresolved_targets p with
+  match Lint.unresolved_targets p with
   | [ (0, Instr.Jal (Instr.Lbl "ghost")) ] -> ()
   | _ -> Alcotest.fail "expected the symbolic Jal at address 0"
 

@@ -316,7 +316,7 @@ let test_system_deterministic_given_seed () =
       System.create ~config:(lc_cfg ()) ~program:(spin_exit_program ~loops:50_000)
     in
     System.run sys ~max_cycles:10_000_000;
-    (System.now sys, (System.stats sys).System.rounds)
+    (System.now sys, System.counter sys "sync.rounds")
   in
   Alcotest.(check (pair int int)) "bit-identical reruns" (run ()) (run ())
 

@@ -89,6 +89,8 @@ let test_config_validation () =
     { (replay_config ()) with Config.engine = Config.Parallel };
   expect_err "replay with lockstep checkpointing"
     { (replay_config ()) with Config.checkpoint_every = 4 };
+  expect_err "replay with full checkpoints"
+    { (replay_config ()) with Config.checkpoint_mode = Config.Full };
   expect_err "zero chunk ticks"
     { (replay_config ()) with Config.replay_chunk_ticks = 0 };
   expect_err "zero queue depth"
@@ -99,10 +101,7 @@ let test_config_validation () =
 let md5 () =
   Md5sum.program ~message_words:96 ~iters:8 ~seed:6 ~branch_count:false ()
 
-let counter sys name =
-  match Metrics.find_counter (System.metrics sys) name with
-  | Some c -> Metrics.count c
-  | None -> Alcotest.failf "metric %s not registered" name
+let counter = System.counter
 
 (* --- healthy run: every chunk verifies, output is Base's ----------------- *)
 

@@ -37,25 +37,6 @@ let test_percentile () =
   Alcotest.check feq "p99" 99.0 (Stats.percentile 99.0 xs);
   Alcotest.check feq "max" 100.0 (Stats.percentile 100.0 xs)
 
-let test_histogram () =
-  Alcotest.(check (list (pair (float 1e-9) int)))
-    "bucketing"
-    [ (1.0, 2); (5.0, 2); (10.0, 1) ]
-    (Stats.histogram ~buckets:[ 1.0; 5.0; 10.0 ]
-       [ 0.5; 1.0; 2.0; 5.0; 7.5; 12.0 ])
-(* 12.0 exceeds the largest bound and is dropped. *)
-
-let test_histogram_unsorted_buckets () =
-  (* Buckets are sorted and deduplicated before counting. *)
-  Alcotest.(check (list (pair (float 1e-9) int)))
-    "sort_uniq" [ (2.0, 1); (4.0, 1) ]
-    (Stats.histogram ~buckets:[ 4.0; 2.0; 4.0 ] [ 1.0; 3.0 ])
-
-let test_histogram_empty_buckets () =
-  Alcotest.check_raises "no buckets"
-    (Invalid_argument "Stats.histogram: no buckets") (fun () ->
-      ignore (Stats.histogram ~buckets:[] [ 1.0 ]))
-
 let test_format_paper () =
   let s = Stats.summarize [ 85.0; 87.0 ] in
   (* mean 86, stddev sqrt(2) ~ 1.41 -> "86 (1)" *)
@@ -101,17 +82,6 @@ let qcheck_percentile_bounded =
       let s = Stats.summarize xs in
       v >= s.Stats.min -. 1e-9 && v <= s.Stats.max +. 1e-9)
 
-let qcheck_histogram_conserves =
-  QCheck.Test.make
-    ~name:"histogram counts = samples under the largest bound" ~count:300
-    QCheck.(pair nonempty_floats (list_of_size Gen.(int_range 1 8) (float_range (-500.0) 500.0)))
-    (fun (xs, buckets) ->
-      QCheck.assume (buckets <> []);
-      let h = Stats.histogram ~buckets xs in
-      let top = List.fold_left max neg_infinity buckets in
-      let expected = List.length (List.filter (fun x -> x <= top) xs) in
-      List.fold_left (fun acc (_, c) -> acc + c) 0 h = expected)
-
 let suite =
   [
     Alcotest.test_case "mean" `Quick test_mean;
@@ -123,16 +93,10 @@ let suite =
     Alcotest.test_case "geomean rejects non-positive" `Quick
       test_geomean_rejects_nonpositive;
     Alcotest.test_case "percentile" `Quick test_percentile;
-    Alcotest.test_case "histogram" `Quick test_histogram;
-    Alcotest.test_case "histogram unsorted buckets" `Quick
-      test_histogram_unsorted_buckets;
-    Alcotest.test_case "histogram empty buckets raises" `Quick
-      test_histogram_empty_buckets;
     Alcotest.test_case "format_paper" `Quick test_format_paper;
     Alcotest.test_case "format_paper decimals" `Quick test_format_paper_decimals;
     QCheck_alcotest.to_alcotest qcheck_mean_within_bounds;
     QCheck_alcotest.to_alcotest qcheck_geomean_le_mean;
     QCheck_alcotest.to_alcotest qcheck_percentile_monotone;
     QCheck_alcotest.to_alcotest qcheck_percentile_bounded;
-    QCheck_alcotest.to_alcotest qcheck_histogram_conserves;
   ]

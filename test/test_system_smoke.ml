@@ -110,16 +110,16 @@ let test_cc_dmr_arm () =
 
 let test_signatures_used () =
   let sys = run_config (cfg ~mode:Config.LC ~n:2 ~arch:Rcoe_machine.Arch.X86) in
-  let st = System.stats sys in
-  Alcotest.(check bool) "some rounds happened" true (st.System.rounds > 0);
-  Alcotest.(check bool) "votes happened" true (st.System.votes > 0);
-  Alcotest.(check bool) "ft rendezvous happened" true (st.System.ft_rounds > 0)
+  let c = System.counter sys in
+  Alcotest.(check bool) "some rounds happened" true (c "sync.rounds" > 0);
+  Alcotest.(check bool) "votes happened" true (c "sync.votes" > 0);
+  Alcotest.(check bool) "ft rendezvous happened" true (c "sync.ft_rounds" > 0)
 
 let test_cc_bp_machinery () =
   let sys = run_config (cfg ~mode:Config.CC ~n:2 ~arch:Rcoe_machine.Arch.X86) in
-  let st = System.stats sys in
-  Alcotest.(check bool) "rounds happened" true (st.System.rounds > 0);
-  Alcotest.(check bool) "ticks delivered" true (st.System.ticks_delivered > 0)
+  let c = System.counter sys in
+  Alcotest.(check bool) "rounds happened" true (c "sync.rounds" > 0);
+  Alcotest.(check bool) "ticks delivered" true (c "kernel.ticks_delivered" > 0)
 
 let suite =
   [
