@@ -54,6 +54,7 @@ type stats = {
   mutable blocks_compiled : int;
   mutable ops_compiled : int;
   mutable invalidations : int;
+  mutable burst_cycles : int;
 }
 
 type t = {
@@ -423,6 +424,7 @@ let create core env =
         blocks_compiled = 0;
         ops_compiled = 0;
         invalidations = 0;
+        burst_cycles = 0;
       };
   }
 
@@ -507,6 +509,7 @@ let run t ~buses ~fuel =
     end
   done;
   c.Core.cycles <- c.Core.cycles + !consumed;
+  t.st.burst_cycles <- t.st.burst_cycles + !consumed;
   (!consumed, !ev)
 
 (* Mirror of [Core.step], with the decode replaced by the closure

@@ -63,6 +63,10 @@ type stats = {
   mutable blocks_compiled : int;  (** basic blocks discovered *)
   mutable ops_compiled : int;  (** instruction slots compiled *)
   mutable invalidations : int;  (** pages thrown away *)
+  mutable burst_cycles : int;
+      (** cycles run inside {!run}; the rest of this core's cycles went
+          through {!step}. Kept outside the metrics registry, so the
+          [Interp]/[Blocks] metric identity does not see it. *)
 }
 
 val create : Core.t -> Core.env -> t
@@ -77,25 +81,29 @@ val step : t -> Core.step_result
 
 val run : t -> buses:Bus.t array -> fuel:int -> int * Core.event option
 (** [run t ~buses ~fuel] executes up to [fuel] architectural cycles in
-    one call, for the sequential engine's quiescent-burst fast path:
-    each iteration refills every lane in [buses] (exactly
-    {!Machine.tick}'s bus work on a device-free machine) and then
-    performs one {!step}, absorbing [Ran]/[Stalled] results and
-    returning at the first event. Returns the number of cycles consumed
-    — including the cycle of a terminating event — and that event, if
-    any; the caller must add the consumed count to [Machine.now].
+    one call, for the engines' burst fast paths: each iteration refills
+    every lane in [buses] and then performs one {!step}, absorbing
+    [Ran]/[Stalled] results and returning at the first event. Returns
+    the number of cycles consumed — including the cycle of a
+    terminating event — and that event, if any. [buses] are the bus
+    lanes the caller owns for this stretch: every lane of a machine
+    whose only running core is this one (the unreplicated burst of
+    [Sched.burst_cycles], which then adds the consumed count to
+    [Machine.now]), or just this core's own lane inside an execution
+    window, where each replica ticks its own lane and the window's
+    retirement tops the others up.
 
     Preconditions, checked by the caller: the core is not halted, no
     breakpoint is armed ([bp = None], [bp_suppress] clear), tracing is
     disabled, and no device-visible activity (frame delivery, raised
     IRQ line), IPI delivery or preemption tick can fall within [fuel]
     cycles. Devices may exist: a per-cycle [dev_tick] over a quiescent
-    window only refreshes the device's cycle cache, so the caller clips
-    [fuel] strictly short of [Netdev.next_event] and runs
-    [Machine.tick_devices] once after accounting the consumed cycles —
-    before dispatching a terminating event, whose handler may touch
-    device registers. Under those conditions a burst of [n] cycles is
-    bit-identical to [n] successive [Machine.tick] + {!step} pairs —
+    stretch only refreshes the device's cycle cache, so the caller
+    clips [fuel] strictly short of [Netdev.next_event] (a window ends
+    there instead) and runs [Machine.tick_devices] once after
+    accounting the consumed cycles, before dispatching a terminating
+    event whose handler may touch device registers. Under those conditions a burst of [n] cycles
+    is bit-identical to [n] successive lane refills + {!step} pairs —
     the per-cycle checks it hoists are all loop-invariant. *)
 
 val invalidate_addr : t -> int -> unit

@@ -19,7 +19,12 @@ type sync_level =
     metrics, and cycle-stamped trace events — it only changes which host
     domain steps each replica between sync points. *)
 type engine =
-  | Sequential  (** Step replicas round-robin on the calling domain. *)
+  | Sequential
+      (** Step replicas round-robin on the calling domain. A replicated
+          run on [Blocks] that is untraced and eligible for [Parallel]
+          ({!parallel_ineligibility} = [None]) runs the same execution
+          windows as [Parallel], each replica's window inline in turn;
+          every other run steps cycle by cycle. *)
   | Parallel
       (** Step each live replica's partition on its own [Domain.t]
           between sync points; barriers, voting, IPIs, and all shared
@@ -38,7 +43,11 @@ type exec_backend =
   | Interp  (** Decode every instruction on every cycle ([Core.step]). *)
   | Blocks
       (** Pre-decode each code page once into closures with operands
-          resolved; invalidated on self-modifying patches. *)
+          resolved; invalidated on self-modifying patches. An untraced
+          run also bursts through stretches of cycles without the
+          per-cycle engine shell: an unreplicated run between ticks, a
+          replicated run eligible for [Parallel] between core events
+          inside execution windows, on either engine. *)
 
 (** How divergence is detected (the two ends of the paper's sync-cost
     trade-off curve, the second populated by RepTFD-style replay). *)

@@ -1,8 +1,19 @@
-(* The sequential execution engine: the reference semantics. Every
-   simulated cycle ticks the machine, steps each replica in rid order on
-   the calling domain, and advances the round state machine. The
-   parallel engine ([Engine_par]) is required to be bit-for-bit
-   equivalent to this loop. *)
+(* The sequential execution engine: everything runs on the calling
+   domain, and [Engine_par] is required to be bit-for-bit equivalent to
+   it. Two loops:
+
+   - Replicated runs on the [Blocks] backend that are untraced and
+     window-eligible ([Config.parallel_ineligibility] = [None], so
+     exception barriers are on) run [Window]'s execution windows, the
+     same jobs [Engine_par] runs on worker domains, here inline in rid
+     order. Each job bursts its replica through [Blockc.run] from one
+     core event to the next.
+   - Every other run is the reference per-cycle loop: each simulated
+     cycle ticks the machine, steps each replica in rid order and
+     advances the round state machine ([Sched.classic_cycle]); on
+     [Blocks], unreplicated stretches take the quiescent burst of
+     [Sched.burst_cycles]. [Interp] runs are the oracle both other paths
+     are held identical to. *)
 
 open Sched
 
@@ -25,13 +36,36 @@ let step ?stop t ~start ~max_cycles =
   | None -> classic_cycle t);
   match stop with Some f when now t land 127 = 0 -> not (f t) | _ -> true
 
+(* Whether this run takes the windowed loop. [Interp] stays on the
+   per-cycle loop as the oracle the windowed loop is held equal to, and
+   a traced run would step per cycle inside its windows anyway; Base and
+   replay-detection runs burst through [Sched.burst_cycles] instead. *)
+let windowed t =
+  let cfg = config t in
+  let net_ok =
+    match eligibility t with Some e -> Eligibility.eligible e | None -> false
+  in
+  cfg.Config.mode <> Config.Base
+  && cfg.Config.exec_backend = Config.Blocks
+  && cfg.Config.trace = None
+  && Config.parallel_ineligibility ~net_ok cfg = None
+
+(* Run every open window's jobs inline, in rid order. *)
+let run_jobs t ~s ~cap =
+  Array.iter
+    (fun r -> match r.wctx with Some w -> Window.job t r w ~s ~cap | None -> ())
+    t.replicas
+
 let run ?stop t ~max_cycles =
-  let start = now t in
-  let continue_ = ref true in
-  while
-    !continue_ && t.halt = None
-    && (not (finished t))
-    && now t - start < max_cycles
-  do
-    continue_ := step ?stop t ~start ~max_cycles
-  done
+  if windowed t then Window.run ~jobs:(run_jobs t) ?stop t ~max_cycles
+  else begin
+    let start = now t in
+    let continue_ = ref true in
+    while
+      !continue_ && t.halt = None
+      && (not (finished t))
+      && now t - start < max_cycles
+    do
+      continue_ := step ?stop t ~start ~max_cycles
+    done
+  end

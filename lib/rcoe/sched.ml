@@ -123,7 +123,7 @@ type rstate =
   | Rs_halted
   | Rs_removed
 
-(* Why a worker stopped before its window cap (parallel engine). Only
+(* Why a window job stopped before its window cap ([Window]). Only
    [Pk_rendezvous] and [Pk_halt] carry a deferred effect; the others
    just record that the replica can make no further progress on its own
    inside this window. *)
@@ -134,19 +134,18 @@ type park_kind =
   | Pk_idle  (* every thread blocked; only a round event can wake it *)
   | Pk_dead  (* core halted (crash / exception-barrier fail-stop) *)
 
-(* Per-window worker context (parallel engine). [None] outside a
-   window — every dispatch site below treats [None] as the classic
-   sequential path. The worker's private cycle counter [wv_now] doubles
-   as the child trace's clock; shared-state effects (notable events,
-   rendezvous entry, system halt) are deferred here and replayed by the
-   orchestrator in deterministic (cycle, replica) order at the window
-   barrier. *)
+(* Per-window job context ([Window], on either engine). [None] outside
+   a window — every dispatch site below treats [None] as the classic
+   per-cycle path. The job's private cycle counter [wv_now] doubles as
+   the child trace's clock; shared-state effects (notable events,
+   rendezvous entry, system halt) are deferred here and replayed in
+   deterministic (cycle, replica) order when the window retires. *)
 type wctx = {
   mutable wv_now : int;
   mutable wv_vm_exits : int;  (* deferred Metrics.incr on the shared set *)
   mutable wv_events : (int * event_kind) list;  (* newest first *)
   mutable wpark : (int * park_kind) option;
-  mutable w_ticked : int;  (* bus-lane cycles ticked by this worker *)
+  mutable w_ticked : int;  (* bus-lane cycles ticked by this job *)
 }
 
 type replica = {
@@ -154,9 +153,9 @@ type replica = {
   kern : Kernel.t;
   rtrace : Trace.t;
       (* Per-replica child of the system trace. In forwarding mode
-         (always, under the sequential engine) it is indistinguishable
-         from the root; the parallel engine switches it to window
-         buffering so replicas can trace concurrently. *)
+         (always, outside execution windows) it is indistinguishable
+         from the root; a window switches it to buffering so replicas
+         can trace concurrently. *)
   mutable state : rstate;
   mutable finished : bool;
   mutable pending_ft : (int * int array) option;
@@ -451,10 +450,10 @@ let vm_charge t r =
     Trace.vm_exit r.rtrace ~rid:r.rid
   end
 
-(* Replica-context notable events: inside a parallel window the shared
-   log must not be touched (wrong clock, racy list) — defer to the
-   worker context and let the window barrier replay them in
-   deterministic order. *)
+(* Replica-context notable events: inside an execution window the
+   shared log must not be touched (wrong clock, racy list under
+   [Engine_par]) — defer to the job context and let the window's
+   retirement replay them in deterministic order. *)
 let rlog_event t r k =
   match r.wctx with
   | Some w -> w.wv_events <- (w.wv_now, k) :: w.wv_events
@@ -1614,9 +1613,9 @@ let post_syscall t r num =
           arrive t r
       | _ -> ())
   | Ph_idle | Ph_rdv _ -> (
-      (* Inside a parallel window the rendezvous entry mutates shared
-         round state; park the worker and let the orchestrator replay
-         the entry at this exact cycle. *)
+      (* Inside an execution window the rendezvous entry mutates shared
+         round state; park the job and let the window's retirement
+         replay the entry at this exact cycle. *)
       let rendezvous () =
         match r.wctx with
         | Some w -> w.wpark <- Some (w.wv_now, Pk_rendezvous)
@@ -1943,9 +1942,9 @@ let advance_phase t =
 
 (* The classic cycle: advance the machine, step every replica in rid
    order, then let the round-lifecycle state machine react. The
-   sequential engine is exactly this in a loop; the parallel engine
-   falls back to it whenever a cycle cannot be windowed (async rounds,
-   pending IPIs). *)
+   reference per-cycle loop of [Engine_seq] is exactly this; the
+   windowed loop of both engines ([Window.run]) falls back to it
+   whenever a cycle cannot be windowed (async rounds, pending IPIs). *)
 let classic_cycle t =
   Machine.tick t.mach;
   Array.iter (fun r -> step_replica t r) t.replicas;

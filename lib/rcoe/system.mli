@@ -120,7 +120,11 @@ val run : ?stop:(t -> bool) -> t -> max_cycles:int -> unit
     Dispatches on {!Config.engine}:
 
     - [Sequential] steps every replica on the calling domain, one
-      simulated cycle at a time — the reference semantics.
+      simulated cycle at a time — the reference semantics. An untraced
+      replicated run on the [Blocks] backend that is eligible for
+      [Parallel] instead runs [Parallel]'s execution windows, each
+      replica's window inline in turn and each replica bursting
+      between core events; the result is bit-for-bit the same.
     - [Parallel] runs each live replica's between-sync-point stretch on
       its own host domain ([Domain.t]) and replays the round/vote logic
       at a window boundary on the calling domain. The contract is

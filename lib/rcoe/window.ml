@@ -1,0 +1,347 @@
+(* Execution windows: the replica-stepping core shared by both engines.
+
+   Between two sync points every live replica only touches private
+   state: its own memory partition, its own core and kernel, its own
+   per-core bus lane, and its own child trace buffer. A *window* is a
+   span of simulated cycles [s+1 .. cap] in which each running replica
+   is stepped by a [job] that touches nothing else. [Engine_par] runs
+   the jobs of one window concurrently, one per [Domain.t];
+   [Engine_seq] runs them inline on the calling domain, replica after
+   replica. Everything that couples replicas — round initiation, IPIs,
+   barriers, catch-up, voting, FT-operation commits, checkpoint
+   capture/restore, fault handling policy — runs between windows, in
+   [retire] and in the classic per-cycle path.
+
+   The contract is bit-for-bit determinism with the per-cycle loop of
+   [Sched.classic_cycle]: same cycle counts, signatures, votes,
+   outcomes, metrics, and cycle-stamped trace events. Four mechanisms
+   make that hold:
+
+   - Windows only cover cycle ranges the per-cycle loop would have
+     executed without cross-replica interaction. A window never extends
+     past the next preemption tick, a barrier-timeout deadline, a
+     [~stop] polling cycle, or the [max_cycles] budget, and is not
+     attempted at all during async rounds or while an IPI is pending.
+   - Jobs never speculate: a job parks at its replica's first cycle with
+     a shared-state effect (sync-point rendezvous, Base-mode system
+     halt) and records the cycle, so nothing must ever be rewound.
+   - Deferred effects (rendezvous entries, halts, notable events, trace
+     events) are replayed by [retire] in (cycle, replica-id) order —
+     exactly the order the per-cycle loop's rid-ordered stepping
+     produces.
+   - Between core events a job runs its replica through [Blockc.run] on
+     the replica's own bus lane, when the backend is [Blocks], tracing
+     is off and no breakpoint is armed: the per-cycle checks of [job]
+     are loop-invariant between events, so one burst of [n] cycles is
+     the same as [n] per-cycle iterations.
+
+   The window then "actually" ends at [w_actual], the cycle at which the
+   per-cycle loop would next have run round-lifecycle code: the
+   completion cycle when every live replica reached the rendezvous, the
+   last finish cycle when the workload completed, the halt cycle on a
+   Base-mode abort, or the window cap. The unmodified classic
+   [Sched.advance_phase] runs once at that cycle and arbitrates
+   completion against timeouts just as it does every cycle under
+   per-cycle stepping. *)
+
+open Rcoe_machine
+open Rcoe_kernel
+open Sched
+module Trace = Rcoe_obs.Trace
+module Metrics = Rcoe_obs.Metrics
+
+(* Step one replica through cycles [s+1 .. cap], or fewer if it parks.
+   Mirrors the [Rs_run] arm of [Sched.step_replica] minus the cases that
+   cannot occur inside a window (IPIs are checked before the window
+   opens; gather-joins only exist during async rounds). The job ticks
+   its own bus lane each cycle it simulates — [retire] tops the lane up
+   to the window end afterwards. Safe to run concurrently with the jobs
+   of the other replicas of the same window. *)
+let job t r w ~s ~cap =
+  let lane = Machine.bus_lane t.mach ~core_id:r.rid in
+  let lanes = [| lane |] in
+  let core = Kernel.core r.kern in
+  (* [Blockc.run] defers trace stamps and skips the breakpoint check, so
+     a traced run keeps per-cycle stepping throughout. *)
+  let bc = if Trace.enabled t.trace then None else Kernel.block_cache r.kern in
+  (* A finish or fail-stop *during* cycle [c] ends the job's window at
+     [c] — the per-cycle loop would have noticed it in the same
+     iteration. *)
+  let settle c =
+    if w.wpark = None then
+      if core.Core.halted || r.state = Rs_halted then
+        w.wpark <- Some (c, Pk_dead)
+      else if r.finished then w.wpark <- Some (c, Pk_inert)
+  in
+  let tick c =
+    w.wv_now <- c;
+    Bus.tick lane;
+    w.w_ticked <- w.w_ticked + 1
+  in
+  let park c k =
+    tick c;
+    w.wpark <- Some (c, k)
+  in
+  let c = ref (s + 1) in
+  while !c <= cap && w.wpark = None do
+    if core.Core.halted || r.state = Rs_halted then park !c Pk_dead
+    else if r.finished then park !c Pk_inert
+    else if Kernel.current_tid r.kern < 0 then park !c Pk_idle
+    else
+      match bc with
+      | Some bc when core.Core.bp = None && not core.Core.bp_suppress ->
+          let consumed, ev = Blockc.run bc ~buses:lanes ~fuel:(cap - !c + 1) in
+          let last = !c + consumed - 1 in
+          w.wv_now <- last;
+          w.w_ticked <- w.w_ticked + consumed;
+          Option.iter
+            (fun ev ->
+              on_event t r ev;
+              settle last)
+            ev;
+          c := last + 1
+      | _ ->
+          tick !c;
+          run_user t r;
+          settle !c;
+          incr c
+  done
+
+(* Furthest cycle the next window may reach. Chosen so that no
+   round-lifecycle decision the per-cycle loop would take falls strictly
+   inside the window:
+   - [Ph_idle]: up to the next preemption tick. For replicated modes
+     also at most [barrier_timeout] cycles out, so a rendezvous that
+     *starts* inside the window (earliest at [s+1]) cannot have its
+     timeout deadline fire before the window ends.
+   - [Ph_rdv]: exactly up to the timeout deadline — the first cycle at
+     which [advance_phase] declares the timeout.
+   In [Ph_idle] with a NIC attached, also no further than the device's
+   next spontaneous event: [advance_phase] polls the interrupt line only
+   in that phase, so the window must end exactly at the cycle where a
+   delivery (or an already-raised line) would make the per-cycle loop's
+   poll fire. During [Ph_rdv] the poll is dormant and deliveries are
+   replayed by the window-end device catch-up, so no clip is needed.
+   Always clipped to the run budget and, when a [~stop] predicate is
+   installed, to the next multiple-of-128 polling cycle. *)
+let window_cap t ~s ~start ~max_cycles ~has_stop =
+  let cap =
+    match t.phase with
+    | Ph_async _ -> s
+    | Ph_idle ->
+        let cap =
+          if t.cfg.Config.mode = Config.Base then t.next_tick
+          else min t.next_tick (s + 1 + t.cfg.Config.barrier_timeout)
+        in
+        (match t.net with
+        | Some nd -> (
+            match Netdev.next_event nd ~after:s with
+            | Some e -> min cap e
+            | None -> cap)
+        | None -> cap)
+    | Ph_rdv { rdv_started } ->
+        rdv_started + t.cfg.Config.barrier_timeout + 1
+  in
+  let cap = min cap (start + max_cycles) in
+  if has_stop then min cap (((s lsr 7) + 1) lsl 7) else cap
+
+(* Give every running replica a window context. Parked, halted and
+   removed replicas have no private work — their bus lanes and
+   barrier-stall decay are settled arithmetically by [retire]. *)
+let open_window t ~s =
+  Array.iter
+    (fun r ->
+      if r.state = Rs_run then begin
+        let w =
+          { wv_now = s; wv_vm_exits = 0; wv_events = []; wpark = None;
+            w_ticked = 0 }
+        in
+        r.wctx <- Some w;
+        Trace.begin_buffering r.rtrace ~clock:(fun () -> w.wv_now)
+      end)
+    t.replicas
+
+(* Settle a window over cycles [s+1 .. cap] whose jobs have all
+   returned: replay their deferred effects, bring every lane, stall and
+   device to the window end, and run the round-lifecycle decision the
+   per-cycle loop would have run there. *)
+let retire t ~s ~cap =
+  (* Where the per-cycle loop would next have made a decision. *)
+  let park r = match r.wctx with Some w -> w.wpark | None -> None in
+  let lv = live_replicas t in
+  let all_rdv =
+    lv <> []
+    && List.for_all
+         (fun r ->
+           match park r with
+           | Some (_, Pk_rendezvous) -> true
+           | Some _ -> false
+           | None -> r.state = Rs_rendezvous && arrived_bar t r.rid)
+         lv
+  in
+  let all_inert =
+    lv <> []
+    && List.for_all
+         (fun r ->
+           match park r with Some (_, Pk_inert) -> true | _ -> false)
+         lv
+  in
+  let halt_ts =
+    Array.fold_left
+      (fun acc r ->
+        match park r with
+        | Some (ts, Pk_halt _) -> (
+            match acc with None -> Some ts | Some a -> Some (min a ts))
+        | _ -> acc)
+      None t.replicas
+  in
+  let max_park kind =
+    Array.fold_left
+      (fun acc r ->
+        match park r with
+        | Some (ts, k) when k = kind -> max acc ts
+        | _ -> acc)
+      (s + 1) t.replicas
+  in
+  let w_actual =
+    if all_rdv then max_park Pk_rendezvous
+    else if all_inert then max_park Pk_inert
+    else match halt_ts with Some ts -> ts | None -> cap
+  in
+  (* Replay deferred shared-state effects in (cycle, rid) order — the
+     per-cycle stepping order. The machine clock tracks each effect's
+     cycle so logs, trace stamps and rendezvous bookkeeping match the
+     per-cycle loop exactly; children are still buffering, so trace
+     events emitted here land *after* the replica's in-window events. *)
+  let effects = ref [] in
+  Array.iter
+    (fun r ->
+      match r.wctx with
+      | None -> ()
+      | Some w ->
+          let evs =
+            List.rev_map (fun (ts, k) -> (ts, r.rid, `Event k)) w.wv_events
+          in
+          let parks =
+            match w.wpark with
+            | Some (ts, Pk_rendezvous) -> [ (ts, r.rid, `Rdv) ]
+            | Some (ts, Pk_halt reason) -> [ (ts, r.rid, `Halt reason) ]
+            | _ -> []
+          in
+          effects := !effects @ evs @ parks)
+    t.replicas;
+  let effects =
+    List.stable_sort
+      (fun (ts_a, rid_a, _) (ts_b, rid_b, _) ->
+        compare (ts_a, rid_a) (ts_b, rid_b))
+      !effects
+  in
+  List.iter
+    (fun (ts, rid, eff) ->
+      let r = t.replicas.(rid) in
+      t.mach.Machine.now <- ts;
+      (match r.wctx with Some w -> w.wv_now <- ts | None -> ());
+      match eff with
+      | `Event k -> log_event t k
+      | `Rdv -> enter_rendezvous t r
+      | `Halt reason -> halt_system t reason)
+    effects;
+  (* Barrier-spin stall decay: the per-cycle loop decrements a parked
+     replica's residual stall by one per cycle; apply the window's worth
+     in closed form. *)
+  Array.iter
+    (fun r ->
+      if r.state = Rs_rendezvous then begin
+        let since =
+          match r.wctx with
+          | Some { wpark = Some (ts, Pk_rendezvous); _ } -> ts
+          | _ -> s
+        in
+        let core = Kernel.core r.kern in
+        if core.Core.stall > 0 then
+          core.Core.stall <- max 0 (core.Core.stall - (w_actual - since))
+      end)
+    t.replicas;
+  (* Top every bus lane up to the window end: the per-cycle loop's
+     Machine.tick runs all lanes every cycle, including those of parked,
+     halted and removed cores. *)
+  let span = w_actual - s in
+  Array.iter
+    (fun r ->
+      let ticked = match r.wctx with Some w -> w.w_ticked | None -> 0 in
+      Bus.advance
+        (Machine.bus_lane t.mach ~core_id:r.rid)
+        ~cycles:(max 0 (span - ticked)))
+    t.replicas;
+  t.mach.Machine.now <- w_actual;
+  (* Device catch-up: one bulk tick at the window-end cycle drains
+     everything the per-cycle ticks would have delivered by now
+     (delivery order, slot assignment and timestamps depend only on the
+     host queue and [now], so the result is identical), before
+     [advance_phase] polls the interrupt line or a completed rendezvous
+     consumes device state. *)
+  Machine.tick_devices t.mach;
+  (* Commit per-replica trace buffers into the shared ring in
+     deterministic order, then settle deferred metrics. *)
+  let bufs =
+    Array.map
+      (fun r ->
+        match r.wctx with
+        | Some _ -> Trace.end_buffering r.rtrace
+        | None -> [])
+      t.replicas
+  in
+  Trace.merge_buffered t.trace bufs;
+  Array.iter
+    (fun r ->
+      match r.wctx with
+      | Some w ->
+          if w.wv_vm_exits > 0 then
+            Metrics.incr ~by:w.wv_vm_exits t.ms.m_vm_exits;
+          r.wctx <- None
+      | None -> ())
+    t.replicas;
+  (* The classic per-cycle decision point, run at the window-end cycle. *)
+  advance_phase t
+
+(* The windowed run loop. [jobs ~s ~cap] must run [job] for every
+   replica [open_window] gave a context, and return once all of them
+   have. *)
+let run ~jobs ?stop t ~max_cycles =
+  let start = now t in
+  let continue_ = ref true in
+  while
+    !continue_ && t.halt = None
+    && (not (finished t))
+    && now t - start < max_cycles
+  do
+    let s = now t in
+    (* A window is possible only between sync points with no IPI in
+       flight; async rounds and IPI delivery interleave replicas at
+       cycle granularity and take the classic path. *)
+    let windowable =
+      match t.phase with
+      | Ph_async _ -> false
+      | Ph_idle | Ph_rdv _ ->
+          not
+            (Array.exists
+               (fun r ->
+                 r.state = Rs_run
+                 && t.mach.Machine.ipi_pending.(r.rid) <> max_int)
+               t.replicas)
+    in
+    let cap =
+      if windowable then
+        window_cap t ~s ~start ~max_cycles ~has_stop:(stop <> None)
+      else s
+    in
+    if cap <= s then classic_cycle t
+    else begin
+      open_window t ~s;
+      jobs ~s ~cap;
+      retire t ~s ~cap
+    end;
+    match stop with
+    | Some f when now t land 127 = 0 -> if f t then continue_ := false
+    | _ -> ()
+  done

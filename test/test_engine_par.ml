@@ -3,7 +3,11 @@
    [Config.Sequential] — same final cycle, outputs, stats, metrics,
    logs, and cycle-stamped trace events — across LC/CC x DMR/TMR,
    under fault injection with rollback recovery, and in Base mode.
-   Also covers the [Rcoe_util.Barrier] primitive and the lint-style
+   Traced rows compare the two engines on the interpreter; untraced
+   rows hold the per-cycle oracle ([Interp], [Sequential]) equal to
+   the windowed burst path of the [Blocks] backend on both engines,
+   which only untraced replicated runs take. Also covers the
+   [Rcoe_util.Barrier] primitive and the lint-style
    parallel-eligibility rejections. *)
 
 open Rcoe_machine
@@ -186,15 +190,24 @@ let check_identical ~label a b =
           label i eva.Trace.ts eva.Trace.rid evb.Trace.ts evb.Trace.rid)
     (List.combine ea eb)
 
-let engine_cfg engine cfg =
+(* One run of a row: the engine and backend it runs on, and whether it
+   is traced. *)
+type variant = {
+  v_engine : Config.engine;
+  v_backend : Config.exec_backend;
+  v_traced : bool;
+}
+
+let variant_cfg v cfg =
   {
     cfg with
-    Config.engine;
+    Config.engine = v.v_engine;
+    exec_backend = v.v_backend;
     (* The parallel engine requires fail-stop (exception-barrier)
-       confinement of kernel aborts under replication; both runs of a
-       pair use the same setting so the comparison is apples-to-apples. *)
+       confinement of kernel aborts under replication; every run of a
+       row uses the same setting so the comparison is apples-to-apples. *)
     exception_barriers = (cfg.Config.mode <> Config.Base);
-    trace = Some { Trace.capacity = 1 lsl 16 };
+    trace = (if v.v_traced then Some { Trace.capacity = 1 lsl 16 } else None);
   }
 
 let md5 () =
@@ -205,20 +218,43 @@ let run_healthy cfg =
   System.run sys ~max_cycles:80_000_000;
   sys
 
-let pair_test ?(expect_complete = true) ~label mk () =
-  let a = mk Config.Sequential and b = mk Config.Parallel in
+(* A traced row compares the two engines on the interpreter. An
+   untraced row compares three runs: the per-cycle oracle against the
+   [Blocks] backend on both engines, whose replicas burst through
+   execution windows. [mk] builds one run from a variant. *)
+let row_test ?(expect_complete = true) ?(traced = true) ~label mk () =
+  let oracle =
+    { v_engine = Config.Sequential; v_backend = Config.Interp; v_traced = traced }
+  in
+  let others =
+    if traced then [ { oracle with v_engine = Config.Parallel } ]
+    else
+      [
+        { oracle with v_backend = Config.Blocks };
+        { oracle with v_engine = Config.Parallel; v_backend = Config.Blocks };
+      ]
+  in
+  let a = mk oracle in
   if expect_complete then
     Alcotest.(check bool) (label ^ ": sequential run completed") true
       (System.finished a || System.halted a <> None);
-  check_identical ~label a b
+  List.iter
+    (fun v ->
+      check_identical
+        ~label:
+          (Printf.sprintf "%s %s/%s" label
+             (Config.engine_to_string v.v_engine)
+             (Config.exec_backend_to_string v.v_backend))
+        a (mk v))
+    others
 
 let healthy_pair ~mode ~nreplicas ?(sync_level = Config.Sync_args) ?(vm = false)
-    () =
-  pair_test
+    ?traced () =
+  row_test ?traced
     ~label:
       (Printf.sprintf "%s-%d%s" (Config.mode_to_string mode) nreplicas
          (if vm then "+vm" else ""))
-    (fun engine ->
+    (fun v ->
       let cfg =
         {
           (Runner.config_for ~mode ~nreplicas ~arch:x86 ~sync_level ~seed:7 ())
@@ -226,7 +262,7 @@ let healthy_pair ~mode ~nreplicas ?(sync_level = Config.Sync_args) ?(vm = false)
           Config.vm;
         }
       in
-      run_healthy (engine_cfg engine cfg))
+      run_healthy (variant_cfg v cfg))
     ()
 
 let test_identity_lc_dmr () = healthy_pair ~mode:Config.LC ~nreplicas:2 ()
@@ -245,20 +281,20 @@ let test_identity_sync_vote () =
   healthy_pair ~mode:Config.LC ~nreplicas:2 ~sync_level:Config.Sync_vote ()
 
 let test_identity_base () =
-  pair_test ~label:"Base"
-    (fun engine ->
+  row_test ~label:"Base"
+    (fun v ->
       let cfg = Runner.config_for ~mode:Config.Base ~nreplicas:1 ~arch:x86 () in
-      run_healthy (engine_cfg engine cfg))
+      run_healthy (variant_cfg v cfg))
     ()
 
-let test_identity_stop_predicate () =
+let stop_row ?traced () =
   (* The ~stop polling contract: predicates run at the same multiples of
      128 cycles under both engines, so an early stop lands on the same
      cycle. *)
-  pair_test ~expect_complete:false ~label:"stop"
-    (fun engine ->
+  row_test ~expect_complete:false ?traced ~label:"stop"
+    (fun v ->
       let cfg =
-        engine_cfg engine
+        variant_cfg v
           (Runner.config_for ~mode:Config.CC ~nreplicas:2 ~arch:x86 ~seed:7 ())
       in
       let sys = System.create ~config:cfg ~program:(md5 ()) in
@@ -268,21 +304,24 @@ let test_identity_stop_predicate () =
       sys)
     ()
 
+let test_identity_stop_predicate () = stop_row ()
+
 (* --- fault injection, masking and rollback under Parallel ---------------- *)
 
-let injected_run ~engine ~nreplicas ~masking ~checkpointing =
+let injected_run ?(traced = true) ?(backend = Config.Interp) ~engine ~nreplicas
+    ~masking ~checkpointing () =
   let cfg =
     {
       (Runner.config_for ~mode:Config.CC ~nreplicas ~arch:x86 ~seed:11 ()) with
-      Config.engine;
-      exception_barriers = true;
       masking;
       barrier_timeout = 600_000;
       checkpoint_every = (if checkpointing then 2 else 0);
       checkpoint_depth = 3;
       max_rollbacks = 8;
-      trace = Some { Trace.capacity = 1 lsl 16 };
     }
+  in
+  let cfg =
+    variant_cfg { v_engine = engine; v_backend = backend; v_traced = traced } cfg
   in
   let program =
     Md5sum.program ~message_words:96 ~iters:8 ~seed:6 ~branch_count:false ()
@@ -297,32 +336,78 @@ let injected_run ~engine ~nreplicas ~masking ~checkpointing =
   System.run sys ~max_cycles:60_000_000;
   sys
 
-let test_identity_rollback_recovery () =
-  let mk engine =
-    injected_run ~engine ~nreplicas:2 ~masking:false ~checkpointing:true
-  in
-  let a = mk Config.Sequential and b = mk Config.Parallel in
-  Alcotest.(check bool) "recovered" true
-    (System.finished a && System.halted a = None && System.rollbacks a <> []);
-  check_identical ~label:"rollback" a b
+let injected_row ?traced ~label ~nreplicas ~masking ~checkpointing expect () =
+  row_test ?traced ~label
+    (fun v ->
+      let sys =
+        injected_run ~traced:v.v_traced ~backend:v.v_backend
+          ~engine:v.v_engine ~nreplicas ~masking ~checkpointing ()
+      in
+      Alcotest.(check bool) (label ^ ": expected outcome") true (expect sys);
+      sys)
+    ()
 
-let test_identity_mismatch_failstop () =
-  let mk engine =
-    injected_run ~engine ~nreplicas:2 ~masking:false ~checkpointing:false
-  in
-  let a = mk Config.Sequential and b = mk Config.Parallel in
-  Alcotest.(check bool) "fail-stop" true
-    (System.halted a = Some System.H_mismatch);
-  check_identical ~label:"mismatch" a b
+let rollback_row ?traced () =
+  injected_row ?traced ~label:"rollback" ~nreplicas:2 ~masking:false
+    ~checkpointing:true
+    (fun a ->
+      System.finished a && System.halted a = None && System.rollbacks a <> [])
+    ()
 
-let test_identity_tmr_masking () =
-  let mk engine =
-    injected_run ~engine ~nreplicas:3 ~masking:true ~checkpointing:false
-  in
-  let a = mk Config.Sequential and b = mk Config.Parallel in
-  Alcotest.(check bool) "masked, run continued" true
-    (System.halted a = None && System.downgrades a <> []);
-  check_identical ~label:"masking" a b
+let mismatch_row ?traced () =
+  injected_row ?traced ~label:"mismatch" ~nreplicas:2 ~masking:false
+    ~checkpointing:false
+    (fun a -> System.halted a = Some System.H_mismatch)
+    ()
+
+let masking_row ?traced () =
+  injected_row ?traced ~label:"masking" ~nreplicas:3 ~masking:true
+    ~checkpointing:false
+    (fun a -> System.halted a = None && System.downgrades a <> [])
+    ()
+
+let test_identity_rollback_recovery () = rollback_row ()
+let test_identity_mismatch_failstop () = mismatch_row ()
+let test_identity_tmr_masking () = masking_row ()
+
+(* --- untraced rows: the windowed burst path ----------------------------- *)
+
+let test_untraced_healthy () =
+  List.iter
+    (fun (mode, nreplicas) -> healthy_pair ~mode ~nreplicas ~traced:false ())
+    [ (Config.LC, 2); (Config.LC, 3); (Config.CC, 2); (Config.CC, 3) ];
+  healthy_pair ~mode:Config.CC ~nreplicas:2 ~vm:true ~traced:false ();
+  healthy_pair ~mode:Config.LC ~nreplicas:2 ~sync_level:Config.Sync_vote
+    ~traced:false ()
+
+let test_untraced_faults () =
+  rollback_row ~traced:false ();
+  mismatch_row ~traced:false ();
+  masking_row ~traced:false ()
+
+let test_untraced_stop_predicate () = stop_row ~traced:false ()
+
+let test_untraced_sliced () =
+  (* Loadgen drives a system in 400-cycle [max_cycles] slices: every
+     slice boundary caps a window, and the run resumed in the next call
+     must continue exactly where per-cycle stepping would. *)
+  row_test ~traced:false ~label:"sliced"
+    (fun v ->
+      let cfg =
+        variant_cfg v
+          (Runner.config_for ~mode:Config.CC ~nreplicas:2 ~arch:x86 ~seed:7 ())
+      in
+      let sys = System.create ~config:cfg ~program:(md5 ()) in
+      let slices = ref 0 in
+      while
+        (not (System.finished sys)) && System.halted sys = None
+        && !slices < 200_000
+      do
+        incr slices;
+        System.run sys ~max_cycles:400
+      done;
+      sys)
+    ()
 
 let suite =
   [
@@ -352,4 +437,12 @@ let suite =
       test_identity_mismatch_failstop;
     Alcotest.test_case "identity: TMR masking downgrade" `Quick
       test_identity_tmr_masking;
+    Alcotest.test_case "untraced: LC/CC x DMR/TMR, VM, Sync_vote" `Quick
+      test_untraced_healthy;
+    Alcotest.test_case "untraced: rollback, fail-stop, masking" `Quick
+      test_untraced_faults;
+    Alcotest.test_case "untraced: stop predicate" `Quick
+      test_untraced_stop_predicate;
+    Alcotest.test_case "untraced: 400-cycle slices" `Quick
+      test_untraced_sliced;
   ]

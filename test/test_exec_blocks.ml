@@ -148,20 +148,18 @@ let test_lockstep_oracle () =
 
 (* --- full-system sweep: LC/CC x DMR/TMR x Seq/Par ----------------------- *)
 
-let backend_cfg backend cfg =
+let backend_cfg ?(traced = true) backend cfg =
   {
     cfg with
     Config.exec_backend = backend;
-    trace = Some { Trace.capacity = 1 lsl 16 };
+    trace = (if traced then Some { Trace.capacity = 1 lsl 16 } else None);
   }
 
 let sweep_program () =
   Md5sum.program ~message_words:48 ~iters:4 ~seed:2 ~branch_count:false ()
 
-let run_sweep cfg backend =
-  let sys =
-    System.create ~config:(backend_cfg backend cfg) ~program:(sweep_program ())
-  in
+let run_sweep ?traced ?(program = sweep_program ()) cfg backend =
+  let sys = System.create ~config:(backend_cfg ?traced backend cfg) ~program in
   System.run sys ~max_cycles:80_000_000;
   sys
 
@@ -233,6 +231,59 @@ let test_sweep_exercises_catchup () =
     (count "catchup.bp_fires" > 0);
   Alcotest.(check bool) "single-step resumes on compiled blocks" true
     (count "catchup.single_steps" > 0)
+
+(* --- untraced: bursts inside execution windows --------------------------- *)
+
+(* Share of the replicas' simulated cycles ([nreplicas] x final cycle)
+   that ran inside [Blockc.run]. *)
+let burst_share sys =
+  let n = (System.config sys).Config.nreplicas in
+  let burst = ref 0 in
+  for rid = 0 to n - 1 do
+    match Kernel.block_cache (System.kernel sys rid) with
+    | Some bc -> burst := !burst + (Blockc.stats bc).Blockc.burst_cycles
+    | None -> ()
+  done;
+  float_of_int !burst /. float_of_int (n * System.now sys)
+
+let test_sweep_untraced () =
+  (* Untraced replicated runs on [Blocks] burst each replica from one
+     core event to the next inside execution windows, on both engines;
+     each must equal the per-cycle interpreter oracle. The coverage
+     check guards against a precondition slip that silently drops back
+     to per-cycle stepping while every identity check stays green. *)
+  let row ~label ?program ~min_share cfg =
+    let oracle = run_sweep ~traced:false ?program cfg Config.Interp in
+    Alcotest.(check bool) (label ^ ": oracle run completed") true
+      (System.finished oracle || System.halted oracle <> None);
+    List.iter
+      (fun engine ->
+        let b =
+          run_sweep ~traced:false ?program { cfg with Config.engine }
+            Config.Blocks
+        in
+        let tag = label ^ "/" ^ Config.engine_to_string engine in
+        Test_engine_par.check_identical ~label:tag oracle b;
+        let share = burst_share b in
+        if share < min_share then
+          Alcotest.failf "%s: bursts ran %.1f%% of replica cycles, want >= %.0f%%"
+            tag (100.0 *. share) (100.0 *. min_share))
+      [ Config.Sequential; Config.Parallel ]
+  in
+  let whetstone = Whetstone.program ~loops:100 ~branch_count:false () in
+  let cc2 = sweep_cfg ~mode:Config.CC ~nreplicas:2 ~engine:Config.Sequential in
+  row ~label:"CC-2 whetstone" ~program:whetstone ~min_share:0.7 cc2;
+  List.iter
+    (fun (mode, n) ->
+      row
+        ~label:(Printf.sprintf "%s-%d" (Config.mode_to_string mode) n)
+        ~min_share:0.0
+        (sweep_cfg ~mode ~nreplicas:n ~engine:Config.Sequential))
+    [ (Config.LC, 2); (Config.LC, 3); (Config.CC, 3) ];
+  (* A traced run keeps per-cycle stepping throughout. *)
+  let traced = run_sweep ~program:whetstone cc2 Config.Blocks in
+  Alcotest.(check (float 0.0)) "traced CC-2 runs no burst" 0.0
+    (burst_share traced)
 
 (* --- fault injection + rollback recovery -------------------------------- *)
 
@@ -371,6 +422,8 @@ let suite =
       test_sweep_par;
     Alcotest.test_case "CC sweep exercises catch-up breakpoints" `Slow
       test_sweep_exercises_catchup;
+    Alcotest.test_case "untraced sweep: windowed bursts match the oracle"
+      `Slow test_sweep_untraced;
     Alcotest.test_case "fault + rollback recovery differential" `Slow
       test_recovery_differential;
     Alcotest.test_case "ingress-drop differential" `Slow
