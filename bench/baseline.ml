@@ -1,73 +1,24 @@
 (* Benchmark baseline: a small, regression-checked performance snapshot.
 
-   `dune exec bench/main.exe -- baseline [PATH]` measures, for each
-   baseline workload:
-
-   - simulated cycles and wall time of the Base (unreplicated) run;
-   - per replication config (LC/CC x DMR/TMR): simulated cycles, the
-     sync-phase overhead relative to Base (the paper's normalised
-     slowdown), wall time under the Sequential and the Parallel engine,
-     and the Sequential->Parallel wall-time speedup;
-   - a determinism bit: the two engines must agree on final cycle and
-     replica outputs, or the run is marked non-deterministic and the
-     baseline write fails.
-
-   The baseline also embeds the checkpoint-capture rows of
-   [Ckpt_bench]: per workload, the words copied and capture wall time
-   of full vs incremental capture, and the simulated ckpt.cost_cycles
-   both modes charge end-to-end.
-
-   The baseline further embeds serving rows ([Loadgen]): a closed-loop
-   YCSB run through the NIC, a fault-campaign variant that recovers
-   through rollback, and three ingress-checksum rows (fault-free
-   checked run pricing the per-frame FT_Mem_Rep verification, plus the
-   DMA-buffer flip campaign with checking off and on), each recording
-   the simulated run-phase cycles, request outcome digests, completion
-   / rollback / corruption / ingress-drop / redelivery counts (all
-   exact), wall time under both engines, and the engines-agree
-   determinism bit.
-
-   The baseline finally embeds execution-backend rows: per exec
-   workload, the wall time of the interpreter vs the block-compiled
-   backend (`Config.exec_backend`), the recorded speedup, and an
-   identity bit — simulated cycles and outputs must be bit-for-bit
-   identical across the backends, and the baseline write refuses to
-   commit a file whose best recorded speedup is below 2x.
-
-   The baseline also embeds replay-detection rows: per compute
-   workload, the unreplicated replay primary's simulated cycles and
-   overhead over Base next to lockstep CC-DMR's sync overhead (the
-   write refuses a file where replay is not strictly cheaper), chunk
-   and verdict counts, the maximum detection lag against the
-   chunk_span x queue_depth pipeline bound, Interp/Blocks identity,
-   and a transient fault campaign that must recover through rollback
-   to the fault-free output.
-
-   The result is written as JSON (schema `rcoe-bench-baseline/v6`,
+   `dune exec bench/main.exe -- baseline [PATH]` measures every section
+   in [sections] and writes the JSON (schema `rcoe-bench-baseline/v6`,
    documented in EXPERIMENTS.md) — commit it as BENCH_baseline.json.
+   `baseline-check [PATH]` re-measures and compares against the
+   committed file by the rule each field declares next to its
+   measurement (see [Schema]); RCOE_BENCH_TOLERANCE (default 0.10)
+   sets the wall-time and speedup tolerance.
 
-   `dune exec bench/main.exe -- baseline-check [PATH]` re-measures and
-   compares against the committed file, failing non-zero when
-
-   - any simulated cycle count differs (the simulator is deterministic,
-     so any drift is a real semantic change — regenerate the baseline
-     deliberately if it is intentional);
-   - either engine's wall time regresses by more than 10% on a workload
-     aggregate (tolerance via RCOE_BENCH_TOLERANCE, a float, e.g. 0.25
-     on noisy shared hardware);
-   - a checkpoint row drifts: copied words or charged ckpt.cost_cycles
-     differ at all, or the incremental capture wall time regresses by
-     more than the same tolerance;
-   - a serve row drifts: simulated cycles, outcome digest, completion
-     or rollback counts differ at all, or either engine's wall time
-     regresses beyond the tolerance;
-   - the engines disagree (determinism failure — never tolerated).
+   The contracts that hold within or across rows — engine agreement,
+   backend identity, the DMA-ingress campaign, replay detection and
+   recovery — are checked on every measurement. The write also refuses
+   a file where the block compiler or replay detection has lost its
+   reason to exist.
 
    Wall times are host-dependent: regenerate the baseline when moving
    to different hardware. Speedup expectations are conditioned on the
    recorded `host.cores`: on a single-core host the parallel engine
-   cannot beat the sequential one (domain scheduling overhead makes it
-   slower) and only the determinism contract is meaningful. *)
+   cannot beat the sequential one and only the determinism contract is
+   meaningful. *)
 
 open Rcoe_core
 open Rcoe_workloads
@@ -75,7 +26,6 @@ open Rcoe_harness
 module Json = Rcoe_obs.Json
 
 let default_path = "BENCH_baseline.json"
-let reps = 3
 let max_cycles = 400_000_000
 
 type wl = { wname : string; program : unit -> Rcoe_isa.Program.t }
@@ -121,114 +71,107 @@ let mk_config ?(exec_backend = Config.Interp) ~mode ~nreplicas ~engine () =
     exception_barriers = mode <> Config.Base;
   }
 
-type measurement = { m_cycles : int; m_wall : float; m_out : string list }
+let overhead ~base cycles =
+  float_of_int (cycles - base) /. float_of_int base
 
-(* Median-of-[reps] wall time over fresh systems; cycle count and
-   outputs must agree across reps (they always do — the simulator is
-   deterministic — but check rather than assume). *)
+let outputs n sys = List.init n (System.output sys)
+
+(* Two runs of one program agree on cycles and every replica's output. *)
+let same_run n a b = System.now a = System.now b && outputs n a = outputs n b
+
+(* The messages of the violated [(broken, message)] contracts. *)
+let violated kind =
+  List.filter_map (fun (broken, msg) ->
+      if broken then Some (kind ^ " FAILURE: " ^ msg) else None)
+
+(* Report every violated contract, then exit 1. *)
+let enforce = function
+  | [] -> ()
+  | broken ->
+      List.iter (Printf.eprintf "baseline: %s\n") broken;
+      exit 1
+
+(* The first of [Schema.reps] fresh runs, and their median wall time. *)
 let measure ?exec_backend ~mode ~nreplicas ~engine wl =
   let config = mk_config ?exec_backend ~mode ~nreplicas ~engine () in
-  let one () =
-    let sys = System.create ~config ~program:(wl.program ()) in
-    let t0 = Unix.gettimeofday () in
-    System.run sys ~max_cycles;
-    let wall = Unix.gettimeofday () -. t0 in
-    if not (System.finished sys) then
-      failwith
-        (Printf.sprintf "baseline: %s %s did not finish" wl.wname
-           (config_label mode nreplicas));
-    let outs = List.init nreplicas (fun rid -> System.output sys rid) in
-    { m_cycles = System.now sys; m_wall = wall; m_out = outs }
+  let what = wl.wname ^ " " ^ config_label mode nreplicas in
+  let (sys, _), median =
+    Schema.repeat ~what
+      ~identity:(fun (sys, _) -> (System.now sys, outputs nreplicas sys))
+      (fun () ->
+        let sys = System.create ~config ~program:(wl.program ()) in
+        let (), wall = Schema.timed (fun () -> System.run sys ~max_cycles) in
+        if not (System.finished sys) then
+          failwith (Printf.sprintf "baseline: %s did not finish" what);
+        (sys, wall))
   in
-  let runs = List.init reps (fun _ -> one ()) in
-  let first = List.hd runs in
-  List.iter
-    (fun m ->
-      if m.m_cycles <> first.m_cycles || m.m_out <> first.m_out then
-        failwith
-          (Printf.sprintf "baseline: %s %s is not run-to-run deterministic"
-             wl.wname (config_label mode nreplicas)))
-    runs;
-  let walls = List.sort compare (List.map (fun m -> m.m_wall) runs) in
-  { first with m_wall = List.nth walls (reps / 2) }
+  (sys, median snd)
 
-type cfg_row = {
-  c_label : string;
-  c_mode : Config.mode;
-  c_n : int;
-  c_cycles : int;
-  c_overhead : float;  (* (cycles - base_cycles) / base_cycles *)
-  c_wall_seq : float;
-  c_wall_par : float;
-  c_speedup : float;  (* wall_seq / wall_par *)
-  c_deterministic : bool;
-}
+(* --- replication rows --------------------------------------------------- *)
 
-type wl_row = {
-  r_name : string;
-  r_base_cycles : int;
-  r_base_wall : float;
-  r_configs : cfg_row list;
-}
-
-let measure_workload wl =
+let workload_row wl =
   Printf.printf "  %-10s base%!" wl.wname;
-  let base =
+  let base_run, base_wall =
     measure ~mode:Config.Base ~nreplicas:1 ~engine:Config.Sequential wl
   in
-  let rows =
-    List.map
-      (fun (mode, n) ->
-        Printf.printf " %s%!" (config_label mode n);
-        let seq = measure ~mode ~nreplicas:n ~engine:Config.Sequential wl in
-        let par = measure ~mode ~nreplicas:n ~engine:Config.Parallel wl in
-        {
-          c_label = config_label mode n;
-          c_mode = mode;
-          c_n = n;
-          c_cycles = seq.m_cycles;
-          c_overhead =
-            float_of_int (seq.m_cycles - base.m_cycles)
-            /. float_of_int base.m_cycles;
-          c_wall_seq = seq.m_wall;
-          c_wall_par = par.m_wall;
-          c_speedup = seq.m_wall /. par.m_wall;
-          c_deterministic =
-            seq.m_cycles = par.m_cycles && seq.m_out = par.m_out;
-        })
-      configs
+  let base = System.now base_run in
+  let config_row (mode, n) =
+    let label = config_label mode n in
+    Printf.printf " %s%!" label;
+    let run engine = measure ~mode ~nreplicas:n ~engine wl in
+    let seq, wall_seq = run Config.Sequential in
+    let par, wall_par = run Config.Parallel in
+    Schema.(
+      sub label
+        [
+          info "mode" (Text (Config.mode_to_string mode));
+          info "replicas" (Int n);
+          exact ~col:"cycles" "cycles" (System.now seq);
+          info ~col:"overhead" "sync_overhead"
+            (Share (overhead ~base (System.now seq)));
+          wall ~col:"seq wall" "wall_seq_s" wall_seq;
+          wall ~col:"par wall" "wall_par_s" wall_par;
+          info ~col:"speedup" "speedup" (Ratio (wall_seq /. wall_par));
+          info ~col:"deterministic" "deterministic" (Flag (same_run n seq par));
+        ])
   in
+  let configs = List.map config_row configs in
   print_newline ();
-  { r_name = wl.wname; r_base_cycles = base.m_cycles; r_base_wall = base.m_wall;
-    r_configs = rows }
+  Schema.(
+    row wl.wname
+      [
+        exact ~col:"cycles" "base.cycles" base;
+        info ~col:"seq wall" "base.wall_s" (Secs base_wall);
+        info "configs" (Rows configs);
+      ])
+
+let measure_workloads () =
+  Printf.printf "Measuring benchmark baseline (%d reps, host cores: %d)\n%!"
+    Schema.reps
+    (Domain.recommended_domain_count ());
+  let rows = List.map workload_row workloads in
+  enforce
+    (List.concat_map
+       (fun r ->
+         violated "DETERMINISM"
+           (List.map
+              (fun c ->
+                ( not (Schema.flag c "deterministic"),
+                  Printf.sprintf "%s %s: parallel != sequential" (Schema.key r)
+                    (Schema.key c) ))
+              (Schema.rows r "configs")))
+       rows);
+  rows
 
 (* --- serving rows ------------------------------------------------------- *)
-
-type serve_row = {
-  s_name : string;
-  s_ingress : bool;  (* FT_Mem_Rep ingress checksum path on? *)
-  s_requests : int;
-  s_cycles : int;  (* simulated run-phase cycles — exact *)
-  s_completed : int;
-  s_digest : int;  (* CRC-32 of the request outcome log — exact *)
-  s_sorted_digest : int;  (* order-insensitive digest — exact *)
-  s_rollbacks : int;
-  s_corrupted : int;  (* client-visible value corruption — exact *)
-  s_checked : int;  (* frames checksum-verified at ingress — exact *)
-  s_dropped : int;  (* corrupt frames dropped/NACKed — exact *)
-  s_redelivered : int;  (* dropped frames redelivered by client — exact *)
-  s_wall_seq : float;
-  s_wall_par : float;
-  s_deterministic : bool;
-}
 
 let serve_records = 64
 let serve_requests = 1_000
 let serve_chunk = 8_000
 
-(* serve-closed / serve-fault are the PR 7 rows (ingress checking off;
-   the fault row recovers through rollback plus client retransmission).
-   The three ingress rows quantify the server-side DMA-hole closure:
+(* serve-closed / serve-fault run with ingress checking off; the fault
+   row recovers through rollback plus client retransmission. The three
+   ingress rows quantify the server-side DMA-hole closure:
 
    - serve-checked prices the per-frame FT_Mem_Rep checksum on a
      fault-free run (overhead = cycles vs serve-closed, exact);
@@ -274,180 +217,111 @@ let serve_config ~engine ~ingress ~fault =
     max_rollbacks = 3;
   }
 
-let measure_serve_engine ~engine ~ingress ~fault =
-  let one () =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Loadgen.run
-        ~config:(serve_config ~engine ~ingress ~fault)
-        ~workload:Ycsb.A ~records:serve_records ~requests:serve_requests
-        ~chunk:serve_chunk ?fault ()
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    if r.Loadgen.stalled then failwith "baseline: serve run stalled";
-    (r, wall)
+let measure_serve_case ~engine ~ingress ~fault =
+  let (r, _), median =
+    Schema.repeat ~what:"serve run"
+      ~identity:(fun ((r : Loadgen.result), _) ->
+        (r.outcome_digest, r.elapsed_cycles))
+      (fun () ->
+        let r, wall =
+          Schema.timed (fun () ->
+              Loadgen.run
+                ~config:(serve_config ~engine ~ingress ~fault)
+                ~workload:Ycsb.A ~records:serve_records
+                ~requests:serve_requests ~chunk:serve_chunk ?fault ())
+        in
+        if r.Loadgen.stalled then failwith "baseline: serve run stalled";
+        (r, wall))
   in
-  let runs = List.init reps (fun _ -> one ()) in
-  let first, _ = List.hd runs in
-  List.iter
-    (fun ((r : Loadgen.result), _) ->
-      if
-        r.Loadgen.outcome_digest <> first.Loadgen.outcome_digest
-        || r.Loadgen.elapsed_cycles <> first.Loadgen.elapsed_cycles
-      then failwith "baseline: serve run is not run-to-run deterministic")
-    runs;
-  let walls = List.sort compare (List.map snd runs) in
-  (first, List.nth walls (reps / 2))
+  (r, median snd)
+
+let serve_row ~closed_cycles (name, ingress, fault) =
+  Printf.printf " %s%!" name;
+  let seq, wall_seq =
+    measure_serve_case ~engine:Config.Sequential ~ingress ~fault
+  in
+  let par, wall_par =
+    measure_serve_case ~engine:Config.Parallel ~ingress ~fault
+  in
+  let cycles = seq.Loadgen.elapsed_cycles in
+  Schema.(
+    row name
+      ([
+         info ~col:"ingress" "ingress_check" (Flag ingress);
+         exact "requests" serve_requests;
+         exact ~col:"cycles" "cycles" cycles;
+         exact ~col:"completed" "completed" seq.completed;
+         exact "digest" seq.outcome_digest;
+         exact "sorted_digest" seq.outcome_sorted_digest;
+         exact ~col:"rollbacks" "rollbacks" seq.rollbacks;
+         exact ~col:"corrupted" "corrupted" seq.counters.Ycsb.corrupted;
+         exact "ingress_checked" seq.ingress_checked;
+         exact ~col:"dropped" "ingress_dropped" seq.ingress_dropped;
+         exact ~col:"redeliv" "redelivered" seq.redelivered;
+         wall ~col:"seq wall" "wall_seq_s" wall_seq;
+         wall ~col:"par wall" "wall_par_s" wall_par;
+         info ~col:"deterministic" "deterministic"
+           (Flag
+              (seq.outcome_digest = par.outcome_digest
+              && seq.end_sigs = par.end_sigs
+              && System.now seq.sys = System.now par.sys
+              && seq.ingress_dropped = par.ingress_dropped));
+       ]
+      @
+      match closed_cycles with
+      | Some c when name = "serve-checked" ->
+          [
+            info "csum_overhead_cycles_per_req"
+              (Float
+                 (float_of_int (cycles - c) /. float_of_int serve_requests));
+          ]
+      | _ -> []))
 
 let measure_serve () =
   Printf.printf "  serving   %!";
+  (* serve-closed comes first: the checked row prices itself against it. *)
+  let closed = serve_row ~closed_cycles:None (List.hd serve_cases) in
+  let closed_cycles = Schema.int closed "cycles" in
   let rows =
-    List.map
-      (fun (name, ingress, fault) ->
-        Printf.printf " %s%!" name;
-        let seq, wall_seq =
-          measure_serve_engine ~engine:Config.Sequential ~ingress ~fault
-        in
-        let par, wall_par =
-          measure_serve_engine ~engine:Config.Parallel ~ingress ~fault
-        in
-        {
-          s_name = name;
-          s_ingress = ingress;
-          s_requests = serve_requests;
-          s_cycles = seq.Loadgen.elapsed_cycles;
-          s_completed = seq.Loadgen.completed;
-          s_digest = seq.Loadgen.outcome_digest;
-          s_sorted_digest = seq.Loadgen.outcome_sorted_digest;
-          s_rollbacks = seq.Loadgen.rollbacks;
-          s_corrupted = seq.Loadgen.counters.Ycsb.corrupted;
-          s_checked = seq.Loadgen.ingress_checked;
-          s_dropped = seq.Loadgen.ingress_dropped;
-          s_redelivered = seq.Loadgen.redelivered;
-          s_wall_seq = wall_seq;
-          s_wall_par = wall_par;
-          s_deterministic =
-            seq.Loadgen.outcome_digest = par.Loadgen.outcome_digest
-            && seq.Loadgen.end_sigs = par.Loadgen.end_sigs
-            && System.now seq.Loadgen.sys = System.now par.Loadgen.sys
-            && seq.Loadgen.ingress_dropped = par.Loadgen.ingress_dropped;
-        })
-      serve_cases
+    closed
+    :: List.map (serve_row ~closed_cycles:(Some closed_cycles))
+         (List.tl serve_cases)
   in
   print_newline ();
-  let broken = List.filter (fun s -> not s.s_deterministic) rows in
-  if broken <> [] then begin
-    List.iter
-      (fun s ->
-        Printf.eprintf
-          "baseline: DETERMINISM FAILURE: %s: parallel != sequential\n"
-          s.s_name)
-      broken;
-    exit 1
-  end;
-  (* Cross-row campaign contract: the same DMA-buffer flip must be
-     client-visible with checking off and absorbed with it on — with
-     the post-recovery outcome log (order-insensitive) matching the
-     fault-free checked run bit for bit. *)
-  let find n = List.find (fun s -> s.s_name = n) rows in
-  let checked = find "serve-checked" in
-  let silent = find "serve-dma-silent" in
-  let recover = find "serve-dma-recover" in
-  let contract = ref [] in
-  if silent.s_corrupted < 1 then
-    contract :=
-      "serve-dma-silent: DMA flip was not client-visible (corrupted = 0)"
-      :: !contract;
-  if silent.s_dropped <> 0 then
-    contract :=
-      "serve-dma-silent: frames dropped with checking off" :: !contract;
-  if recover.s_dropped < 1 then
-    contract :=
-      "serve-dma-recover: ingress check never dropped the corrupt frame"
-      :: !contract;
-  if recover.s_corrupted <> 0 then
-    contract :=
-      "serve-dma-recover: corruption leaked past the ingress check"
-      :: !contract;
-  if recover.s_sorted_digest <> checked.s_sorted_digest then
-    contract :=
-      "serve-dma-recover: outcome digest differs from fault-free run"
-      :: !contract;
-  if !contract <> [] then begin
-    List.iter
-      (fun m -> Printf.eprintf "baseline: CAMPAIGN FAILURE: %s\n" m)
-      (List.rev !contract);
-    exit 1
-  end;
-  Printf.printf
-    "  ingress checksum overhead: %+d cycles (%.2f cycles/request)\n"
-    (checked.s_cycles - (find "serve-closed").s_cycles)
-    (float_of_int (checked.s_cycles - (find "serve-closed").s_cycles)
-    /. float_of_int serve_requests);
-  rows
-
-let print_serve_table rows =
-  let t =
-    Rcoe_util.Table.create
-      ~headers:
-        [ "serve"; "ingress"; "cycles"; "completed"; "rollbacks";
-          "corrupted"; "dropped"; "redeliv"; "seq wall"; "par wall";
-          "deterministic" ]
-  in
-  List.iter
-    (fun s ->
-      Rcoe_util.Table.add_row t
+  let find n = List.find (fun s -> Schema.key s = n) rows in
+  let int n path = Schema.int (find n) path in
+  (* The same DMA-buffer flip must be client-visible with checking off
+     and absorbed with it on, the post-recovery outcome log
+     (order-insensitive) matching the fault-free checked run bit for
+     bit. *)
+  enforce
+    (violated "DETERMINISM"
+       (List.map
+          (fun s ->
+            ( not (Schema.flag s "deterministic"),
+              Schema.key s ^ ": parallel != sequential" ))
+          rows)
+    @ violated "CAMPAIGN"
         [
-          s.s_name;
-          (if s.s_ingress then "on" else "off");
-          string_of_int s.s_cycles; string_of_int s.s_completed;
-          string_of_int s.s_rollbacks; string_of_int s.s_corrupted;
-          string_of_int s.s_dropped; string_of_int s.s_redelivered;
-          Printf.sprintf "%.3fs" s.s_wall_seq;
-          Printf.sprintf "%.3fs" s.s_wall_par;
-          (if s.s_deterministic then "yes" else "NO");
-        ])
-    rows;
-  Rcoe_util.Table.print t
-
-let serve_json rows =
-  let closed_cycles =
-    match List.find_opt (fun s -> s.s_name = "serve-closed") rows with
-    | Some s -> Some s.s_cycles
-    | None -> None
-  in
-  Json.List
-    (List.map
-       (fun s ->
-         Json.Obj
-           ([
-              ("name", Json.String s.s_name);
-              ("ingress_check", Json.Bool s.s_ingress);
-              ("requests", Json.Int s.s_requests);
-              ("cycles", Json.Int s.s_cycles);
-              ("completed", Json.Int s.s_completed);
-              ("digest", Json.Int s.s_digest);
-              ("sorted_digest", Json.Int s.s_sorted_digest);
-              ("rollbacks", Json.Int s.s_rollbacks);
-              ("corrupted", Json.Int s.s_corrupted);
-              ("ingress_checked", Json.Int s.s_checked);
-              ("ingress_dropped", Json.Int s.s_dropped);
-              ("redelivered", Json.Int s.s_redelivered);
-              ("wall_seq_s", Json.Float s.s_wall_seq);
-              ("wall_par_s", Json.Float s.s_wall_par);
-              ("deterministic", Json.Bool s.s_deterministic);
-            ]
-           @
-           match (s.s_name, closed_cycles) with
-           | "serve-checked", Some c ->
-               [
-                 ( "csum_overhead_cycles_per_req",
-                   Json.Float
-                     (float_of_int (s.s_cycles - c)
-                     /. float_of_int s.s_requests) );
-               ]
-           | _ -> []))
-       rows)
+          ( int "serve-dma-silent" "corrupted" < 1,
+            "serve-dma-silent: DMA flip was not client-visible (corrupted = 0)"
+          );
+          ( int "serve-dma-silent" "ingress_dropped" <> 0,
+            "serve-dma-silent: frames dropped with checking off" );
+          ( int "serve-dma-recover" "ingress_dropped" < 1,
+            "serve-dma-recover: ingress check never dropped the corrupt frame"
+          );
+          ( int "serve-dma-recover" "corrupted" <> 0,
+            "serve-dma-recover: corruption leaked past the ingress check" );
+          ( int "serve-dma-recover" "sorted_digest"
+            <> int "serve-checked" "sorted_digest",
+            "serve-dma-recover: outcome digest differs from fault-free run" );
+        ]);
+  let extra = int "serve-checked" "cycles" - closed_cycles in
+  Printf.printf
+    "  ingress checksum overhead: %+d cycles (%.2f cycles/request)\n" extra
+    (float_of_int extra /. float_of_int serve_requests);
+  rows
 
 (* --- execution-backend rows --------------------------------------------- *)
 
@@ -455,21 +329,14 @@ let serve_json rows =
    purpose: simulated cycles and outputs must be IDENTICAL across the
    backends (bit for bit — the block compiler is only allowed to be
    faster, never different), while wall time is where the win shows up.
+   The speedup is compared as a ratio: both backends run under the same
+   host load, so the load cancels.
 
    Sizings are larger than the baseline workloads above and include a
    dispatch-bound kernel: per Amdahl, the backend can only compress the
    decode/dispatch share of a cycle (Machine.tick, devices and sync
    phases are backend-independent), so the speedup headline needs a
    workload whose cycles are dominated by instruction execution. *)
-
-type exec_row = {
-  x_name : string;
-  x_cycles : int;  (* simulated cycles — exact, backend-identical *)
-  x_wall_interp : float;
-  x_wall_blocks : float;
-  x_speedup : float;  (* wall_interp / wall_blocks *)
-  x_identical : bool;  (* cycles and outputs agree across backends *)
-}
 
 (* A long straight-line ALU block in a tight loop: near-zero memory
    traffic, near-zero kernel crossings — the pure decode/dispatch
@@ -513,81 +380,36 @@ let exec_workloads =
     };
   ]
 
+let exec_row wl =
+  Printf.printf " %s%!" wl.wname;
+  let run exec_backend =
+    measure ~exec_backend ~mode:Config.Base ~nreplicas:1
+      ~engine:Config.Sequential wl
+  in
+  let interp, wall_interp = run Config.Interp in
+  let blocks, wall_blocks = run Config.Blocks in
+  Schema.(
+    row wl.wname
+      [
+        exact ~col:"cycles" "cycles" (System.now interp);
+        info ~col:"interp wall" "wall_interp_s" (Secs wall_interp);
+        info ~col:"blocks wall" "wall_blocks_s" (Secs wall_blocks);
+        speedup ~col:"speedup" "speedup" (wall_interp /. wall_blocks);
+        info ~col:"identical" "identical" (Flag (same_run 1 interp blocks));
+      ])
+
 let measure_exec () =
   Printf.printf "  exec      %!";
-  let rows =
-    List.map
-      (fun wl ->
-        Printf.printf " %s%!" wl.wname;
-        let interp =
-          measure ~exec_backend:Config.Interp ~mode:Config.Base ~nreplicas:1
-            ~engine:Config.Sequential wl
-        in
-        let blocks =
-          measure ~exec_backend:Config.Blocks ~mode:Config.Base ~nreplicas:1
-            ~engine:Config.Sequential wl
-        in
-        {
-          x_name = wl.wname;
-          x_cycles = interp.m_cycles;
-          x_wall_interp = interp.m_wall;
-          x_wall_blocks = blocks.m_wall;
-          x_speedup = interp.m_wall /. blocks.m_wall;
-          x_identical =
-            interp.m_cycles = blocks.m_cycles && interp.m_out = blocks.m_out;
-        })
-      exec_workloads
-  in
+  let rows = List.map exec_row exec_workloads in
   print_newline ();
-  let broken = List.filter (fun x -> not x.x_identical) rows in
-  if broken <> [] then begin
-    List.iter
-      (fun x ->
-        Printf.eprintf
-          "baseline: BACKEND IDENTITY FAILURE: %s: blocks != interp\n" x.x_name)
-      broken;
-    exit 1
-  end;
+  enforce
+    (violated "BACKEND IDENTITY"
+       (List.map
+          (fun x ->
+            ( not (Schema.flag x "identical"),
+              Schema.key x ^ ": blocks != interp" ))
+          rows));
   rows
-
-let print_exec_table rows =
-  let t =
-    Rcoe_util.Table.create
-      ~headers:
-        [ "exec"; "cycles"; "interp wall"; "blocks wall"; "speedup";
-          "identical" ]
-  in
-  List.iter
-    (fun x ->
-      Rcoe_util.Table.add_row t
-        [
-          x.x_name; string_of_int x.x_cycles;
-          Printf.sprintf "%.3fs" x.x_wall_interp;
-          Printf.sprintf "%.3fs" x.x_wall_blocks;
-          Printf.sprintf "%.2fx" x.x_speedup;
-          (if x.x_identical then "yes" else "NO");
-        ])
-    rows;
-  Rcoe_util.Table.print t
-
-let exec_json rows =
-  Json.List
-    (List.map
-       (fun x ->
-         Json.Obj
-           [
-             ("name", Json.String x.x_name);
-             ("cycles", Json.Int x.x_cycles);
-             ("wall_interp_s", Json.Float x.x_wall_interp);
-             ("wall_blocks_s", Json.Float x.x_wall_blocks);
-             ("speedup", Json.Float x.x_speedup);
-             ("identical", Json.Bool x.x_identical);
-           ])
-       rows)
-
-let exec_table () =
-  let rows = measure_exec () in
-  print_exec_table rows
 
 (* --- replay-detection rows ---------------------------------------------- *)
 
@@ -599,37 +421,9 @@ let exec_table () =
    synchronisation overhead on the same workload — that asymmetry is
    the paper's reason to tolerate a detection lag at all, and the
    baseline write refuses to commit a file where it does not hold.
-   Cycle counts, chunk/verdict counts and the maximum detection lag
-   are exact; the backends must agree bit for bit; and the fault
-   campaign must recover through rollback to the fault-free output
-   with every verdict inside the chunk_span x queue_depth pipeline
-   bound. *)
-
-type replay_fault_row = {
-  f_cycles : int;  (* simulated — exact (includes re-execution) *)
-  f_chunks : int;
-  f_mismatches : int;
-  f_rollbacks : int;
-  f_max_lag : int;  (* cycles from chunk end to verdict — exact *)
-  f_output_matches : bool;  (* output = fault-free run's *)
-}
-
-type replay_row = {
-  p_name : string;
-  p_base_cycles : int;
-  p_cycles : int;  (* replay primary, simulated — exact *)
-  p_overhead : float;  (* (p_cycles - base) / base *)
-  p_dmr_cycles : int;  (* lockstep CC-DMR, Sequential *)
-  p_dmr_overhead : float;
-  p_chunks : int;
-  p_verified : int;
-  p_max_lag : int;
-  p_lag_bound : int;  (* chunk span x queue depth *)
-  p_wall_interp : float;
-  p_wall_blocks : float;
-  p_identical : bool;  (* cycles and output agree across backends *)
-  p_fault : replay_fault_row;
-}
+   The backends must agree bit for bit, and the fault campaign must
+   recover through rollback to the fault-free output with every
+   verdict inside the chunk_span x queue_depth pipeline bound. *)
 
 (* The compute-bound pair from [workloads]: both finish, so the run
    loop's terminal drain harvests every chunk and verified == chunks
@@ -676,383 +470,203 @@ let replay_max_lag sys =
 let replay_fault_at = 120_000
 let replay_fault_bit = 7
 
-let measure_replay_engine ?fault ~backend wl =
+let measure_replay_case ?fault ~backend wl =
   let config = replay_config ~backend () in
-  let one () =
-    let sys = System.create ~config ~program:(wl.program ()) in
-    let t0 = Unix.gettimeofday () in
-    (match fault with
-    | Some (at, bit) ->
-        System.run sys ~max_cycles:at;
-        let addr = System.sig_base sys 0 + 1 in
-        Rcoe_machine.Mem.flip_bit
-          (System.machine sys).Rcoe_machine.Machine.mem ~addr ~bit;
-        Rcoe_obs.Trace.injection (System.trace sys) ~addr ~bit
-    | None -> ());
-    System.run sys ~max_cycles;
-    let wall = Unix.gettimeofday () -. t0 in
-    if not (System.finished sys) then
-      failwith
-        (Printf.sprintf "baseline: replay %s did not finish (%s)" wl.wname
-           (match System.halted sys with
-           | Some h -> System.halt_reason_to_string h
-           | None -> "ran out of cycles"));
-    (sys, wall)
+  let what = "replay " ^ wl.wname in
+  let (sys, _), median =
+    Schema.repeat ~what
+      ~identity:(fun (sys, _) ->
+        ( System.now sys,
+          System.output sys 0,
+          System.counter sys "replay.chunks" ))
+      (fun () ->
+        let sys = System.create ~config ~program:(wl.program ()) in
+        let (), wall =
+          Schema.timed (fun () ->
+              Option.iter
+                (fun (at, bit) ->
+                  System.run sys ~max_cycles:at;
+                  let addr = System.sig_base sys 0 + 1 in
+                  Rcoe_machine.Mem.flip_bit
+                    (System.machine sys).Rcoe_machine.Machine.mem ~addr ~bit;
+                  Rcoe_obs.Trace.injection (System.trace sys) ~addr ~bit)
+                fault;
+              System.run sys ~max_cycles)
+        in
+        if not (System.finished sys) then
+          failwith
+            (Printf.sprintf "baseline: %s did not finish (%s)" what
+               (match System.halted sys with
+               | Some h -> System.halt_reason_to_string h
+               | None -> "ran out of cycles"));
+        (sys, wall))
   in
-  let runs = List.init reps (fun _ -> one ()) in
-  let first, _ = List.hd runs in
-  List.iter
-    (fun (sys, _) ->
-      if
-        System.now sys <> System.now first
-        || System.output sys 0 <> System.output first 0
-        || System.counter sys "replay.chunks"
-           <> System.counter first "replay.chunks"
-      then
-        failwith
-          (Printf.sprintf
-             "baseline: replay %s is not run-to-run deterministic" wl.wname))
-    runs;
-  let walls = List.sort compare (List.map snd runs) in
-  (first, List.nth walls (reps / 2))
+  (sys, median snd)
+
+let replay_row wl =
+  Printf.printf " %s%!" wl.wname;
+  let cycles mode nreplicas =
+    System.now (fst (measure ~mode ~nreplicas ~engine:Config.Sequential wl))
+  in
+  let base = cycles Config.Base 1 and dmr = cycles Config.CC 2 in
+  let interp, wall_interp = measure_replay_case ~backend:Config.Interp wl in
+  let blocks, wall_blocks = measure_replay_case ~backend:Config.Blocks wl in
+  let fault, _ =
+    measure_replay_case
+      ~fault:(replay_fault_at, replay_fault_bit)
+      ~backend:Config.Interp wl
+  in
+  let cfg = replay_config ~backend:Config.Interp () in
+  let over cycles = Schema.Share (overhead ~base cycles) in
+  Schema.(
+    row wl.wname
+      [
+        exact ~col:"base cyc" "base_cycles" base;
+        exact ~col:"primary cyc" "cycles" (System.now interp);
+        info ~col:"overhead" "primary_overhead" (over (System.now interp));
+        exact "lockstep_dmr_cycles" dmr;
+        info ~col:"DMR overhead" "lockstep_dmr_overhead" (over dmr);
+        exact ~col:"chunks" "chunks" (System.counter interp "replay.chunks");
+        exact "chunks_verified"
+          (System.counter interp "replay.chunks_verified");
+        exact ~col:"max lag" "max_lag_cycles" (replay_max_lag interp);
+        exact ~col:"bound" "lag_bound_cycles"
+          (cfg.Config.replay_chunk_ticks * cfg.Config.tick_interval
+          * cfg.Config.replay_queue_depth);
+        wall ~col:"interp wall" "wall_interp_s" wall_interp;
+        wall ~col:"blocks wall" "wall_blocks_s" wall_blocks;
+        info "identical" (Flag (same_run 1 interp blocks));
+        exact "fault.cycles" (System.now fault);
+        exact "fault.chunks" (System.counter fault "replay.chunks");
+        exact ~col:"fault mism" "fault.mismatches"
+          (System.counter fault "replay.mismatches");
+        exact ~col:"fault rb" "fault.rollbacks"
+          (List.length (System.rollbacks fault));
+        exact "fault.max_lag_cycles" (replay_max_lag fault);
+        info "fault.output_matches"
+          (Flag (System.output fault 0 = System.output interp 0));
+      ])
 
 let measure_replay () =
   Printf.printf "  replay    %!";
-  let rows =
-    List.map
-      (fun wl ->
-        Printf.printf " %s%!" wl.wname;
-        let base =
-          measure ~mode:Config.Base ~nreplicas:1 ~engine:Config.Sequential wl
-        in
-        let dmr =
-          measure ~mode:Config.CC ~nreplicas:2 ~engine:Config.Sequential wl
-        in
-        let interp, wall_interp =
-          measure_replay_engine ~backend:Config.Interp wl
-        in
-        let blocks, wall_blocks =
-          measure_replay_engine ~backend:Config.Blocks wl
-        in
-        let fault_sys, _ =
-          measure_replay_engine
-            ~fault:(replay_fault_at, replay_fault_bit)
-            ~backend:Config.Interp wl
-        in
-        let cfg = replay_config ~backend:Config.Interp () in
-        let span = cfg.Config.replay_chunk_ticks * cfg.Config.tick_interval in
-        let over c =
-          float_of_int (c - base.m_cycles) /. float_of_int base.m_cycles
-        in
-        {
-          p_name = wl.wname;
-          p_base_cycles = base.m_cycles;
-          p_cycles = System.now interp;
-          p_overhead = over (System.now interp);
-          p_dmr_cycles = dmr.m_cycles;
-          p_dmr_overhead = over dmr.m_cycles;
-          p_chunks = System.counter interp "replay.chunks";
-          p_verified = System.counter interp "replay.chunks_verified";
-          p_max_lag = replay_max_lag interp;
-          p_lag_bound = span * cfg.Config.replay_queue_depth;
-          p_wall_interp = wall_interp;
-          p_wall_blocks = wall_blocks;
-          p_identical =
-            System.now interp = System.now blocks
-            && System.output interp 0 = System.output blocks 0;
-          p_fault =
-            {
-              f_cycles = System.now fault_sys;
-              f_chunks = System.counter fault_sys "replay.chunks";
-              f_mismatches = System.counter fault_sys "replay.mismatches";
-              f_rollbacks = List.length (System.rollbacks fault_sys);
-              f_max_lag = replay_max_lag fault_sys;
-              f_output_matches =
-                System.output fault_sys 0 = System.output interp 0;
-            };
-        })
-      replay_workloads
-  in
+  let rows = List.map replay_row replay_workloads in
   print_newline ();
-  (* Detection/recovery contract — checked on every measurement, write
-     and check alike. The overhead-vs-DMR gate lives in [write]. *)
-  let broken = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> broken := s :: !broken) fmt in
-  List.iter
-    (fun p ->
-      if not p.p_identical then
-        fail "replay %s: blocks != interp" p.p_name;
-      if p.p_verified <> p.p_chunks then
-        fail "replay %s: %d/%d chunks unverified at exit" p.p_name
-          (p.p_chunks - p.p_verified) p.p_chunks;
-      if p.p_max_lag > p.p_lag_bound then
-        fail "replay %s: detection lag %d exceeds pipeline bound %d" p.p_name
-          p.p_max_lag p.p_lag_bound;
-      let f = p.p_fault in
-      if f.f_mismatches < 1 then
-        fail "replay %s fault: no mismatch detected" p.p_name;
-      if f.f_rollbacks < 1 then
-        fail "replay %s fault: recovered without a rollback" p.p_name;
-      if not f.f_output_matches then
-        fail "replay %s fault: output differs from fault-free run" p.p_name;
-      if f.f_max_lag > p.p_lag_bound then
-        fail "replay %s fault: detection lag %d exceeds pipeline bound %d"
-          p.p_name f.f_max_lag p.p_lag_bound)
-    rows;
-  if !broken <> [] then begin
-    List.iter
-      (fun m -> Printf.eprintf "baseline: REPLAY FAILURE: %s\n" m)
-      (List.rev !broken);
-    exit 1
-  end;
-  rows
-
-let print_replay_table rows =
-  let t =
-    Rcoe_util.Table.create
-      ~headers:
-        [ "replay"; "base cyc"; "primary cyc"; "overhead"; "DMR overhead";
-          "chunks"; "max lag"; "bound"; "interp wall"; "blocks wall";
-          "fault" ]
-  in
-  List.iter
-    (fun p ->
-      Rcoe_util.Table.add_row t
-        [
-          p.p_name;
-          string_of_int p.p_base_cycles;
-          string_of_int p.p_cycles;
-          Printf.sprintf "%+.2f%%" (100. *. p.p_overhead);
-          Printf.sprintf "%+.2f%%" (100. *. p.p_dmr_overhead);
-          string_of_int p.p_chunks;
-          string_of_int p.p_max_lag;
-          string_of_int p.p_lag_bound;
-          Printf.sprintf "%.3fs" p.p_wall_interp;
-          Printf.sprintf "%.3fs" p.p_wall_blocks;
-          Printf.sprintf "%d mism/%d rb"
-            p.p_fault.f_mismatches p.p_fault.f_rollbacks;
-        ])
-    rows;
-  Rcoe_util.Table.print t
-
-let replay_json rows =
-  Json.List
-    (List.map
+  enforce
+    (List.concat_map
        (fun p ->
-         Json.Obj
+         let name = Schema.key p and int = Schema.int p in
+         let bound = int "lag_bound_cycles" in
+         violated "REPLAY"
            [
-             ("name", Json.String p.p_name);
-             ("base_cycles", Json.Int p.p_base_cycles);
-             ("cycles", Json.Int p.p_cycles);
-             ("primary_overhead", Json.Float p.p_overhead);
-             ("lockstep_dmr_cycles", Json.Int p.p_dmr_cycles);
-             ("lockstep_dmr_overhead", Json.Float p.p_dmr_overhead);
-             ("chunks", Json.Int p.p_chunks);
-             ("chunks_verified", Json.Int p.p_verified);
-             ("max_lag_cycles", Json.Int p.p_max_lag);
-             ("lag_bound_cycles", Json.Int p.p_lag_bound);
-             ("wall_interp_s", Json.Float p.p_wall_interp);
-             ("wall_blocks_s", Json.Float p.p_wall_blocks);
-             ("identical", Json.Bool p.p_identical);
-             ( "fault",
-               Json.Obj
-                 [
-                   ("cycles", Json.Int p.p_fault.f_cycles);
-                   ("chunks", Json.Int p.p_fault.f_chunks);
-                   ("mismatches", Json.Int p.p_fault.f_mismatches);
-                   ("rollbacks", Json.Int p.p_fault.f_rollbacks);
-                   ("max_lag_cycles", Json.Int p.p_fault.f_max_lag);
-                   ("output_matches", Json.Bool p.p_fault.f_output_matches);
-                 ] );
+             ( not (Schema.flag p "identical"),
+               Printf.sprintf "replay %s: blocks != interp" name );
+             ( int "chunks_verified" <> int "chunks",
+               Printf.sprintf "replay %s: %d/%d chunks unverified at exit" name
+                 (int "chunks" - int "chunks_verified")
+                 (int "chunks") );
+             ( int "max_lag_cycles" > bound,
+               Printf.sprintf
+                 "replay %s: detection lag %d exceeds pipeline bound %d" name
+                 (int "max_lag_cycles") bound );
+             ( int "fault.mismatches" < 1,
+               Printf.sprintf "replay %s fault: no mismatch detected" name );
+             ( int "fault.rollbacks" < 1,
+               Printf.sprintf "replay %s fault: recovered without a rollback"
+                 name );
+             ( not (Schema.flag p "fault.output_matches"),
+               Printf.sprintf
+                 "replay %s fault: output differs from fault-free run" name );
+             ( int "fault.max_lag_cycles" > bound,
+               Printf.sprintf
+                 "replay %s fault: detection lag %d exceeds pipeline bound %d"
+                 name (int "fault.max_lag_cycles") bound );
            ])
-       rows)
-
-let replay_table () =
-  let rows = measure_replay () in
-  print_replay_table rows
-
-let host_json () =
-  Json.Obj
-    [
-      ("cores", Json.Int (Domain.recommended_domain_count ()));
-      ("ocaml", Json.String Sys.ocaml_version);
-      ("word_size", Json.Int Sys.word_size);
-      ("os_type", Json.String Sys.os_type);
-    ]
-
-let to_json rows ckpt_rows serve_rows exec_rows replay_rows =
-  Json.Obj
-    [
-      ("schema", Json.String "rcoe-bench-baseline/v6");
-      ("host", host_json ());
-      ("reps", Json.Int reps);
-      ("ckpt", Ckpt_bench.to_json ckpt_rows);
-      ("serve", serve_json serve_rows);
-      ("exec", exec_json exec_rows);
-      ("replay", replay_json replay_rows);
-      ( "workloads",
-        Json.List
-          (List.map
-             (fun r ->
-               Json.Obj
-                 [
-                   ("name", Json.String r.r_name);
-                   ( "base",
-                     Json.Obj
-                       [
-                         ("cycles", Json.Int r.r_base_cycles);
-                         ("wall_s", Json.Float r.r_base_wall);
-                       ] );
-                   ( "configs",
-                     Json.List
-                       (List.map
-                          (fun c ->
-                            Json.Obj
-                              [
-                                ("label", Json.String c.c_label);
-                                ( "mode",
-                                  Json.String (Config.mode_to_string c.c_mode)
-                                );
-                                ("replicas", Json.Int c.c_n);
-                                ("cycles", Json.Int c.c_cycles);
-                                ("sync_overhead", Json.Float c.c_overhead);
-                                ("wall_seq_s", Json.Float c.c_wall_seq);
-                                ("wall_par_s", Json.Float c.c_wall_par);
-                                ("speedup", Json.Float c.c_speedup);
-                                ("deterministic", Json.Bool c.c_deterministic);
-                              ])
-                          r.r_configs) );
-                 ])
-             rows) );
-    ]
-
-let print_table rows =
-  let t =
-    Rcoe_util.Table.create
-      ~headers:
-        [ "workload"; "config"; "cycles"; "overhead"; "seq wall";
-          "par wall"; "speedup"; "deterministic" ]
-  in
-  List.iter
-    (fun r ->
-      Rcoe_util.Table.add_row t
-        [ r.r_name; "Base"; string_of_int r.r_base_cycles; "-";
-          Printf.sprintf "%.3fs" r.r_base_wall; "-"; "-"; "-" ];
-      List.iter
-        (fun c ->
-          Rcoe_util.Table.add_row t
-            [
-              r.r_name; c.c_label; string_of_int c.c_cycles;
-              Printf.sprintf "%+.0f%%" (100. *. c.c_overhead);
-              Printf.sprintf "%.3fs" c.c_wall_seq;
-              Printf.sprintf "%.3fs" c.c_wall_par;
-              Printf.sprintf "%.2fx" c.c_speedup;
-              (if c.c_deterministic then "yes" else "NO");
-            ])
-        r.r_configs)
-    rows;
-  Rcoe_util.Table.print t
-
-let measure_all () =
-  Printf.printf "Measuring benchmark baseline (%d reps, host cores: %d)\n%!"
-    reps
-    (Domain.recommended_domain_count ());
-  let rows = List.map measure_workload workloads in
-  print_table rows;
-  let broken =
-    List.concat_map
-      (fun r ->
-        List.filter_map
-          (fun c ->
-            if c.c_deterministic then None else Some (r.r_name, c.c_label))
-          r.r_configs)
-      rows
-  in
-  if broken <> [] then begin
-    List.iter
-      (fun (w, c) ->
-        Printf.eprintf
-          "baseline: DETERMINISM FAILURE: %s %s: parallel != sequential\n" w c)
-      broken;
-    exit 1
-  end;
+       rows);
   rows
+
+(* --- the file ----------------------------------------------------------- *)
+
+(* In file order. *)
+let sections =
+  [
+    ("ckpt", Ckpt_bench.measure);
+    ("serve", measure_serve);
+    ("exec", measure_exec);
+    ("replay", measure_replay);
+    ("workloads", measure_workloads);
+  ]
+
+let measure_section (name, measure) =
+  let rows = measure () in
+  Schema.print name rows;
+  (name, rows)
+
+let show name = ignore (measure_section (name, List.assoc name sections))
 
 let write ?(path = default_path) () =
-  let rows = measure_all () in
-  let ckpt_rows = Ckpt_bench.measure_all () in
-  Ckpt_bench.print_table ckpt_rows;
-  let serve_rows = measure_serve () in
-  print_serve_table serve_rows;
-  let exec_rows = measure_exec () in
-  print_exec_table exec_rows;
-  let replay_rows = measure_replay () in
-  print_replay_table replay_rows;
+  let measured = List.map measure_section sections in
   (* The block compiler's reason to exist: refuse to commit a baseline
      where it does not clearly win anywhere. *)
   let best =
-    List.fold_left (fun m x -> max m x.x_speedup) 0.0 exec_rows
+    List.fold_left
+      (fun m x -> max m (Schema.num x "speedup"))
+      0.0 (List.assoc "exec" measured)
   in
-  if best < 2.0 then begin
-    Printf.eprintf
-      "baseline: SPEEDUP FAILURE: best blocks-backend speedup %.2fx < 2x\n"
-      best;
-    exit 1
-  end;
+  enforce
+    (violated "SPEEDUP"
+       [
+         ( best < 2.0,
+           Printf.sprintf "best blocks-backend speedup %.2fx < 2x" best );
+       ]);
   (* Replay detection's reason to exist: the unreplicated primary must
-     run decisively closer to Base than lockstep DMR does — refuse a
-     baseline where the simulated overhead ordering is violated. *)
-  List.iter
-    (fun p ->
-      if p.p_overhead >= p.p_dmr_overhead then begin
-        Printf.eprintf
-          "baseline: REPLAY OVERHEAD FAILURE: %s: primary overhead %+.2f%% \
-           not below lockstep DMR sync overhead %+.2f%%\n"
-          p.p_name (100. *. p.p_overhead) (100. *. p.p_dmr_overhead);
-        exit 1
-      end)
-    replay_rows;
+     run decisively closer to Base than lockstep DMR does. *)
+  enforce
+    (violated "REPLAY OVERHEAD"
+       (List.map
+          (fun p ->
+            let primary = Schema.num p "primary_overhead"
+            and dmr = Schema.num p "lockstep_dmr_overhead" in
+            ( primary >= dmr,
+              Printf.sprintf
+                "%s: primary overhead %+.2f%% not below lockstep DMR sync \
+                 overhead %+.2f%%"
+                (Schema.key p) (100. *. primary) (100. *. dmr) ))
+          (List.assoc "replay" measured)));
+  let host =
+    Json.Obj
+      [
+        ("cores", Json.Int (Domain.recommended_domain_count ()));
+        ("ocaml", Json.String Sys.ocaml_version);
+        ("word_size", Json.Int Sys.word_size);
+        ("os_type", Json.String Sys.os_type);
+      ]
+  in
+  let json =
+    Json.Obj
+      ([
+         ("schema", Json.String "rcoe-bench-baseline/v6");
+         ("host", host);
+         ("reps", Json.Int Schema.reps);
+       ]
+      @ List.map (fun (name, rows) -> (name, Schema.to_json rows)) measured)
+  in
   let oc = open_out path in
-  output_string oc
-    (Json.to_string (to_json rows ckpt_rows serve_rows exec_rows replay_rows));
+  output_string oc (Json.to_string json);
   output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s\n" path
 
-let serve_table () =
-  let rows = measure_serve () in
-  print_serve_table rows
-
 (* --- comparison mode ---------------------------------------------------- *)
-
-let jfail fmt = Printf.ksprintf failwith fmt
-
-let jmember name j =
-  match Json.member name j with
-  | Some v -> v
-  | None -> jfail "baseline file: missing field %S" name
-
-let jint = function Json.Int i -> i | _ -> jfail "baseline file: expected int"
-
-let jfloat = function
-  | Json.Float f -> f
-  | Json.Int i -> float_of_int i
-  | _ -> jfail "baseline file: expected number"
-
-let jstring = function
-  | Json.String s -> s
-  | _ -> jfail "baseline file: expected string"
-
-let jlist = function
-  | Json.List l -> l
-  | _ -> jfail "baseline file: expected list"
 
 let tolerance () =
   match Sys.getenv_opt "RCOE_BENCH_TOLERANCE" with
   | Some s -> (
       match float_of_string_opt s with
       | Some f when f > 0. -> f
-      | _ -> jfail "RCOE_BENCH_TOLERANCE must be a positive float, got %S" s)
+      | _ ->
+          failwith
+            (Printf.sprintf
+               "RCOE_BENCH_TOLERANCE must be a positive float, got %S" s))
   | None -> 0.10
 
 let check ?(path = default_path) () =
@@ -1066,8 +680,7 @@ let check ?(path = default_path) () =
           path e;
         exit 1
     in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
+    let s = really_input_string ic (in_channel_length ic) in
     close_in ic;
     match Json.parse s with
     | Ok j -> j
@@ -1075,250 +688,47 @@ let check ?(path = default_path) () =
         Printf.eprintf "baseline-check: %s is malformed: %s\n" path e;
         exit 1
   in
-  (match jstring (jmember "schema" committed) with
-  | "rcoe-bench-baseline/v6" -> ()
-  | "rcoe-bench-baseline/v2" | "rcoe-bench-baseline/v3"
-  | "rcoe-bench-baseline/v4" | "rcoe-bench-baseline/v5" ->
-      Printf.eprintf
-        "baseline-check: %s uses a pre-replay schema (no replay-detection \
-         rows)\n\
-         regenerate with `dune exec bench/main.exe -- baseline`\n"
-        path;
-      exit 1
+  (match Json.member "schema" committed with
+  | Some (Json.String "rcoe-bench-baseline/v6") -> ()
   | other ->
-      Printf.eprintf "baseline-check: unknown schema %S in %s\n" other path;
+      Printf.eprintf
+        "baseline-check: %s has schema %s, not rcoe-bench-baseline/v6\n\
+         regenerate with `dune exec bench/main.exe -- baseline`\n"
+        path
+        (Option.fold ~none:"(none)" ~some:Json.to_string other);
       exit 1);
   let tol = tolerance () in
-  let fresh = measure_all () in
-  let fresh_ckpt = Ckpt_bench.measure_all () in
-  Ckpt_bench.print_table fresh_ckpt;
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let committed_wls = jlist (jmember "workloads" committed) in
-  let find_wl name =
-    List.find_opt
-      (fun j -> jstring (jmember "name" j) = name)
-      committed_wls
+  let measured = List.map measure_section sections in
+  let failures =
+    List.concat_map
+      (fun (name, rows) ->
+        Schema.check ~tol name rows (Json.member name committed))
+      measured
   in
-  List.iter
-    (fun r ->
-      match find_wl r.r_name with
-      | None -> fail "%s: not present in committed baseline" r.r_name
-      | Some j ->
-          let base = jmember "base" j in
-          if jint (jmember "cycles" base) <> r.r_base_cycles then
-            fail "%s Base: cycles %d != committed %d" r.r_name r.r_base_cycles
-              (jint (jmember "cycles" base));
-          let committed_cfgs = jlist (jmember "configs" j) in
-          List.iter
-            (fun c ->
-              match
-                List.find_opt
-                  (fun cj -> jstring (jmember "label" cj) = c.c_label)
-                  committed_cfgs
-              with
-              | None ->
-                  fail "%s %s: not present in committed baseline" r.r_name
-                    c.c_label
-              | Some cj ->
-                  if jint (jmember "cycles" cj) <> c.c_cycles then
-                    fail "%s %s: cycles %d != committed %d" r.r_name c.c_label
-                      c.c_cycles
-                      (jint (jmember "cycles" cj));
-                  let wall_check what fresh_w committed_w =
-                    if fresh_w > committed_w *. (1. +. tol) then
-                      fail "%s %s: %s wall time %.3fs regressed >%.0f%% over \
-                            committed %.3fs"
-                        r.r_name c.c_label what fresh_w (100. *. tol)
-                        committed_w
-                  in
-                  wall_check "sequential" c.c_wall_seq
-                    (jfloat (jmember "wall_seq_s" cj));
-                  wall_check "parallel" c.c_wall_par
-                    (jfloat (jmember "wall_par_s" cj)))
-            r.r_configs)
-    fresh;
-  (* Checkpoint-capture rows: simulated quantities exactly. The wall
-     claim is judged as the full/incremental ratio against an absolute
-     floor, not against the committed times: the incremental capture
-     takes ~1-3ms, where host noise swamps any tolerance on absolute
-     walls and still moves the ratio by 2x between runs. Words copied
-     and cost_cycles are exact-checked above, so the real regression
-     guard is simulated; the wall floor only defends the qualitative
-     claim that incremental capture is decisively faster. *)
-  let committed_ckpt = jlist (jmember "ckpt" committed) in
-  List.iter
-    (fun (r : Ckpt_bench.row) ->
-      match
-        List.find_opt
-          (fun j -> jstring (jmember "name" j) = r.Ckpt_bench.k_name)
-          committed_ckpt
-      with
-      | None ->
-          fail "ckpt %s: not present in committed baseline"
-            r.Ckpt_bench.k_name
-      | Some j ->
-          let full = jmember "full" j and incr = jmember "incremental" j in
-          let exact what fresh_v committed_v =
-            if fresh_v <> committed_v then
-              fail "ckpt %s: %s %d != committed %d" r.Ckpt_bench.k_name what
-                fresh_v committed_v
-          in
-          exact "captures" r.Ckpt_bench.k_captures (jint (jmember "captures" j));
-          exact "full words" r.Ckpt_bench.k_full_words
-            (jint (jmember "words" full));
-          exact "incremental words" r.Ckpt_bench.k_incr_words
-            (jint (jmember "words" incr));
-          exact "full cost_cycles" r.Ckpt_bench.k_full_cost
-            (jint (jmember "cost_cycles" full));
-          exact "incremental cost_cycles" r.Ckpt_bench.k_incr_cost
-            (jint (jmember "cost_cycles" incr));
-          exact "full engine_checkpoints" r.Ckpt_bench.k_full_ckpts
-            (jint (jmember "engine_checkpoints" full));
-          exact "incremental engine_checkpoints" r.Ckpt_bench.k_incr_ckpts
-            (jint (jmember "engine_checkpoints" incr));
-          let fresh_ratio =
-            r.Ckpt_bench.k_full_wall /. r.Ckpt_bench.k_incr_wall
-          in
-          if fresh_ratio < 2.0 /. (1. +. tol) then
-            fail
-              "ckpt %s: incremental capture no longer decisively faster \
-               than full (%.1fx, floor %.1fx)"
-              r.Ckpt_bench.k_name fresh_ratio (2.0 /. (1. +. tol)))
-    fresh_ckpt;
-  (* Serving rows: simulated quantities exactly, walls within the
-     tolerance. *)
-  let fresh_serve = measure_serve () in
-  print_serve_table fresh_serve;
-  let committed_serve = jlist (jmember "serve" committed) in
-  List.iter
-    (fun s ->
-      match
-        List.find_opt
-          (fun j -> jstring (jmember "name" j) = s.s_name)
-          committed_serve
-      with
-      | None -> fail "serve %s: not present in committed baseline" s.s_name
-      | Some j ->
-          let exact what fresh_v committed_v =
-            if fresh_v <> committed_v then
-              fail "serve %s: %s %d != committed %d" s.s_name what fresh_v
-                committed_v
-          in
-          exact "requests" s.s_requests (jint (jmember "requests" j));
-          exact "cycles" s.s_cycles (jint (jmember "cycles" j));
-          exact "completed" s.s_completed (jint (jmember "completed" j));
-          exact "digest" s.s_digest (jint (jmember "digest" j));
-          exact "sorted_digest" s.s_sorted_digest
-            (jint (jmember "sorted_digest" j));
-          exact "rollbacks" s.s_rollbacks (jint (jmember "rollbacks" j));
-          exact "corrupted" s.s_corrupted (jint (jmember "corrupted" j));
-          exact "ingress_checked" s.s_checked
-            (jint (jmember "ingress_checked" j));
-          exact "ingress_dropped" s.s_dropped
-            (jint (jmember "ingress_dropped" j));
-          exact "redelivered" s.s_redelivered
-            (jint (jmember "redelivered" j));
-          let wall_check what fresh_w committed_w =
-            if fresh_w > committed_w *. (1. +. tol) then
-              fail
-                "serve %s: %s wall time %.3fs regressed >%.0f%% over \
-                 committed %.3fs"
-                s.s_name what fresh_w (100. *. tol) committed_w
-          in
-          wall_check "sequential" s.s_wall_seq
-            (jfloat (jmember "wall_seq_s" j));
-          wall_check "parallel" s.s_wall_par (jfloat (jmember "wall_par_s" j)))
-    fresh_serve;
-  (* Execution-backend rows: cycles must match the committed baseline
-     exactly (and [measure_exec] has already verified Blocks == Interp
-     on this run — an identity failure exits before we get here). Wall
-     regression is judged on the interp/blocks *ratio*, not on either
-     absolute time: both backends run under the same host load, so the
-     ratio cancels machine noise that routinely pushes the sub-second
-     absolute times past any reasonable tolerance. *)
-  let fresh_exec = measure_exec () in
-  print_exec_table fresh_exec;
-  let committed_exec = jlist (jmember "exec" committed) in
-  List.iter
-    (fun x ->
-      match
-        List.find_opt
-          (fun j -> jstring (jmember "name" j) = x.x_name)
-          committed_exec
-      with
-      | None -> fail "exec %s: not present in committed baseline" x.x_name
-      | Some j ->
-          if jint (jmember "cycles" j) <> x.x_cycles then
-            fail "exec %s: cycles %d != committed %d" x.x_name x.x_cycles
-              (jint (jmember "cycles" j));
-          let committed_speedup = jfloat (jmember "speedup" j) in
-          if x.x_speedup < committed_speedup /. (1. +. tol) then
-            fail
-              "exec %s: speedup %.2fx regressed >%.0f%% below committed %.2fx"
-              x.x_name x.x_speedup (100. *. tol) committed_speedup)
-    fresh_exec;
-  (* Replay-detection rows: every simulated quantity exactly (cycles,
-     chunk/verdict counts, detection lags, the fault campaign), walls
-     within the tolerance. [measure_replay] has already enforced the
-     detection/recovery contract — backend identity, verified ==
-     chunks, lag bound, fault Recovered — on this fresh run. *)
-  let fresh_replay = measure_replay () in
-  print_replay_table fresh_replay;
-  let committed_replay = jlist (jmember "replay" committed) in
-  List.iter
-    (fun p ->
-      match
-        List.find_opt
-          (fun j -> jstring (jmember "name" j) = p.p_name)
-          committed_replay
-      with
-      | None -> fail "replay %s: not present in committed baseline" p.p_name
-      | Some j ->
-          let exact what fresh_v committed_v =
-            if fresh_v <> committed_v then
-              fail "replay %s: %s %d != committed %d" p.p_name what fresh_v
-                committed_v
-          in
-          exact "base cycles" p.p_base_cycles (jint (jmember "base_cycles" j));
-          exact "cycles" p.p_cycles (jint (jmember "cycles" j));
-          exact "lockstep DMR cycles" p.p_dmr_cycles
-            (jint (jmember "lockstep_dmr_cycles" j));
-          exact "chunks" p.p_chunks (jint (jmember "chunks" j));
-          exact "chunks_verified" p.p_verified
-            (jint (jmember "chunks_verified" j));
-          exact "max_lag_cycles" p.p_max_lag
-            (jint (jmember "max_lag_cycles" j));
-          exact "lag_bound_cycles" p.p_lag_bound
-            (jint (jmember "lag_bound_cycles" j));
-          let fault = jmember "fault" j in
-          exact "fault cycles" p.p_fault.f_cycles
-            (jint (jmember "cycles" fault));
-          exact "fault chunks" p.p_fault.f_chunks
-            (jint (jmember "chunks" fault));
-          exact "fault mismatches" p.p_fault.f_mismatches
-            (jint (jmember "mismatches" fault));
-          exact "fault rollbacks" p.p_fault.f_rollbacks
-            (jint (jmember "rollbacks" fault));
-          exact "fault max_lag_cycles" p.p_fault.f_max_lag
-            (jint (jmember "max_lag_cycles" fault));
-          let wall_check what fresh_w committed_w =
-            if fresh_w > committed_w *. (1. +. tol) then
-              fail
-                "replay %s: %s wall time %.3fs regressed >%.0f%% over \
-                 committed %.3fs"
-                p.p_name what fresh_w (100. *. tol) committed_w
-          in
-          wall_check "interp" p.p_wall_interp
-            (jfloat (jmember "wall_interp_s" j));
-          wall_check "blocks" p.p_wall_blocks
-            (jfloat (jmember "wall_blocks_s" j)))
-    fresh_replay;
-  match !failures with
+  (* Incremental capture takes ~1-3ms, where host noise swamps any
+     tolerance on absolute walls, so the ckpt walls are judged as the
+     full/incremental ratio against an absolute floor; words and
+     cost_cycles, compared exactly, are the real regression guard. *)
+  let floor = 2.0 /. (1. +. tol) in
+  let slow_incremental =
+    List.filter_map
+      (fun r ->
+        let ratio =
+          Schema.num r "full.wall_s" /. Schema.num r "incremental.wall_s"
+        in
+        if ratio >= floor then None
+        else
+          Some
+            (Printf.sprintf
+               "ckpt %s: incremental capture no longer decisively faster \
+                than full (%.1fx, floor %.1fx)"
+               (Schema.key r) ratio floor))
+      (List.assoc "ckpt" measured)
+  in
+  match failures @ slow_incremental with
   | [] ->
       Printf.printf "baseline-check: ok (tolerance %.0f%%, vs %s)\n"
         (100. *. tol) path
   | fs ->
-      List.iter (fun f -> Printf.eprintf "baseline-check: %s\n" f)
-        (List.rev fs);
+      List.iter (Printf.eprintf "baseline-check: %s\n") fs;
       exit 1

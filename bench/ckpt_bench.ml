@@ -21,35 +21,14 @@
    recovery experiments trade against rollback re-execution distance.
 
    `dune exec bench/main.exe -- ckpt` prints the table; the same rows
-   are embedded in BENCH_baseline.json (schema v2) and checked by
-   `baseline-check`: word counts and charged cycles exactly, the
-   incremental capture wall time within RCOE_BENCH_TOLERANCE. *)
+   are the `ckpt` section of BENCH_baseline.json. *)
 
 open Rcoe_core
 open Rcoe_workloads
 open Rcoe_harness
-module Json = Rcoe_obs.Json
 module Metrics = Rcoe_obs.Metrics
 
-let reps = 3
 let captures_per_run = 12
-
-type row = {
-  k_name : string;
-  k_captures : int;
-  k_full_words : int;
-  k_incr_words : int;
-  k_full_wall : float;
-  k_incr_wall : float;
-  (* End-to-end engine runs, one per checkpoint mode. The capture
-     stall differs between modes, which shifts round timing, so the
-     checkpoint counts can legitimately differ too — both are recorded
-     and exact-checked. *)
-  k_full_ckpts : int;
-  k_incr_ckpts : int;
-  k_full_cost : int;  (* sum of ckpt.cost_cycles, Full mode *)
-  k_incr_cost : int;  (* sum of ckpt.cost_cycles, Incremental mode *)
-}
 
 (* --- capture microbench -------------------------------------------------- *)
 
@@ -68,13 +47,13 @@ let capture_into side ?clear_dirty ~kind sys =
       (fun rid -> (rid, System.kernel sys rid, System.replica_done sys rid))
       (System.live sys)
   in
-  let t0 = Unix.gettimeofday () in
-  let snap =
-    Checkpoint.capture ?clear_dirty mem (System.layout sys) ~kind
-      ~cycle:(System.now sys) ~round_seq:0 ~ticks:0
-      ~prim:(System.primary sys) ~replicas
+  let snap, wall =
+    Schema.timed (fun () ->
+        Checkpoint.capture ?clear_dirty mem (System.layout sys) ~kind
+          ~cycle:(System.now sys) ~round_seq:0 ~ticks:0
+          ~prim:(System.primary sys) ~replicas)
   in
-  side.wall <- side.wall +. (Unix.gettimeofday () -. t0);
+  side.wall <- side.wall +. wall;
   Checkpoint.push side.ring snap;
   side.words <- side.words + Checkpoint.words snap;
   snap
@@ -202,106 +181,49 @@ let engine_splash ckpt_mode =
 
 (* --- measurement --------------------------------------------------------- *)
 
-let median3 a b c = List.nth (List.sort compare [ a; b; c ]) 1
-
 let measure_workload ~name ~drive ~engine =
   Printf.printf "  %-10s capture%!" name;
-  let runs = List.init reps (fun _ -> capture_run ~name ~drive ()) in
-  let (f0, i0, taken0) = List.hd runs in
-  List.iter
-    (fun (f, i, taken) ->
-      if f.words <> f0.words || i.words <> i0.words || taken <> taken0 then
-        failwith
-          (Printf.sprintf "ckpt bench: %s is not run-to-run deterministic" name))
-    runs;
-  let walls side = List.map side runs in
-  let wall_of pick =
-    match walls pick with
-    | [ a; b; c ] -> median3 a b c
-    | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
+  let (full, incr, taken), median =
+    Schema.repeat ~what:("ckpt " ^ name)
+      ~identity:(fun (f, i, taken) -> (f.words, i.words, taken))
+      (capture_run ~name ~drive)
   in
+  (* End-to-end engine runs, one per checkpoint mode. The capture stall
+     differs between modes, which shifts round timing, so the
+     checkpoint counts can legitimately differ too. *)
   Printf.printf " engine-full%!";
-  let e_ckpts_f, full_cost = engine Config.Full in
+  let full_ckpts, full_cost = engine Config.Full in
   Printf.printf " engine-incr%!";
-  let e_ckpts_i, incr_cost = engine Config.Incremental in
+  let incr_ckpts, incr_cost = engine Config.Incremental in
   print_newline ();
-  {
-    k_name = name;
-    k_captures = taken0;
-    k_full_words = f0.words;
-    k_incr_words = i0.words;
-    k_full_wall = wall_of (fun (f, _, _) -> f.wall);
-    k_incr_wall = wall_of (fun (_, i, _) -> i.wall);
-    k_full_ckpts = e_ckpts_f;
-    k_incr_ckpts = e_ckpts_i;
-    k_full_cost = full_cost;
-    k_incr_cost = incr_cost;
-  }
+  if incr.words >= full.words then
+    Printf.eprintf
+      "ckpt: WARNING: %s: incremental copied no fewer words than full\n" name;
+  if incr_cost >= full_cost then
+    Printf.eprintf
+      "ckpt: WARNING: %s: incremental charged no fewer cycles than full\n"
+      name;
+  Schema.(
+    row name
+      [
+        exact ~col:"captures" "captures" taken;
+        exact ~col:"full words" "full.words" full.words;
+        info ~col:"full wall" "full.wall_s"
+          (Secs (median (fun (f, _, _) -> f.wall)));
+        exact ~col:"ckpt cost full" "full.cost_cycles" full_cost;
+        exact "full.engine_checkpoints" full_ckpts;
+        exact ~col:"incr words" "incremental.words" incr.words;
+        info ~col:"incr wall" "incremental.wall_s"
+          (Secs (median (fun (_, i, _) -> i.wall)));
+        exact ~col:"ckpt cost incr" "incremental.cost_cycles" incr_cost;
+        exact "incremental.engine_checkpoints" incr_ckpts;
+      ])
 
-let measure_all () =
+let measure () =
   Printf.printf "Measuring checkpoint capture (%d captures x %d reps)\n%!"
-    captures_per_run reps;
+    captures_per_run Schema.reps;
   [
     measure_workload ~name:"kvstore" ~drive:drive_kv ~engine:engine_kv;
-    measure_workload ~name:"splash-lu-c" ~drive:drive_splash ~engine:engine_splash;
+    measure_workload ~name:"splash-lu-c" ~drive:drive_splash
+      ~engine:engine_splash;
   ]
-
-let print_table rows =
-  let t =
-    Rcoe_util.Table.create
-      ~headers:
-        [ "workload"; "captures"; "full words"; "incr words"; "full wall";
-          "incr wall"; "ckpt cost full"; "ckpt cost incr" ]
-  in
-  List.iter
-    (fun r ->
-      Rcoe_util.Table.add_row t
-        [
-          r.k_name; string_of_int r.k_captures;
-          string_of_int r.k_full_words; string_of_int r.k_incr_words;
-          Printf.sprintf "%.4fs" r.k_full_wall;
-          Printf.sprintf "%.4fs" r.k_incr_wall;
-          string_of_int r.k_full_cost; string_of_int r.k_incr_cost;
-        ])
-    rows;
-  Rcoe_util.Table.print t;
-  List.iter
-    (fun r ->
-      if r.k_incr_words >= r.k_full_words then
-        Printf.eprintf
-          "ckpt: WARNING: %s: incremental copied no fewer words than full\n"
-          r.k_name;
-      if r.k_incr_cost >= r.k_full_cost then
-        Printf.eprintf
-          "ckpt: WARNING: %s: incremental charged no fewer cycles than full\n"
-          r.k_name)
-    rows
-
-let to_json rows =
-  Json.List
-    (List.map
-       (fun r ->
-         Json.Obj
-           [
-             ("name", Json.String r.k_name);
-             ("captures", Json.Int r.k_captures);
-             ( "full",
-               Json.Obj
-                 [
-                   ("words", Json.Int r.k_full_words);
-                   ("wall_s", Json.Float r.k_full_wall);
-                   ("cost_cycles", Json.Int r.k_full_cost);
-                   ("engine_checkpoints", Json.Int r.k_full_ckpts);
-                 ] );
-             ( "incremental",
-               Json.Obj
-                 [
-                   ("words", Json.Int r.k_incr_words);
-                   ("wall_s", Json.Float r.k_incr_wall);
-                   ("cost_cycles", Json.Int r.k_incr_cost);
-                   ("engine_checkpoints", Json.Int r.k_incr_ckpts);
-                 ] );
-           ])
-       rows)
-
-let run () = print_table (measure_all ())

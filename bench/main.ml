@@ -3,10 +3,10 @@
    primitives.
 
    Usage:  dune exec bench/main.exe -- [target ...]
-   Targets: e1 table2 table3 table4 table5 fig3 table7x86 table7arm
-            table8 table9 table10 fig4 latency ingress micro serve
-            exec replay ckpt quick all
-   Default (no argument): quick. *)
+   The targets are the names in [targets] below; an unknown name
+   prints them. `baseline` and `baseline-check` also take a file path
+   (default BENCH_baseline.json in the current directory). Default (no
+   argument): quick. *)
 
 open Rcoe_harness
 
@@ -86,44 +86,44 @@ let full () =
   Fault_experiments.all ~quick:false;
   micro ()
 
-let run_target = function
-  | "e1" -> Perf_experiments.e1_datarace ()
-  | "table2" -> Perf_experiments.table2 ()
-  | "table3" -> Perf_experiments.table3 ()
-  | "table4" -> Perf_experiments.table4 ()
-  | "table5" -> Perf_experiments.table5 ()
-  | "fig3" -> Perf_experiments.fig3 ()
-  | "table7x86" -> Fault_experiments.table7 ~variant:`X86 ()
-  | "table7arm" -> Fault_experiments.table7 ~variant:`Arm ()
-  | "table8" -> Fault_experiments.table8 ()
-  | "table9" -> Fault_experiments.table9 ()
-  | "latency" -> Fault_experiments.detection_latency ()
-  | "ingress" -> ignore (Fault_experiments.ingress_table ())
-  | "table10" -> Perf_experiments.table10 ()
-  | "fig4" -> Perf_experiments.fig4 ()
-  | "micro" -> micro ()
-  | "serve" -> Baseline.serve_table ()
-  | "exec" -> Baseline.exec_table ()
-  | "replay" -> Baseline.replay_table ()
-  | "ckpt" -> Ckpt_bench.run ()
-  | "baseline" -> Baseline.write ()
-  | "baseline-check" -> Baseline.check ()
-  | "quick" -> quick ()
-  | "all" -> full ()
-  | other ->
-      Printf.eprintf
-        "unknown target %S\n\
-         targets: e1 table2 table3 table4 table5 fig3 table7x86 table7arm \
-         table8 table9 table10 fig4 latency ingress micro serve exec replay \
-         ckpt baseline baseline-check quick all\n"
-        other;
+let targets =
+  [
+    ("e1", fun () -> Perf_experiments.e1_datarace ());
+    ("table2", fun () -> Perf_experiments.table2 ());
+    ("table3", fun () -> Perf_experiments.table3 ());
+    ("table4", fun () -> Perf_experiments.table4 ());
+    ("table5", fun () -> Perf_experiments.table5 ());
+    ("fig3", fun () -> Perf_experiments.fig3 ());
+    ("table7x86", fun () -> Fault_experiments.table7 ~variant:`X86 ());
+    ("table7arm", fun () -> Fault_experiments.table7 ~variant:`Arm ());
+    ("table8", fun () -> Fault_experiments.table8 ());
+    ("table9", fun () -> Fault_experiments.table9 ());
+    ("table10", fun () -> Perf_experiments.table10 ());
+    ("fig4", Perf_experiments.fig4);
+    ("latency", fun () -> Fault_experiments.detection_latency ());
+    ("ingress", fun () -> ignore (Fault_experiments.ingress_table ()));
+    ("micro", micro);
+    ("serve", fun () -> Baseline.show "serve");
+    ("exec", fun () -> Baseline.show "exec");
+    ("replay", fun () -> Baseline.show "replay");
+    ("ckpt", fun () -> Baseline.show "ckpt");
+    ("baseline", fun () -> Baseline.write ());
+    ("baseline-check", fun () -> Baseline.check ());
+    ("quick", quick);
+    ("all", full);
+  ]
+
+let run_target name =
+  match List.assoc_opt name targets with
+  | Some run -> run ()
+  | None ->
+      Printf.eprintf "unknown target %S\ntargets: %s\n" name
+        (String.concat " " (List.map fst targets));
       exit 1
 
 let () =
-  (* `baseline` / `baseline-check` accept an optional explicit path
-     (default BENCH_baseline.json in the current directory). *)
   match Array.to_list Sys.argv with
   | [ _; "baseline"; path ] -> Baseline.write ~path ()
   | [ _; "baseline-check"; path ] -> Baseline.check ~path ()
-  | _ :: first :: rest -> List.iter run_target (first :: rest)
+  | _ :: (_ :: _ as names) -> List.iter run_target names
   | _ -> quick ()

@@ -417,11 +417,66 @@ let detection_latency ?(runs = 5) () =
 
 (* ----------------------------------------------- recovery campaign -- *)
 
-(* One md5sum trial on a CC-D system: run to a warm point, then corrupt
-   one replica's signature accumulator (immediately detectable at the
-   next vote). [`Transient] flips once; [`Persistent] re-flips after
-   every rollback, modelling a stuck-at fault the recovery cannot outrun.
-   Without checkpointing every such detection halts the system. *)
+(* Run [sys] to a warm point, flip one bit of replica [rid]'s signature
+   accumulator, then poll it to completion. [`Transient] flips once;
+   [`Persistent] re-flips after every rollback, modelling a stuck-at
+   fault the recovery cannot outrun. [corrupt] judges the final output.
+   Returns (outcome, rollbacks, checkpoints taken, recovery-latency
+   samples). *)
+let flip_and_poll sys ~rid ~fault ~seed ~corrupt =
+  (* Warm long enough for the checkpoint ring to fill, so the
+     persistent case demonstrates the whole escalation chain (retry
+     newest -> drop -> older) before the budget fail-stops it. *)
+  System.run sys ~max_cycles:150_000;
+  let mem = (System.machine sys).Rcoe_machine.Machine.mem in
+  let flip () =
+    let addr = System.sig_base sys rid + 1 and bit = seed mod 30 in
+    Rcoe_machine.Mem.flip_bit mem ~addr ~bit;
+    Rcoe_obs.Trace.injection (System.trace sys) ~addr ~bit
+  in
+  flip ();
+  (* A persistent fault must re-assert before the system can take a
+     fresh (clean) checkpoint, or each re-assertion looks like a new
+     transient; poll in sub-round windows for it. *)
+  let window, budget =
+    match fault with
+    | `Transient -> (100_000, ref 200)
+    | `Persistent -> (10_000, ref 600)
+  in
+  let rollbacks_seen = ref (List.length (System.rollbacks sys)) in
+  while
+    (not (System.finished sys)) && System.halted sys = None && !budget > 0
+  do
+    decr budget;
+    System.run sys ~max_cycles:window;
+    (* A persistent fault re-asserts itself after every recovery: the
+       rollback restored the accumulator, so corrupt it again. *)
+    let rb = List.length (System.rollbacks sys) in
+    if fault = `Persistent && rb > !rollbacks_seen then begin
+      rollbacks_seen := rb;
+      if System.halted sys = None && not (System.finished sys) then flip ()
+    end
+  done;
+  let outcome =
+    Outcome.classify ~sys ~client_corrupt:(corrupt (System.output sys 0))
+      ~client_error:(not (System.finished sys) && System.halted sys = None)
+  in
+  let latencies =
+    match
+      Rcoe_obs.Metrics.find_histogram (System.metrics sys)
+        "recover.latency_cycles"
+    with
+    | Some h -> Rcoe_obs.Metrics.samples h
+    | None -> []
+  in
+  ( outcome,
+    List.length (System.rollbacks sys),
+    System.checkpoints_taken sys,
+    latencies )
+
+(* One md5sum trial on a CC-D system: corrupt one replica's signature
+   accumulator, immediately detectable at the next vote. Without
+   checkpointing every such detection halts the system. *)
 let recovery_trial ?(exec_backend = Config.Interp) ~checkpointing ~fault ~seed
     () =
   let config =
@@ -440,52 +495,8 @@ let recovery_trial ?(exec_backend = Config.Interp) ~checkpointing ~fault ~seed
     Md5sum.program ~message_words:96 ~iters:12 ~seed:(seed * 3)
       ~branch_count:false ()
   in
-  let sys = System.create ~config ~program in
-  (* Warm long enough for the checkpoint ring to fill, so the
-     persistent case demonstrates the whole escalation chain (retry
-     newest -> drop -> older) before the budget fail-stops it. *)
-  System.run sys ~max_cycles:150_000;
-  let mem = (System.machine sys).Rcoe_machine.Machine.mem in
-  let flip () =
-    let addr = System.sig_base sys 1 + 1 and bit = seed mod 30 in
-    Rcoe_machine.Mem.flip_bit mem ~addr ~bit;
-    Rcoe_obs.Trace.injection (System.trace sys) ~addr ~bit
-  in
-  flip ();
-  (* A persistent fault must re-assert before the system can take a
-     fresh (clean) checkpoint, or each re-assertion looks like a new
-     transient; poll in sub-round windows for it. *)
-  let window, budget =
-    match fault with `Transient -> (100_000, ref 200) | `Persistent -> (10_000, ref 600)
-  in
-  let rollbacks_seen = ref (List.length (System.rollbacks sys)) in
-  while
-    (not (System.finished sys)) && System.halted sys = None && !budget > 0
-  do
-    decr budget;
-    System.run sys ~max_cycles:window;
-    (* A persistent fault re-asserts itself after every recovery: the
-       rollback restored the accumulator, so corrupt it again. *)
-    let rb = List.length (System.rollbacks sys) in
-    if fault = `Persistent && rb > !rollbacks_seen then begin
-      rollbacks_seen := rb;
-      if System.halted sys = None && not (System.finished sys) then flip ()
-    end
-  done;
-  let out = System.output sys 0 in
-  let outcome =
-    Outcome.classify ~sys ~client_corrupt:(String.contains out 'X')
-      ~client_error:(not (System.finished sys) && System.halted sys = None)
-  in
-  let latencies =
-    match Rcoe_obs.Metrics.find_histogram (System.metrics sys)
-            "recover.latency_cycles"
-    with
-    | Some h -> Rcoe_obs.Metrics.samples h
-    | None -> []
-  in
-  (outcome, List.length (System.rollbacks sys),
-   System.checkpoints_taken sys, latencies)
+  flip_and_poll (System.create ~config ~program) ~rid:1 ~fault ~seed
+    ~corrupt:(fun out -> String.contains out 'X')
 
 (* The same signature-corruption campaign on an unreplicated primary
    under asynchronous replay detection ([Config.Replay]): detection is
@@ -524,49 +535,8 @@ let replay_recovery_trial ?(exec_backend = Config.Interp) ~fault ~seed () =
     System.output sys 0
   in
   let sys = System.create ~config ~program in
-  System.run sys ~max_cycles:150_000;
-  let mem = (System.machine sys).Rcoe_machine.Machine.mem in
-  let flip () =
-    let addr = System.sig_base sys 0 + 1 and bit = seed mod 30 in
-    Rcoe_machine.Mem.flip_bit mem ~addr ~bit;
-    Rcoe_obs.Trace.injection (System.trace sys) ~addr ~bit
-  in
-  flip ();
-  let window, budget =
-    match fault with
-    | `Transient -> (100_000, ref 200)
-    | `Persistent -> (10_000, ref 600)
-  in
-  let rollbacks_seen = ref (List.length (System.rollbacks sys)) in
-  while
-    (not (System.finished sys)) && System.halted sys = None && !budget > 0
-  do
-    decr budget;
-    System.run sys ~max_cycles:window;
-    let rb = List.length (System.rollbacks sys) in
-    if fault = `Persistent && rb > !rollbacks_seen then begin
-      rollbacks_seen := rb;
-      if System.halted sys = None && not (System.finished sys) then flip ()
-    end
-  done;
-  let out = System.output sys 0 in
-  let outcome =
-    Outcome.classify ~sys
-      ~client_corrupt:(System.finished sys && out <> reference)
-      ~client_error:(not (System.finished sys) && System.halted sys = None)
-  in
-  let latencies =
-    match
-      Rcoe_obs.Metrics.find_histogram (System.metrics sys)
-        "recover.latency_cycles"
-    with
-    | Some h -> Rcoe_obs.Metrics.samples h
-    | None -> []
-  in
-  ( outcome,
-    List.length (System.rollbacks sys),
-    System.checkpoints_taken sys,
-    latencies )
+  flip_and_poll sys ~rid:0 ~fault ~seed ~corrupt:(fun out ->
+      System.finished sys && out <> reference)
 
 let recovery_table ?(trials = 12) () =
   header "Recovery campaign: DMR halt vs DMR rollback on md5sum (CC-D, x86)"

@@ -30,4 +30,5 @@ let () =
       ("serve", Test_serve.suite);
       ("exec-blocks", Test_exec_blocks.suite);
       ("replay", Test_replay.suite);
+      ("bench-schema", Test_bench_schema.suite);
     ]
