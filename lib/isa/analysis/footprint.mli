@@ -8,7 +8,7 @@
     Classification is against caller-supplied {!region}s: this module
     is layout-agnostic so the ISA layer stays independent of the
     kernel's address-space map; the RCoE layer builds the region table
-    from [Kernel.Layout] and decides which classes are device-owned
+    from [Rcoe_kernel.Layout] and decides which classes are device-owned
     (see [Eligibility]). *)
 
 type kind = Read | Write

@@ -18,8 +18,10 @@ type profile = {
   jitter_p : float;
   jitter_cycles : int;
   count_mode : count_mode;
-  has_resume_flag : bool;
   pt_spare_bit : bool;
+  vm_support : bool;
+  pte_scan_cost : int;
+  removal_cost : int;
 }
 
 let x86 =
@@ -39,8 +41,10 @@ let x86 =
     jitter_p = 0.012;
     jitter_cycles = 12;
     count_mode = Hardware;
-    has_resume_flag = true;
     pt_spare_bit = true;
+    vm_support = true;
+    pte_scan_cost = 850;
+    removal_cost = 24_000;
   }
 
 let arm =
@@ -61,8 +65,10 @@ let arm =
     jitter_p = 0.013;
     jitter_cycles = 13;
     count_mode = Compiler_assisted;
-    has_resume_flag = false;
     pt_spare_bit = false;
+    vm_support = false;
+    pte_scan_cost = 1250;
+    removal_cost = 21_000;
   }
 
 let profile_of = function X86 -> x86 | Arm -> arm

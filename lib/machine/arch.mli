@@ -5,13 +5,14 @@
 
     - x86 (Skylake i7-6700, 3.4 GHz): the PMU counts user-mode retired
       branches precisely (branch-retired minus far-branches), breakpoints
-      have a resume flag (one debug exception per hit), page tables have a
-      spare bit for marking DMA buffers, and VMs are supported.
+      have a resume flag, page tables have a spare bit for marking DMA
+      buffers, and VMs are supported.
     - Arm (i.MX6 Cortex-A9, 0.8–1 GHz): no precise branch PMU event, so
       CC-RCoE needs compiler-assisted counting on a reserved register;
-      no resume flag, so every breakpoint costs two debug exceptions; no
-      spare page-table bit, so error masking under CC is unsupported; a
-      single core cannot saturate the memory bus.
+      no resume flag, which the model folds into a larger per-hit
+      debug-exception cost; no spare page-table bit, so error masking
+      under CC is unsupported; no VMs; a single core cannot saturate the
+      memory bus.
 
     A {!profile} packages these differences plus the cycle-cost model used
     by the simulator. Costs are in simulated cycles; they are calibrated
@@ -34,8 +35,8 @@ type profile = {
   irq_cost : int;  (** Interrupt entry + acknowledgment. *)
   ipi_latency : int;  (** Cycles for an IPI to reach another core. *)
   debug_exception_cost : int;
-      (** Per breakpoint hit; the Arm profile pays roughly double
-          (no resume flag: target breakpoint + single-step exception). *)
+      (** Charged once per breakpoint hit on both profiles; the Arm
+          value (520 against 300) stands for its missing resume flag. *)
   breakpoint_set_cost : int;  (** Programming the debug registers. *)
   vm_exit_cost : int;  (** Added to every kernel crossing in VM mode. *)
   rep_walk_cost : int;
@@ -46,8 +47,14 @@ type profile = {
   jitter_p : float;  (** Per-instruction probability of a stall. *)
   jitter_cycles : int;  (** Stall length (cache/TLB-miss model). *)
   count_mode : count_mode;
-  has_resume_flag : bool;
-  pt_spare_bit : bool;  (** Spare PTE bit available for DMA marking. *)
+  pt_spare_bit : bool;
+      (** Spare PTE bit available for DMA marking; CC error masking
+          needs it ([Config.validate]). *)
+  vm_support : bool;  (** Hypervisor mode available for [vm] runs. *)
+  pte_scan_cost : int;
+      (** Per virtual page, when masking promotes a new primary and
+          scans its page table for DMA marks. *)
+  removal_cost : int;  (** Removing a faulty non-primary replica. *)
 }
 
 val x86 : profile

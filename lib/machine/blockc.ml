@@ -450,10 +450,10 @@ let invalidate_all t =
 
 (* --- stepping ----------------------------------------------------------- *)
 
-(* Batched stepping for the sequential engine's quiescent-burst fast
-   path ([Sched.burst_cycles]). Runs up to [fuel] cycles in one tight
-   loop, absorbing [Ran]/[Stalled] results internally and returning at
-   the first event (or when the fuel runs out). Each iteration first
+(* Batched stepping for the run loop's burst fast paths ([Window.burst]
+   and [Window.job]). Runs up to [fuel] cycles in one tight loop,
+   absorbing [Ran]/[Stalled] results internally and returning at the
+   first event (or when the fuel runs out). Each iteration first
    refills every lane in [buses] — exactly the bus work [Machine.tick]
    performs on a device-free machine — so bus-credit state interleaves
    with memory accesses precisely as it would under per-cycle stepping;

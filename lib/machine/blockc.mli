@@ -88,7 +88,7 @@ val run : t -> buses:Bus.t array -> fuel:int -> int * Core.event option
     terminating event — and that event, if any. [buses] are the bus
     lanes the caller owns for this stretch: every lane of a machine
     whose only running core is this one (the unreplicated burst of
-    [Sched.burst_cycles], which then adds the consumed count to
+    [Window.burst], which then adds the consumed count to
     [Machine.now]), or just this core's own lane inside an execution
     window, where each replica ticks its own lane and the window's
     retirement tops the others up.

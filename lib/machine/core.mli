@@ -13,8 +13,8 @@
       [Cntinc] instructions,
     - a single global instruction breakpoint with x86 resume-flag
       semantics (the kernel sets {!field-bp_suppress} to step over the
-      breakpointed instruction; on the Arm profile the kernel charges the
-      extra single-step exception cost itself),
+      breakpointed instruction) on both profiles; the Arm profile's
+      larger debug-exception cost stands for its missing resume flag,
     - interruptible rep-string execution: [Rep_movs] copies one word per
       cycle and can be preempted mid-copy with architecturally-consistent
       register state,

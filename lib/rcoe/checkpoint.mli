@@ -25,7 +25,7 @@
     one matters: a fault injected *after* a vote but *before* the next
     capture is frozen into the newest snapshot, and recovery must be
     able to escalate to an older, still-clean one (see
-    [System.try_rollback]). The oldest ring entry is always
+    [Sched.try_rollback]). The oldest ring entry is always
     self-contained (all-full regions): eviction folds the outgoing base
     into its successor in O(delta) time, reusing the base's arrays.
 

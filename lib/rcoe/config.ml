@@ -128,12 +128,17 @@ let validate ?net_ok t =
     err "%s mode requires at least 2 replicas" (mode_to_string t.mode)
   else if t.masking && t.nreplicas < 3 then
     err "error masking requires TMR (at least 3 replicas)"
-  else if t.vm && t.arch = Rcoe_machine.Arch.Arm then
-    err "virtual machines are not supported on the Arm platform"
+  else if t.vm && not (Rcoe_machine.Arch.profile_of t.arch).vm_support then
+    err "virtual machines are not supported on the %s platform"
+      (Rcoe_machine.Arch.to_string t.arch)
   else if t.vm && t.mode = LC then
     err "LC-RCoE cannot support virtual machines (data races in guests)"
-  else if t.masking && t.mode = CC && t.arch = Rcoe_machine.Arch.Arm then
-    err "CC error masking is unsupported on 32-bit Arm (no spare PTE bit)"
+  else if
+    t.masking && t.mode = CC
+    && not (Rcoe_machine.Arch.profile_of t.arch).pt_spare_bit
+  then
+    err "CC error masking is unsupported on %s (no spare PTE bit)"
+      (Rcoe_machine.Arch.to_string t.arch)
   else if t.timeout_masking && not t.masking then
     err "timeout_masking requires masking"
   else if t.tick_interval <= 0 then err "tick_interval must be positive"

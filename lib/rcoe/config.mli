@@ -28,7 +28,9 @@ type engine =
   | Parallel
       (** Step each live replica's partition on its own [Domain.t]
           between sync points; barriers, voting, IPIs, and all shared
-          machine state stay on the orchestrating domain. *)
+          machine state stay on the orchestrating domain. Changes
+          nothing for an unreplicated run, which opens no windows and
+          runs exactly as on [Sequential]. *)
 
 (** Execution backend for every replica core (see
     {!Rcoe_machine.Blockc}). Both backends compute the same simulation:

@@ -1,14 +1,16 @@
-(* The domain-parallel execution engine.
+(* The domain-parallel execution engine of a replicated run.
 
-   Runs the execution windows of [Window] with one [Domain.t] per
+   Hands [Window.run] jobs that run each window on one [Domain.t] per
    replica: the jobs of a window step their replicas concurrently while
    the orchestrating domain waits at a {!Rcoe_util.Barrier}, then the
    orchestrator retires the window and runs every cycle that cannot be
    windowed itself. All worker domains are quiescent between windows by
    construction, so round logic, voting, checkpoints and fault handling
    never race with replica execution. The result is bit-for-bit the
-   result of [Engine_seq], which runs the same jobs inline; see [Window]
-   for the determinism argument. *)
+   result of a [Sequential] run, which runs the same jobs inline
+   ([Window.inline_jobs]) or steps per cycle; see [Window] for the
+   determinism argument. Unreplicated runs never come here: they open
+   no windows. *)
 
 open Sched
 module Barrier = Rcoe_util.Barrier

@@ -1,11 +1,11 @@
 (* The replay-based detection engine (RepTFD-style; see
    [Config.detection]).
 
-   The primary runs *unreplicated*, at near-Base speed, under the
-   sequential engine's stepping rules (quiescent bursts included). Every
-   [replay_chunk_ticks] preemption ticks it cuts a chunk: a delta
-   checkpoint into the ring, a frozen [cut_state], and the input log
-   drained since the previous cut. Closed chunks enter a bounded
+   The primary runs *unreplicated*, at near-Base speed, through
+   [Window.run] (quiescent bursts included), whose [before] hook cuts
+   the chunks. Every [replay_chunk_ticks] preemption ticks it cuts a
+   chunk: a delta checkpoint into the ring, a frozen [cut_state], and
+   the input log drained since the previous cut. Closed chunks enter a bounded
    in-flight queue; checker domains concurrently restore each chunk's
    start into a private shadow system, re-execute it — re-injecting the
    logged host inputs at the recorded cycles — and compare the
@@ -180,17 +180,14 @@ let get_shadow t rp =
 (* Re-execute [ch] on [sys] and report whether the end-of-chunk
    signature matches. Runs on a checker domain: it touches only the
    immutable chunk and the private shadow system. Shadow stepping goes
-   through [Engine_seq.run], which never overshoots its cycle budget,
-   so the shadow lands exactly on each input's cycle and on the chunk
-   end — unless the guest finishes or halts early, which (on a clean
+   through [Window.run], which never overshoots its cycle budget, so
+   the shadow lands exactly on each input's cycle and on the chunk end
+   — unless the guest finishes or halts early, which (on a clean
    replay) the primary did at the same cycle. *)
 let verify_chunk sys (ch : chunk) =
   restore_cut sys ch.ch_start;
   let target = ch.ch_end.cs_cycle in
-  let step_to cycle =
-    if cycle > now sys && sys.halt = None && not (finished sys) then
-      Engine_seq.run sys ~max_cycles:(cycle - now sys)
-  in
+  let step_to cycle = Window.run sys ~max_cycles:(cycle - now sys) in
   let rec drive events =
     match Inputlog.next_at events with
     | Some at when at <= target ->
@@ -405,10 +402,13 @@ let drain t =
         harvest_oldest t rp
       done
 
-(* The replay run loop: the sequential engine's loop with chunk cuts at
-   tick boundaries, plus a drain of the verification pipeline when the
-   run reaches a terminal state. A drain can itself detect a mismatch
-   and roll the system back to a live state, in which case execution
+(* The replay run: [Window.run] with a chunk cut at the first quiescent
+   cycle once a chunk's ticks have elapsed, plus a drain of the
+   verification pipeline when the run reaches a terminal state, so no
+   fault escapes in the pipeline's tail. The drain is skipped when the
+   budget or the [stop] predicate ended the run — the pipeline keeps
+   flowing across [run] calls. A drain can itself detect a mismatch and
+   roll the system back to a live state, in which case execution
    resumes within the same call (budget permitting). *)
 let run ?stop t ~max_cycles =
   let rp =
@@ -416,27 +416,20 @@ let run ?stop t ~max_cycles =
     | Some rp -> rp
     | None -> invalid_arg "Engine_replay.run: detection is not Replay"
   in
-  let start = now t in
-  let continue_ = ref true in
-  let again = ref true in
-  while !again do
-    again := false;
-    while
-      !continue_ && t.halt = None
-      && (not (finished t))
-      && now t - start < max_cycles
-    do
-      if t.ticks >= rp.rp_next_cut && quiescent t then do_cut t rp;
-      if t.halt = None && not (finished t) then
-        continue_ := Engine_seq.step ?stop t ~start ~max_cycles
-    done;
-    (* Terminal drain: when the guest finished or the system halted,
-       close the final (partial) chunk and process every outstanding
-       verdict, so no fault escapes in the pipeline's tail. Skipped on
-       budget/stop exhaustion — the pipeline keeps flowing across [run]
-       calls. *)
+  let deadline = now t + max_cycles in
+  let stopped = ref false in
+  let stop =
+    Option.map
+      (fun f t ->
+        stopped := f t;
+        !stopped)
+      stop
+  in
+  let cut t = if t.ticks >= rp.rp_next_cut && quiescent t then do_cut t rp in
+  let rec go () =
+    Window.run ~before:cut ?stop t ~max_cycles:(deadline - now t);
     if
-      !continue_
+      (not !stopped)
       && (finished t || t.halt <> None)
       && (rp.rp_inflight <> []
          || rp.rp_cut.cs_cycle < now t
@@ -446,12 +439,7 @@ let run ?stop t ~max_cycles =
       while rp.rp_inflight <> [] do
         harvest_oldest t rp
       done;
-      (* A drain-time mismatch rolled the system back to a live state:
-         keep executing if this call still has budget. *)
-      if
-        t.halt = None
-        && (not (finished t))
-        && now t - start < max_cycles
-      then again := true
+      if t.halt = None && not (finished t) then go ()
     end
-  done
+  in
+  go ()

@@ -1,11 +1,12 @@
 (* The replication scheduler: system state, round lifecycle, voting,
-   masking, checkpointing, and per-cycle replica stepping. The run loops
-   live in [Engine_seq] (classic sequential stepping), [Engine_par]
-   (domain-parallel execution windows) and [Engine_replay] (replay
-   detection, which also owns its pipeline's set-up and cut state);
-   [System] is the public facade that dispatches on {!Config.engine}.
-   This module has no interface — the engines need the internals — but
-   nothing outside the library should depend on it. *)
+   masking, checkpointing, and per-replica stepping. The one run loop
+   over simulated cycles, with the classic cycle and the quiescent
+   burst it takes, lives in [Window]; [Engine_par] runs its window jobs
+   on worker domains, [Engine_replay] adds chunk cuts and owns the
+   replay pipeline's set-up and cut state, and [System] is the public
+   facade that dispatches on the configuration. This module has no
+   interface — the engines need the internals — but nothing outside
+   the library should depend on it. *)
 
 open Rcoe_machine
 open Rcoe_kernel
@@ -124,12 +125,11 @@ type rstate =
   | Rs_removed
 
 (* Why a window job stopped before its window cap ([Window]). Only
-   [Pk_rendezvous] and [Pk_halt] carry a deferred effect; the others
-   just record that the replica can make no further progress on its own
-   inside this window. *)
+   [Pk_rendezvous] carries a deferred effect; the others just record
+   that the replica can make no further progress on its own inside this
+   window. *)
 type park_kind =
   | Pk_rendezvous  (* reached a sync-point rendezvous *)
-  | Pk_halt of halt_reason  (* Base-mode kernel abort: whole-system halt *)
   | Pk_inert  (* all threads exited *)
   | Pk_idle  (* every thread blocked; only a round event can wake it *)
   | Pk_dead  (* core halted (crash / exception-barrier fail-stop) *)
@@ -802,10 +802,10 @@ let ft_words num args =
    memory. Caught by the exception-handler barrier it halts just this
    replica, detectably (fail-stop: the others time out). Unreplicated it
    halts the system. Replicated without barriers it is the uncontrolled
-   kernel exception that takes the whole system down mid-round; such
-   configurations are ineligible for the parallel engine
-   ({!Config.parallel_ineligibility}), so only the Base halt can run
-   inside a window. *)
+   kernel exception that takes the whole system down mid-round. Neither
+   system halt runs inside a window: unreplicated runs open none, and
+   replicated windows need exception barriers
+   ({!Config.parallel_ineligibility}). *)
 let kernel_abort t r a =
   rlog_event t r (E_kernel_abort r.rid);
   if t.cfg.Config.exception_barriers || t.cfg.Config.mode = Config.Base then begin
@@ -813,10 +813,7 @@ let kernel_abort t r a =
     (Kernel.core r.kern).Core.halted <- true
   end;
   if not t.cfg.Config.exception_barriers then
-    let reason = H_kernel_exception (Printf.sprintf "phys abort @%d" a) in
-    match r.wctx with
-    | Some w -> w.wpark <- Some (w.wv_now, Pk_halt reason)
-    | None -> halt_system t reason
+    halt_system t (H_kernel_exception (Printf.sprintf "phys abort @%d" a))
 
 (* An FT operation's copy into or out of [r]'s user memory. A bad user
    mapping fails the copy softly (the guest gets an error code); a
@@ -1027,15 +1024,9 @@ let promote_new_primary t new_prim =
   t.prim <- new_prim;
   Machine.route_irqs_to t.mach new_prim;
   let cc_factor = if t.cfg.Config.mode = Config.CC then 5 else 1 in
-  let pte_scan =
-    match p.Arch.arch with Arch.X86 -> 850 | Arch.Arm -> 1250
-  in
-  (Layout.va_pages * pte_scan * cc_factor)
+  (Layout.va_pages * p.Arch.pte_scan_cost * cc_factor)
   + (List.length marked * 2000 * cc_factor)
   + 30_000
-
-let removal_cost t =
-  match (profile t).Arch.arch with Arch.X86 -> 24_000 | Arch.Arm -> 21_000
 
 let downgrade t faulty =
   let r = t.replicas.(faulty) in
@@ -1048,7 +1039,7 @@ let downgrade t faulty =
         List.fold_left min max_int (live t)
       in
       promote_new_primary t new_prim
-    else removal_cost t
+    else (profile t).Arch.removal_cost
   in
   List.iter (fun s -> charge s cost) (live_replicas t);
   tp_end t r;
@@ -1935,100 +1926,6 @@ let advance_phase t =
       (* A replica that exited (or hung) while the others rendezvous is a
          straggler; without timeout masking it is caught by the barrier
          timeout above, not by a vote — the paper's hanging-replica case. *)
-
-(* ---------------------------------------------------------------------- *)
-(* One simulated cycle (shared by both engines)                             *)
-(* ---------------------------------------------------------------------- *)
-
-(* The classic cycle: advance the machine, step every replica in rid
-   order, then let the round-lifecycle state machine react. The
-   reference per-cycle loop of [Engine_seq] is exactly this; the
-   windowed loop of both engines ([Window.run]) falls back to it
-   whenever a cycle cannot be windowed (async rounds, pending IPIs). *)
-let classic_cycle t =
-  Machine.tick t.mach;
-  Array.iter (fun r -> step_replica t r) t.replicas;
-  advance_phase t
-
-(* Quiescent-burst fast path for the block-compiled backend. An
-   unreplicated machine spends almost every cycle in the same
-   configuration: phase [Ph_idle], the one replica in [Rs_run] with no
-   breakpoint armed, no devices attached, no IPI in flight, tracing off,
-   and the next preemption tick thousands of cycles away. Every
-   per-cycle check [classic_cycle] performs is loop-invariant across
-   such a stretch, and [advance_phase] is provably a no-op until the
-   cycle whose post-tick [now] reaches [next_tick]. When the
-   block-compiled backend is active we exploit this: hand [Blockc.run] a
-   fuel budget that stops strictly short of the tick boundary, let it
-   burn cycles in a tight loop that refills the bus lanes inline, then
-   account the elapsed time to [Machine.now] and handle the terminating
-   event exactly as [run_user] would have. The burst is bit-identical to
-   running [classic_cycle] [consumed] times — the differential suite and
-   the [bench exec] identity gate hold the two paths equal — and the
-   engine falls back to [classic_cycle] whenever any precondition fails.
-   Returns the number of cycles consumed, or [None] if ineligible. *)
-let burst_cycles t ~budget =
-  if
-    t.cfg.Config.mode <> Config.Base
-    || t.cfg.Config.trace <> None
-    || Array.length t.mach.Machine.devices
-       > (match t.net with Some _ -> 1 | None -> 0)
-  then None
-  else
-    let r = t.replicas.(0) in
-    let core = Kernel.core r.kern in
-    match r.state with
-    | Rs_run
-      when (not r.finished)
-           && (not core.Core.halted)
-           && core.Core.bp = None
-           && (not core.Core.bp_suppress)
-           && Kernel.current_tid r.kern >= 0
-           && not (Machine.ipi_visible t.mach ~core_id:0) -> (
-        match Kernel.block_cache r.kern with
-        | None -> None
-        | Some bc ->
-            (* Stay strictly short of the tick boundary: the cycle whose
-               post-tick [now] equals [next_tick] must run through
-               [classic_cycle] so [advance_phase] delivers the tick. *)
-            let fuel = min budget (t.next_tick - now t - 1) in
-            (* A networked machine may burst too (the replay primary's
-               common case): clip the fuel so no device-visible
-               activity falls inside the window. [Netdev.next_event] is
-               the first cycle the device could deliver a frame or has
-               its IRQ line up; stopping strictly short of it leaves
-               that cycle to [classic_cycle], whose [Machine.tick] runs
-               the delivery and whose [advance_phase] delivers the IRQ
-               on exactly the cycles per-cycle stepping would. Guest
-               device access cannot happen mid-burst: MMIO is
-               syscall-mediated ([translate_mmio]), and a syscall
-               terminates the burst. *)
-            let fuel =
-              match t.net with
-              | None -> fuel
-              | Some nd -> (
-                  match Netdev.next_event nd ~after:(now t) with
-                  | None -> fuel
-                  | Some at -> min fuel (at - now t - 1))
-            in
-            if fuel <= 0 then None
-            else begin
-              let consumed, ev =
-                Blockc.run bc ~buses:t.mach.Machine.buses ~fuel
-              in
-              t.mach.Machine.now <- t.mach.Machine.now + consumed;
-              (* Refresh the device clock before dispatching the event:
-                 a terminating syscall may read or write device
-                 registers, and their completion stamps must carry the
-                 post-burst cycle exactly as under per-cycle stepping
-                 (where [dev_tick] runs every cycle). Nothing can be
-                 due for delivery — the fuel clip above guarantees the
-                 window is device-quiescent. *)
-              Machine.tick_devices t.mach;
-              Option.iter (on_event t r) ev;
-              Some consumed
-            end)
-    | _ -> None
 
 let replica_state_name t rid =
   let r = t.replicas.(rid) in

@@ -1,10 +1,11 @@
-(* Public facade over the replication scheduler and its execution
-   engines. All state and semantics live in [Sched]; [create] adds the
-   replay pipeline when detection is [Replay], and [run] dispatches on
-   the configured detection mode, then engine. Replay detection owns its
-   own loop ([Engine_replay]: sequential stepping plus chunk cuts and
-   checker domains), so it pre-empts the engine dispatch — [validate]
-   already pins [engine = Sequential] for it. *)
+(* Public facade over the replication scheduler and its run loop. All
+   state and semantics live in [Sched]; [create] adds the replay
+   pipeline when detection is [Replay], and [run] picks how [Window.run]
+   steps the system: with chunk cuts under replay detection
+   ([Engine_replay]), with window jobs on worker domains for a
+   replicated run on [Parallel] ([Engine_par]), and otherwise with the
+   inline jobs of [Window.inline_jobs], if it offers any. Unreplicated
+   runs open no windows on either engine. *)
 
 include Sched
 
@@ -14,12 +15,12 @@ let create ~config ~program =
   t
 
 let run ?stop t ~max_cycles =
-  if (config t).Config.detection = Config.Replay then
+  let cfg = config t in
+  if cfg.Config.detection = Config.Replay then
     Engine_replay.run ?stop t ~max_cycles
-  else
-    match (config t).Config.engine with
-    | Config.Sequential -> Engine_seq.run ?stop t ~max_cycles
-    | Config.Parallel -> Engine_par.run ?stop t ~max_cycles
+  else if cfg.Config.mode <> Config.Base && cfg.Config.engine = Config.Parallel
+  then Engine_par.run ?stop t ~max_cycles
+  else Window.run ?jobs:(Window.inline_jobs t) ?stop t ~max_cycles
 
 let replay_drain t =
   if (config t).Config.detection = Config.Replay then Engine_replay.drain t

@@ -10,11 +10,12 @@
     - Once all have published, the leading replica is elected by logical
       time. LC followers resume until their event count reaches the
       leader's; CC followers additionally catch up to the leader's exact
-      instruction position using a global breakpoint (paying a debug
-      exception per hit, doubled on Arm, plus VM exits when virtualised —
-      the costs Sections III-D/F analyse). A replica stopped at a
-      rep-string instruction cannot publish a precise position; it first
-      steps past it (paying a guest-page-walk cost in a VM).
+      instruction position using a global breakpoint (paying one debug
+      exception per hit, a larger one on Arm, plus VM exits when
+      virtualised — the costs Sections III-D/F analyse). A replica
+      stopped at a rep-string instruction cannot publish a precise
+      position; it first steps past it (paying a guest-page-walk cost in
+      a VM).
     - At the barrier the replicas vote on their three-word signatures.
       Mismatch in a DMR (or unmasked) system halts it; a masked TMR
       system runs the Listing-5 vote and downgrades to DMR, re-electing

@@ -1,34 +1,45 @@
-(* Execution windows: the replica-stepping core shared by both engines.
+(* The run loop: the only code in the library that steps simulated
+   cycles. Each iteration of [run] first runs an optional [before] hook
+   (replay detection cuts its chunks there), then takes one of three
+   steps:
 
-   Between two sync points every live replica only touches private
-   state: its own memory partition, its own core and kernel, its own
-   per-core bus lane, and its own child trace buffer. A *window* is a
-   span of simulated cycles [s+1 .. cap] in which each running replica
-   is stepped by a [job] that touches nothing else. [Engine_par] runs
-   the jobs of one window concurrently, one per [Domain.t];
-   [Engine_seq] runs them inline on the calling domain, replica after
-   replica. Everything that couples replicas — round initiation, IPIs,
-   barriers, catch-up, voting, FT-operation commits, checkpoint
-   capture/restore, fault handling policy — runs between windows, in
-   [retire] and in the classic per-cycle path.
+   - one execution window, when the caller passed [jobs];
+   - else a quiescent burst of an unreplicated run on the [Blocks]
+     backend ([burst]);
+   - else one [classic_cycle]: tick the machine, step every replica in
+     rid order, and advance the round state machine. On [Interp] this
+     is the reference all faster steps are held bit-identical to.
 
-   The contract is bit-for-bit determinism with the per-cycle loop of
-   [Sched.classic_cycle]: same cycle counts, signatures, votes,
-   outcomes, metrics, and cycle-stamped trace events. Four mechanisms
-   make that hold:
+   One [horizon] bounds both fast steps, so that no round-lifecycle
+   decision the classic loop would take falls strictly inside them.
+
+   Execution windows. Between two sync points every live replica only
+   touches private state: its own memory partition, its own core and
+   kernel, its own per-core bus lane, and its own child trace buffer. A
+   *window* is a span of simulated cycles [s+1 .. cap] in which each
+   running replica is stepped by a [job] that touches nothing else.
+   [Engine_par] runs the jobs of one window concurrently, one per
+   [Domain.t]; [inline_jobs] runs them on the calling domain, replica
+   after replica. Only replicated runs open windows. Everything that
+   couples replicas — round initiation, IPIs, barriers, catch-up,
+   voting, FT-operation commits, checkpoint capture/restore, fault
+   handling policy — runs between windows, in [retire] and in
+   [classic_cycle].
+
+   The contract is bit-for-bit determinism with per-cycle stepping:
+   same cycle counts, signatures, votes, outcomes, metrics, and
+   cycle-stamped trace events. Four mechanisms make that hold:
 
    - Windows only cover cycle ranges the per-cycle loop would have
      executed without cross-replica interaction. A window never extends
-     past the next preemption tick, a barrier-timeout deadline, a
-     [~stop] polling cycle, or the [max_cycles] budget, and is not
-     attempted at all during async rounds or while an IPI is pending.
+     past the [horizon], and is not attempted at all during async
+     rounds or while an IPI is pending.
    - Jobs never speculate: a job parks at its replica's first cycle with
-     a shared-state effect (sync-point rendezvous, Base-mode system
-     halt) and records the cycle, so nothing must ever be rewound.
-   - Deferred effects (rendezvous entries, halts, notable events, trace
-     events) are replayed by [retire] in (cycle, replica-id) order —
-     exactly the order the per-cycle loop's rid-ordered stepping
-     produces.
+     a shared-state effect (a sync-point rendezvous) and records the
+     cycle, so nothing must ever be rewound.
+   - Deferred effects (rendezvous entries, notable events, trace events)
+     are replayed by [retire] in (cycle, replica-id) order — exactly the
+     order the per-cycle loop's rid-ordered stepping produces.
    - Between core events a job runs its replica through [Blockc.run] on
      the replica's own bus lane, when the backend is [Blocks], tracing
      is off and no breakpoint is armed: the per-cycle checks of [job]
@@ -38,17 +49,23 @@
    The window then "actually" ends at [w_actual], the cycle at which the
    per-cycle loop would next have run round-lifecycle code: the
    completion cycle when every live replica reached the rendezvous, the
-   last finish cycle when the workload completed, the halt cycle on a
-   Base-mode abort, or the window cap. The unmodified classic
-   [Sched.advance_phase] runs once at that cycle and arbitrates
-   completion against timeouts just as it does every cycle under
-   per-cycle stepping. *)
+   last finish cycle when the workload completed, or the window cap.
+   The unmodified classic [Sched.advance_phase] runs once at that cycle
+   and arbitrates completion against timeouts just as it does every
+   cycle under per-cycle stepping. *)
 
 open Rcoe_machine
 open Rcoe_kernel
 open Sched
 module Trace = Rcoe_obs.Trace
 module Metrics = Rcoe_obs.Metrics
+
+(* The classic cycle: advance the machine, step every replica in rid
+   order, then let the round-lifecycle state machine react. *)
+let classic_cycle t =
+  Machine.tick t.mach;
+  Array.iter (fun r -> step_replica t r) t.replicas;
+  advance_phase t
 
 (* Step one replica through cycles [s+1 .. cap], or fewer if it parks.
    Mirrors the [Rs_run] arm of [Sched.step_replica] minus the cases that
@@ -107,9 +124,10 @@ let job t r w ~s ~cap =
           incr c
   done
 
-(* Furthest cycle the next window may reach. Chosen so that no
-   round-lifecycle decision the per-cycle loop would take falls strictly
-   inside the window:
+(* Furthest cycle the next window may reach, and one past the last
+   cycle a Base burst may run. Chosen so that no round-lifecycle
+   decision the per-cycle loop would take falls strictly inside the
+   step:
    - [Ph_idle]: up to the next preemption tick. For replicated modes
      also at most [barrier_timeout] cycles out, so a rendezvous that
      *starts* inside the window (earliest at [s+1]) cannot have its
@@ -118,13 +136,13 @@ let job t r w ~s ~cap =
      which [advance_phase] declares the timeout.
    In [Ph_idle] with a NIC attached, also no further than the device's
    next spontaneous event: [advance_phase] polls the interrupt line only
-   in that phase, so the window must end exactly at the cycle where a
+   in that phase, so the step must end exactly at the cycle where a
    delivery (or an already-raised line) would make the per-cycle loop's
    poll fire. During [Ph_rdv] the poll is dormant and deliveries are
    replayed by the window-end device catch-up, so no clip is needed.
    Always clipped to the run budget and, when a [~stop] predicate is
    installed, to the next multiple-of-128 polling cycle. *)
-let window_cap t ~s ~start ~max_cycles ~has_stop =
+let horizon t ~s ~start ~max_cycles ~has_stop =
   let cap =
     match t.phase with
     | Ph_async _ -> s
@@ -144,6 +162,57 @@ let window_cap t ~s ~start ~max_cycles ~has_stop =
   in
   let cap = min cap (start + max_cycles) in
   if has_stop then min cap (((s lsr 7) + 1) lsl 7) else cap
+
+(* Quiescent-burst fast path for an unreplicated run on the
+   block-compiled backend. Such a machine spends almost every cycle in
+   the same configuration: phase [Ph_idle], the one replica in [Rs_run]
+   with no breakpoint armed, no devices but the NIC, no IPI in flight,
+   tracing off. Every per-cycle check [classic_cycle] performs is
+   loop-invariant across such a stretch, and [advance_phase] is a no-op
+   on every cycle before the [horizon]. So [Blockc.run] burns up to the
+   cycle before the horizon in a tight loop that refills the bus lanes
+   inline, and the elapsed time is accounted to [Machine.now]; the
+   horizon cycle itself runs through [classic_cycle], whose
+   [Machine.tick] delivers any device activity and whose
+   [advance_phase] delivers the tick or IRQ on exactly the cycles
+   per-cycle stepping would. Guest device access cannot happen
+   mid-burst: MMIO is syscall-mediated ([translate_mmio]), and a
+   syscall ends the burst. The differential suite and the [bench exec]
+   identity gate hold the two paths equal. Returns false, having done
+   nothing, when a precondition fails; the horizon is computed only
+   once every cheaper test has passed. *)
+let burst t ~s ~start ~max_cycles ~has_stop =
+  let cfg = t.cfg in
+  cfg.Config.exec_backend = Config.Blocks
+  && cfg.Config.mode = Config.Base
+  && cfg.Config.trace = None
+  && Array.length t.mach.Machine.devices
+     <= (match t.net with Some _ -> 1 | None -> 0)
+  &&
+  let r = t.replicas.(0) in
+  let core = Kernel.core r.kern in
+  match (r.state, Kernel.block_cache r.kern) with
+  | Rs_run, Some bc
+    when (not r.finished)
+         && (not core.Core.halted)
+         && core.Core.bp = None
+         && (not core.Core.bp_suppress)
+         && Kernel.current_tid r.kern >= 0
+         && not (Machine.ipi_visible t.mach ~core_id:0) ->
+      let fuel = horizon t ~s ~start ~max_cycles ~has_stop - s - 1 in
+      fuel > 0
+      &&
+      let consumed, ev = Blockc.run bc ~buses:t.mach.Machine.buses ~fuel in
+      t.mach.Machine.now <- s + consumed;
+      (* Refresh the device clock before dispatching the event: a
+         terminating syscall may read or write device registers, and
+         their completion stamps must carry the post-burst cycle exactly
+         as under per-cycle stepping (where [dev_tick] runs every
+         cycle). Nothing can be due for delivery before the horizon. *)
+      Machine.tick_devices t.mach;
+      Option.iter (on_event t r) ev;
+      true
+  | _ -> false
 
 (* Give every running replica a window context. Parked, halted and
    removed replicas have no private work — their bus lanes and
@@ -186,15 +255,6 @@ let retire t ~s ~cap =
            match park r with Some (_, Pk_inert) -> true | _ -> false)
          lv
   in
-  let halt_ts =
-    Array.fold_left
-      (fun acc r ->
-        match park r with
-        | Some (ts, Pk_halt _) -> (
-            match acc with None -> Some ts | Some a -> Some (min a ts))
-        | _ -> acc)
-      None t.replicas
-  in
   let max_park kind =
     Array.fold_left
       (fun acc r ->
@@ -206,7 +266,7 @@ let retire t ~s ~cap =
   let w_actual =
     if all_rdv then max_park Pk_rendezvous
     else if all_inert then max_park Pk_inert
-    else match halt_ts with Some ts -> ts | None -> cap
+    else cap
   in
   (* Replay deferred shared-state effects in (cycle, rid) order — the
      per-cycle stepping order. The machine clock tracks each effect's
@@ -225,7 +285,6 @@ let retire t ~s ~cap =
           let parks =
             match w.wpark with
             | Some (ts, Pk_rendezvous) -> [ (ts, r.rid, `Rdv) ]
-            | Some (ts, Pk_halt reason) -> [ (ts, r.rid, `Halt reason) ]
             | _ -> []
           in
           effects := !effects @ evs @ parks)
@@ -243,8 +302,7 @@ let retire t ~s ~cap =
       (match r.wctx with Some w -> w.wv_now <- ts | None -> ());
       match eff with
       | `Event k -> log_event t k
-      | `Rdv -> enter_rendezvous t r
-      | `Halt reason -> halt_system t reason)
+      | `Rdv -> enter_rendezvous t r)
     effects;
   (* Barrier-spin stall decay: the per-cycle loop decrements a parked
      replica's residual stall by one per cycle; apply the window's worth
@@ -304,44 +362,81 @@ let retire t ~s ~cap =
   (* The classic per-cycle decision point, run at the window-end cycle. *)
   advance_phase t
 
-(* The windowed run loop. [jobs ~s ~cap] must run [job] for every
-   replica [open_window] gave a context, and return once all of them
-   have. *)
-let run ~jobs ?stop t ~max_cycles =
+(* The jobs of a [Sequential] run, run inline in rid order, or [None]
+   when the run takes no windows: unreplicated runs burst instead, an
+   [Interp] run stays per-cycle as the oracle the windows are held equal
+   to, and a traced run would step per cycle inside its windows anyway. *)
+let inline_jobs t =
+  let cfg = t.cfg in
+  let net_ok =
+    match t.elig with Some e -> Eligibility.eligible e | None -> false
+  in
+  if
+    cfg.Config.mode <> Config.Base
+    && cfg.Config.exec_backend = Config.Blocks
+    && cfg.Config.trace = None
+    && Config.parallel_ineligibility ~net_ok cfg = None
+  then
+    Some
+      (fun ~s ~cap ->
+        Array.iter
+          (fun r -> match r.wctx with Some w -> job t r w ~s ~cap | None -> ())
+          t.replicas)
+  else None
+
+(* The run loop. [jobs ~s ~cap] must run [job] for every replica
+   [open_window] gave a context, and return once all of them have.
+   [before] runs at the top of every iteration; the step is skipped when
+   it left the system halted or finished. *)
+let run ?before ?jobs ?stop t ~max_cycles =
   let start = now t in
+  let has_stop = stop <> None in
   let continue_ = ref true in
   while
     !continue_ && t.halt = None
     && (not (finished t))
     && now t - start < max_cycles
   do
-    let s = now t in
-    (* A window is possible only between sync points with no IPI in
-       flight; async rounds and IPI delivery interleave replicas at
-       cycle granularity and take the classic path. *)
-    let windowable =
-      match t.phase with
-      | Ph_async _ -> false
-      | Ph_idle | Ph_rdv _ ->
-          not
-            (Array.exists
-               (fun r ->
-                 r.state = Rs_run
-                 && t.mach.Machine.ipi_pending.(r.rid) <> max_int)
-               t.replicas)
+    let live =
+      match before with
+      | None -> true
+      | Some f ->
+          f t;
+          t.halt = None && not (finished t)
     in
-    let cap =
-      if windowable then
-        window_cap t ~s ~start ~max_cycles ~has_stop:(stop <> None)
-      else s
-    in
-    if cap <= s then classic_cycle t
-    else begin
-      open_window t ~s;
-      jobs ~s ~cap;
-      retire t ~s ~cap
-    end;
-    match stop with
-    | Some f when now t land 127 = 0 -> if f t then continue_ := false
-    | _ -> ()
+    if live then begin
+      let s = now t in
+      (match jobs with
+      | Some jobs ->
+          (* A window is possible only between sync points with no IPI
+             in flight; async rounds and IPI delivery interleave
+             replicas at cycle granularity and take the classic path. *)
+          let windowable =
+            match t.phase with
+            | Ph_async _ -> false
+            | Ph_idle | Ph_rdv _ ->
+                not
+                  (Array.exists
+                     (fun r ->
+                       r.state = Rs_run
+                       && t.mach.Machine.ipi_pending.(r.rid) <> max_int)
+                     t.replicas)
+          in
+          let cap =
+            if windowable then horizon t ~s ~start ~max_cycles ~has_stop
+            else s
+          in
+          if cap <= s then classic_cycle t
+          else begin
+            open_window t ~s;
+            jobs ~s ~cap;
+            retire t ~s ~cap
+          end
+      | None ->
+          if not (burst t ~s ~start ~max_cycles ~has_stop) then
+            classic_cycle t);
+      match stop with
+      | Some f when now t land 127 = 0 -> if f t then continue_ := false
+      | _ -> ()
+    end
   done

@@ -7,8 +7,11 @@
    [Rcoe_obs] or a compilation unit like [Config]), references must be
    non-empty, braces inside doc comments must balance, and every
    interface file must carry at least one odoc comment — a bare `.mli`
-   is a public surface with no documentation at all. Exits non-zero
-   listing every offence as file:line. *)
+   is a public surface with no documentation at all. A code reference
+   `{!M.x}` or `[M.x]` in any comment, where [M] is a compilation unit
+   of the tree, must also name something defined in [M]'s `.ml` or
+   `.mli`: a value, type, record field, constructor or submodule. Exits
+   non-zero listing every offence as file:line. *)
 
 let wrappers =
   [
@@ -36,18 +39,191 @@ let err path line fmt =
       Printf.eprintf "%s:%d: %s\n" path line s)
     fmt
 
-(* The first path component of a reference payload, with any
-   `kind:`/`kind-` annotation (e.g. {!type:...}, {!val:...}) and a
-   leading quiet-reference `:` stripped. *)
+(* A reference payload without its `kind:` annotation (e.g.
+   {!type:...}, {!val:...}) or a leading quiet-reference `:`. *)
+let strip_kind payload =
+  match String.index_opt payload ':' with
+  | Some i -> String.sub payload (i + 1) (String.length payload - i - 1)
+  | None -> payload
+
+(* Its first path component. *)
 let root_of payload =
-  let payload =
-    match String.index_opt payload ':' with
-    | Some i -> String.sub payload (i + 1) (String.length payload - i - 1)
-    | None -> payload
-  in
+  let payload = strip_kind payload in
   match String.index_opt payload '.' with
   | Some i -> String.sub payload 0 i
   | None -> payload
+
+let is_ident_char c =
+  (c >= 'a' && c <= 'z')
+  || (c >= 'A' && c <= 'Z')
+  || (c >= '0' && c <= '9')
+  || c = '_' || c = '\''
+
+let is_upper c = c >= 'A' && c <= 'Z'
+
+(* [mask.(i)] is true when byte [i] lies inside a comment. String and
+   character literals outside comments are skipped, so a "(*" in code
+   opens nothing. *)
+let comment_mask content =
+  let n = String.length content in
+  let mask = Array.make n false in
+  let depth = ref 0 and i = ref 0 in
+  while !i < n do
+    let c = content.[!i] in
+    let next = if !i + 1 < n then content.[!i + 1] else ' ' in
+    if c = '(' && next = '*' then begin
+      incr depth;
+      mask.(!i) <- true;
+      mask.(!i + 1) <- true;
+      i := !i + 2
+    end
+    else if c = '*' && next = ')' && !depth > 0 then begin
+      decr depth;
+      mask.(!i) <- true;
+      mask.(!i + 1) <- true;
+      i := !i + 2
+    end
+    else if !depth > 0 then begin
+      mask.(!i) <- true;
+      incr i
+    end
+    else if c = '"' then begin
+      incr i;
+      while !i < n && content.[!i] <> '"' do
+        if content.[!i] = '\\' then incr i;
+        incr i
+      done;
+      incr i
+    end
+    else if c = '\'' && !i + 2 < n && content.[!i + 2] = '\'' then i := !i + 3
+    else if c = '\'' && next = '\\' then begin
+      i := !i + 2;
+      while !i < n && content.[!i] <> '\'' do incr i done;
+      incr i
+    end
+    else incr i
+  done;
+  mask
+
+(* The names a source file defines, read off its tokens outside
+   comments and literals: the name after [let], [rec], [and], [val],
+   [external], [type] (past any type parameters), [module] and
+   [exception]; a capitalized name after [|] or [=] that is not a
+   module path (a constructor); and a name between [{], [;] or
+   [mutable] and [:] (a record field). Over-approximates on purpose: a
+   stray definition only hides a stale reference, never reports a good
+   one. *)
+let definitions content =
+  let mask = comment_mask content in
+  let n = String.length content in
+  let toks = ref [] and i = ref 0 in
+  while !i < n do
+    let c = content.[!i] in
+    if mask.(!i) || c = ' ' || c = '\n' || c = '\t' || c = '\r' then incr i
+    else if is_ident_char c then begin
+      let j = ref !i in
+      while !j < n && is_ident_char content.[!j] && not mask.(!j) do
+        incr j
+      done;
+      toks := String.sub content !i (!j - !i) :: !toks;
+      i := !j
+    end
+    else begin
+      toks := String.make 1 c :: !toks;
+      incr i
+    end
+  done;
+  let toks = Array.of_list (List.rev !toks) in
+  let len = Array.length toks in
+  let tok k = if k >= 0 && k < len then toks.(k) else "" in
+  let defs = Hashtbl.create 64 in
+  let keywords =
+    [ "let"; "rec"; "and"; "val"; "external"; "type"; "module"; "exception";
+      "nonrec" ]
+  in
+  for k = 0 to len - 1 do
+    let t = toks.(k) in
+    if List.mem (tok (k - 1)) keywords && not (List.mem t keywords) then begin
+      (* Type parameters: ['a], [('a, 'b)]. *)
+      let k' = ref k in
+      if tok (k - 1) = "type" || tok (k - 1) = "and" then begin
+        if (tok !k').[0] = '\'' then incr k'
+        else if tok !k' = "(" then begin
+          while !k' < len && tok !k' <> ")" do incr k' done;
+          incr k'
+        end
+      end;
+      Hashtbl.replace defs (tok !k') ()
+    end;
+    if
+      (tok (k - 1) = "|" || tok (k - 1) = "=")
+      && t <> "" && is_upper t.[0] && tok (k + 1) <> "."
+    then Hashtbl.replace defs t ();
+    if
+      List.mem (tok (k - 1)) [ "{"; ";"; "mutable" ]
+      && tok (k + 1) = ":"
+    then Hashtbl.replace defs t ()
+  done;
+  defs
+
+(* Compilation unit name -> the files that define it. *)
+let unit_files : (string, string list) Hashtbl.t = Hashtbl.create 64
+
+let unit_defs : (string, (string, unit) Hashtbl.t) Hashtbl.t =
+  Hashtbl.create 64
+
+let read_file path =
+  let ic = open_in_bin path in
+  let content = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  content
+
+let defines unit_ name =
+  let defs =
+    match Hashtbl.find_opt unit_defs unit_ with
+    | Some d -> d
+    | None ->
+        let d = Hashtbl.create 64 in
+        List.iter
+          (fun path ->
+            Hashtbl.iter
+              (fun k () -> Hashtbl.replace d k ())
+              (definitions (read_file path)))
+          (Hashtbl.find unit_files unit_);
+        Hashtbl.replace unit_defs unit_ d;
+        d
+  in
+  Hashtbl.mem defs name
+
+(* [path] is a dotted reference [M.x...]; report it when [M] is a
+   compilation unit of the tree that does not define [x]. *)
+let check_member path line_no ref_ =
+  match String.split_on_char '.' ref_ with
+  | m :: x :: _ when Hashtbl.mem unit_files m && x <> "" ->
+      if not (defines m x) then
+        err path line_no
+          "%s: %s defines no %s (stale or misqualified reference?)" ref_ m x
+  | _ -> ()
+
+(* Every [[M.x...]] inside a comment of [content]. *)
+let check_code_refs path content =
+  let mask = comment_mask content in
+  let n = String.length content in
+  let line = ref 1 in
+  for i = 0 to n - 1 do
+    if content.[i] = '\n' then incr line
+    else if
+      content.[i] = '[' && mask.(i) && i + 1 < n && is_upper content.[i + 1]
+    then begin
+      let j = ref (i + 1) in
+      while !j < n && (is_ident_char content.[!j] || content.[!j] = '.') do
+        incr j
+      done;
+      let body = String.sub content (i + 1) (!j - i - 1) in
+      if !j < n && content.[!j] = ']' && String.contains body '.' then
+        check_member path !line body
+    end
+  done
 
 let check_refs ~known path line_no line =
   let n = String.length line in
@@ -78,6 +254,7 @@ let check_refs ~known path line_no line =
               "{!%s}: no module named %s in the tree (typo, or a \
                renamed module?)"
               payload root
+          else check_member path line_no (strip_kind trimmed)
         end;
         i := stop
       end
@@ -90,18 +267,13 @@ let check_refs ~known path line_no line =
    OCaml interfaces, so a file-level imbalance inside comments is a
    broken odoc markup construct. *)
 let check_comment_braces path content =
-  let n = String.length content in
-  let depth = ref 0 and line = ref 1 and in_comment = ref 0 in
+  let mask = comment_mask content in
+  let depth = ref 0 and line = ref 1 in
   let open_line = ref 0 in
   String.iteri
     (fun i c ->
       if c = '\n' then incr line;
-      if i + 1 < n then begin
-        if c = '(' && content.[i + 1] = '*' then incr in_comment;
-        if c = '*' && content.[i + 1] = ')' && !in_comment > 0 then
-          decr in_comment
-      end;
-      if !in_comment > 0 then
+      if mask.(i) then
         if c = '{' then begin
           if !depth = 0 then open_line := !line;
           incr depth
@@ -128,11 +300,10 @@ let check_mli_documented path content =
     err path 1 "interface has no odoc comment (no `(**` anywhere)"
 
 let check_file ~known path =
-  let ic = open_in_bin path in
-  let content = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let content = read_file path in
   if Filename.check_suffix path ".mli" then check_mli_documented path content;
   check_comment_braces path content;
+  check_code_refs path content;
   let line_no = ref 0 in
   String.split_on_char '\n' content
   |> List.iter (fun line ->
@@ -147,7 +318,9 @@ let () =
       then begin
         let base = Filename.remove_extension (Filename.basename path) in
         let unit_ = String.capitalize_ascii base in
-        if not (List.mem unit_ !units) then units := unit_ :: !units
+        if not (List.mem unit_ !units) then units := unit_ :: !units;
+        Hashtbl.replace unit_files unit_
+          (path :: Option.value ~default:[] (Hashtbl.find_opt unit_files unit_))
       end);
   let known = wrappers @ stdlib @ !units in
   let files = ref [] in

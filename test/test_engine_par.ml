@@ -118,9 +118,9 @@ let test_parallel_ineligibility () =
   expect_reason "uncontrolled kernel aborts"
     { eligible with Config.exception_barriers = false }
     "exception_barriers";
-  (* Base mode never takes the whole system down from a sibling replica:
-     aborts are deferred to the window boundary, so Base + Parallel is
-     eligible even without exception barriers. *)
+  (* Base mode has no sibling replica to take down, and it opens no
+     windows, so Base + Parallel is eligible even without exception
+     barriers. *)
   let base_par =
     {
       (Runner.config_for ~mode:Config.Base ~nreplicas:1 ~arch:x86 ()) with
@@ -387,6 +387,40 @@ let test_untraced_faults () =
 
 let test_untraced_stop_predicate () = stop_row ~traced:false ()
 
+(* --- Base-mode kernel abort ---------------------------------------------- *)
+
+let test_base_kernel_abort () =
+  (* Unreplicated runs open no windows on either engine, so a Base
+     kernel abort halts the system from the run loop itself. Traced rows
+     hold (Interp, Par) to the oracle, untraced rows (Blocks, Seq) and
+     (Blocks, Par). *)
+  let abort_row ~traced =
+    row_test ~traced ~label:"Base kernel abort"
+      (fun v ->
+        let cfg =
+          variant_cfg v
+            (Runner.config_for ~mode:Config.Base ~nreplicas:1 ~arch:x86 ())
+        in
+        let sys = System.create ~config:cfg ~program:(md5 ()) in
+        System.run sys ~max_cycles:20_000;
+        (* Flip a high frame-number bit of the first data page's PTE, so
+           it points outside physical memory (the system is quiescent
+           between runs on every engine). *)
+        let open Rcoe_kernel.Layout in
+        let pt = (System.layout sys).partitions.(0).pt_base in
+        Mem.flip_bit (System.machine sys).Machine.mem
+          ~addr:(pt + (va_data / page_size))
+          ~bit:28;
+        System.run sys ~max_cycles:80_000_000;
+        (match System.halted sys with
+        | Some (System.H_kernel_exception _) -> ()
+        | _ -> Alcotest.fail "expected a kernel-exception halt");
+        sys)
+      ()
+  in
+  abort_row ~traced:true;
+  abort_row ~traced:false
+
 let test_untraced_sliced () =
   (* Loadgen drives a system in 400-cycle [max_cycles] slices: every
      slice boundary caps a window, and the run resumed in the next call
@@ -445,4 +479,6 @@ let suite =
       test_untraced_stop_predicate;
     Alcotest.test_case "untraced: 400-cycle slices" `Quick
       test_untraced_sliced;
+    Alcotest.test_case "Base kernel abort, every engine and backend" `Quick
+      test_base_kernel_abort;
   ]

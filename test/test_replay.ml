@@ -159,6 +159,30 @@ let test_deterministic_across_runs_and_backends () =
   Alcotest.(check bool) "run-to-run identical" true (a = b);
   Alcotest.(check bool) "interp = blocks" true (a = c)
 
+(* --- a stopped run keeps its pipeline flowing ----------------------------- *)
+
+let test_stop_and_resume () =
+  (* A run the [~stop] predicate ends skips the terminal drain, so the
+     chunk still in flight stays unverified; resumed to completion, the
+     run is indistinguishable from one that never stopped. *)
+  let clean = fingerprint (replay_run ()) in
+  List.iter
+    (fun backend ->
+      let sys =
+        System.create ~config:(replay_config ~backend ()) ~program:(md5 ())
+      in
+      System.run sys ~max_cycles:200_000_000 ~stop:(fun s ->
+          String.length (System.output s 0) >= 3);
+      Alcotest.(check bool) "stopped mid-way" false (System.finished sys);
+      Alcotest.(check bool) "chunks left unverified" true
+        (counter sys "replay.chunks_verified" < counter sys "replay.chunks");
+      System.run sys ~max_cycles:200_000_000;
+      Alcotest.(check bool)
+        (Config.exec_backend_to_string backend ^ ": resumed = unstopped")
+        true
+        (fingerprint sys = clean))
+    [ Config.Interp; Config.Blocks ]
+
 (* --- transient fault: detected by replay, recovered by rollback ---------- *)
 
 let test_transient_fault_recovered () =
@@ -237,9 +261,10 @@ let test_detection_lag_bound () =
 
 let test_netted_burst_cycle_identity () =
   (* The replay primary is the one configuration that is both netted and
-     burst-eligible (Base mode, no tracing): [Sched.burst_cycles] clips
-     fuel short of [Netdev.next_event] and refreshes the device clock
-     after accounting. Identity check: a Blocks run with tracing off
+     burst-eligible (Base mode, no tracing): [Window.burst] stops
+     short of the [Window.horizon], which is clipped to
+     [Netdev.next_event], and refreshes the device clock after
+     accounting. Identity check: a Blocks run with tracing off
      (bursts engaged) must land on exactly the cycles of the classic
      per-cycle paths — the same run under Interp, and under Blocks with
      a trace ring (which disables bursts but, per the Trace contract,
@@ -301,6 +326,8 @@ let suite =
       test_healthy_run_verifies;
     Alcotest.test_case "deterministic across runs and backends" `Quick
       test_deterministic_across_runs_and_backends;
+    Alcotest.test_case "stopped run resumes to the unstopped result" `Quick
+      test_stop_and_resume;
     Alcotest.test_case "transient fault recovered" `Quick
       test_transient_fault_recovered;
     Alcotest.test_case "detection-lag bound" `Quick test_detection_lag_bound;
