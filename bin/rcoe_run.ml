@@ -1,9 +1,12 @@
-(* rcoe_run: command-line front end.
+(* rcoe_run: command-line front end, one command per job.
 
    - `rcoe_run list` — available workloads
    - `rcoe_run run -w dhrystone -m lc -n 3 -a arm` — run one workload
-     under a replication configuration and report timing and stats
-   - `rcoe_run kv -m cc -n 2 --workload A` — run the KV/YCSB benchmark
+     under a replication configuration and report timing and stats;
+     `--trace-out t.json` also exports a Perfetto-loadable trace
+   - `rcoe_run serve -m cc -n 2 --workload B` — serve a YCSB request
+     stream through the NIC to the replicated KV server
+   - `rcoe_run recover` — the checkpoint/rollback recovery campaign
    - `rcoe_run disasm -w whetstone` — show the assembled program
    - `rcoe_run lint [-w datarace]` — static replication-safety analysis:
      LC_safe / CC_required / Rejected per workload *)
@@ -13,40 +16,41 @@ open Rcoe_core
 open Rcoe_workloads
 open Rcoe_harness
 
-let workload_names =
-  [ "dhrystone"; "whetstone"; "membw"; "datarace"; "datarace-locked"; "md5sum" ]
-  @ List.map (fun k -> "splash:" ^ k) Splash.names
+(* The CLI's error style for a run it refuses: one labelled reason on
+   stderr, exit 1. *)
+let fail label msg =
+  Printf.eprintf "%-12s%s\n" (label ^ ":") msg;
+  exit 1
 
-let program_of_name name ~branch_count =
-  match name with
-  | "dhrystone" -> Dhrystone.program ~branch_count ()
-  | "whetstone" -> Whetstone.program ~branch_count ()
-  | "membw" -> Membw.program ~branch_count ()
-  | "datarace" -> Datarace.program ~branch_count ()
-  | "datarace-locked" -> Datarace.program ~locked:true ~branch_count ()
-  | "md5sum" -> Md5sum.program ~branch_count ()
-  | other ->
-      let prefix = "splash:" in
-      let plen = String.length prefix in
-      if String.length other > plen && String.sub other 0 plen = prefix then
-        Splash.program (String.sub other plen (String.length other - plen))
-          ~branch_count ()
-      else
-        invalid_arg
-          (Printf.sprintf "unknown workload %s (try `rcoe_run list`)" other)
+let workloads =
+  [
+    ("dhrystone", fun branch_count -> Dhrystone.program ~branch_count ());
+    ("whetstone", fun branch_count -> Whetstone.program ~branch_count ());
+    ("membw", fun branch_count -> Membw.program ~branch_count ());
+    ("datarace", fun branch_count -> Datarace.program ~branch_count ());
+    ( "datarace-locked",
+      fun branch_count -> Datarace.program ~locked:true ~branch_count () );
+    ("md5sum", fun branch_count -> Md5sum.program ~branch_count ());
+  ]
+  @ List.map
+      (fun k -> ("splash:" ^ k, fun branch_count -> Splash.program k ~branch_count ()))
+      Splash.names
 
-(* The lint subcommand also covers the KV server program (the `kv`
-   subcommand's guest, driven by the host-side YCSB generator). *)
-let lintable_names = workload_names @ [ "kvstore" ]
+(* The lint command also covers the KV server program, the guest that
+   `serve` drives with the host-side YCSB generator. *)
+let lintable =
+  workloads @ [ ("kvstore", fun branch_count -> Kvstore.program ~branch_count ()) ]
 
-let lintable_program name ~branch_count =
-  if String.equal name "kvstore" then Kvstore.program ~branch_count ()
-  else program_of_name name ~branch_count
+let program_of name ~branch_count = List.assoc name lintable branch_count
 
-let analyze_program p =
-  Rcoe_isa.Lint.analyze
-    ~exit_syscalls:[ Rcoe_kernel.Syscall.sys_exit ]
-    ~spawn_syscall:Rcoe_kernel.Syscall.sys_spawn p
+(* Unknown names are rejected while the command line is parsed, before
+   any program is built. *)
+let workload_conv names =
+  let parse s =
+    if List.mem_assoc s names then Ok s
+    else Error (`Msg (Printf.sprintf "unknown workload %s (try `rcoe_run list`)" s))
+  in
+  Arg.conv (parse, Format.pp_print_string)
 
 (* --- common options --------------------------------------------------- *)
 
@@ -63,8 +67,6 @@ let arch_arg =
   in
   Arg.(value & opt arch_conv Rcoe_machine.Arch.X86 & info [ "a"; "arch" ] ~doc:"x86 | arm")
 
-let vm_arg = Arg.(value & flag & info [ "vm" ] ~doc:"run as a virtual-machine guest")
-
 let level_arg =
   let level_conv =
     Arg.enum
@@ -73,11 +75,6 @@ let level_arg =
   Arg.(value & opt level_conv Config.Sync_args & info [ "level" ] ~doc:"sync level N | A | S")
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"simulation seed")
-
-let fast_catchup_arg =
-  Arg.(value & flag
-       & info [ "fast-catchup" ]
-           ~doc:"PMU-assisted CC catch-up (the paper's Section VI proposal)")
 
 let checkpoint_every_arg =
   Arg.(value & opt int 0
@@ -154,58 +151,84 @@ let replay_checkers_arg =
        & info [ "replay-checkers" ]
            ~doc:"checker domains replaying chunks concurrently")
 
-(* Rewrite a configuration for replay detection: the primary is an
-   unreplicated Base-mode system on the sequential engine (validation
-   enforces all three), and the round-cadence checkpoint ring is owned
-   by the chunk cuts. *)
-let apply_detection ~detection ~replay_chunk_ticks ~replay_queue_depth
-    ~replay_checkers config =
-  if detection <> Config.Replay then config
-  else begin
-    if config.Config.mode <> Config.Base || config.Config.nreplicas > 1 then
-      Printf.eprintf
-        "detection:  replay runs an unreplicated primary; forcing mode \
-         base, -n 1\n";
+let trace_out_arg ~doc =
+  Arg.(value & opt (some string) None & info [ "trace-out" ] ~doc)
+
+(* --- the configuration path -------------------------------------------- *)
+
+(* Every command builds its configuration the same way, in one order:
+   the shape every configurable command shares (LC and CC get at least
+   a DMR pair), then the command's own flags ([own]), then detection —
+   all validated here — and finally [apply_engine], once the command
+   has assembled its program. *)
+let configured ~with_net own =
+  let shape mode n arch sync_level seed checkpoint_every checkpoint_mode
+      max_rollbacks exec_backend =
     {
-      config with
-      Config.detection = Config.Replay;
-      mode = Config.Base;
-      nreplicas = 1;
-      engine = Config.Sequential;
-      checkpoint_every = 0;
-      replay_chunk_ticks;
-      replay_queue_depth;
-      replay_checkers;
-      max_rollbacks = max 1 config.Config.max_rollbacks;
+      (Runner.config_for ~mode
+         ~nreplicas:(if mode = Config.Base then max 1 n else max 2 n)
+         ~arch ~sync_level ~seed ~with_net ())
+      with
+      Config.checkpoint_every;
+      checkpoint_mode;
+      max_rollbacks;
+      exec_backend;
     }
-  end
+  in
+  (* Replay detection: the primary is an unreplicated Base-mode system
+     on the sequential engine, and the round-cadence checkpoint ring is
+     owned by the chunk cuts. *)
+  let detect detection replay_chunk_ticks replay_queue_depth replay_checkers
+      config =
+    if detection <> Config.Replay then config
+    else begin
+      if config.Config.mode <> Config.Base || config.Config.nreplicas > 1 then
+        Printf.eprintf
+          "detection:  replay runs an unreplicated primary; forcing mode \
+           base, -n 1\n";
+      {
+        config with
+        Config.detection = Config.Replay;
+        mode = Config.Base;
+        nreplicas = 1;
+        engine = Config.Sequential;
+        checkpoint_every = 0;
+        replay_chunk_ticks;
+        replay_queue_depth;
+        replay_checkers;
+        max_rollbacks = max 1 config.Config.max_rollbacks;
+      }
+    end
+  in
+  let build shape own detect =
+    let config = detect (own shape) in
+    match Config.validate config with
+    | Ok () -> config
+    | Error msg -> fail "config" ("rejected: " ^ msg)
+  in
+  Term.(
+    const build
+    $ (const shape $ mode_arg $ replicas_arg $ arch_arg $ level_arg $ seed_arg
+     $ checkpoint_every_arg $ checkpoint_mode_arg $ max_rollbacks_arg
+     $ exec_backend_arg)
+    $ own
+    $ (const detect $ detection_arg $ replay_chunk_ticks_arg
+     $ replay_queue_depth_arg $ replay_checkers_arg))
 
-let reject_parallel_under_replay ~detection ~parallel =
-  if detection = Config.Replay && parallel then begin
-    Printf.eprintf
-      "parallel:   rejected: replay detection owns the checker domains \
-       (the primary itself is sequential)\n";
-    exit 1
-  end
-
-let print_replay_summary sys =
-  let c = System.counter sys in
-  Printf.printf
-    "replay:     %d chunks, %d verified, %d mismatches, %d rollbacks\n"
-    (c "replay.chunks")
-    (c "replay.chunks_verified")
-    (c "replay.mismatches")
-    (List.length (System.rollbacks sys))
-
-(* Switch a configuration to the parallel engine, or explain — in the
-   style of a lint finding — why this configuration cannot hold the
-   engine's determinism contract, and exit non-zero. Networked
-   configurations are eligible only with a footprint proof over the
-   actual guest [program]: pass the one the run will assemble and the
-   analyzer's verdict (with instruction-address provenance on
-   rejection) decides. *)
-let apply_engine ?program ~parallel config =
+(* Switch a validated configuration to the parallel engine, or explain —
+   in the style of a lint finding — why it cannot hold the engine's
+   determinism contract, and exit non-zero. Networked configurations
+   are eligible only with a footprint proof over the actual guest
+   [program]: the analyzer's verdict (with instruction-address
+   provenance on rejection) decides. Together with the validation in
+   [configured] this is [Config.validate] of the parallel
+   configuration. *)
+let apply_engine ~program ~parallel config =
   if not parallel then config
+  else if config.Config.detection = Config.Replay then
+    fail "parallel"
+      "rejected: replay detection owns the checker domains (the primary \
+       itself is sequential)"
   else
     let config =
       {
@@ -217,10 +240,8 @@ let apply_engine ?program ~parallel config =
       }
     in
     let elig =
-      match program with
-      | Some p when config.Config.with_net ->
-          Some (Eligibility.check ~config ~program:p)
-      | _ -> None
+      if config.Config.with_net then Some (Eligibility.check ~config ~program)
+      else None
     in
     let net_ok =
       match elig with Some e -> Eligibility.eligible e | None -> false
@@ -230,43 +251,57 @@ let apply_engine ?program ~parallel config =
     | Some reason ->
         Printf.eprintf "parallel:   rejected: %s\n" reason;
         (match elig with
-        | Some e when not (Eligibility.eligible e) ->
+        | Some e ->
             List.iter
               (fun d ->
                 Printf.eprintf "parallel:     %s\n" d.Eligibility.d_message)
               (Eligibility.diags e)
-        | _ -> ());
+        | None -> ());
         exit 1
 
-let mk_config ?(fast_catchup = false) ?(masking = false) ?(checkpoint_every = 0)
-    ?(checkpoint_mode = Config.Incremental) ?(max_rollbacks = 3)
-    ?(exec_backend = Config.Interp) mode n arch vm level seed ~with_net =
-  {
-    (Runner.config_for ~mode ~nreplicas:n ~arch ~vm ~sync_level:level ~seed
-       ~with_net ())
-    with
-    Config.fast_catchup;
-    masking;
-    checkpoint_every;
-    checkpoint_mode;
-    max_rollbacks;
-    exec_backend;
-  }
+let print_replay_summary sys =
+  let c = System.counter sys in
+  Printf.printf
+    "replay:     %d chunks, %d verified, %d mismatches, %d rollbacks\n"
+    (c "replay.chunks")
+    (c "replay.chunks_verified")
+    (c "replay.mismatches")
+    (List.length (System.rollbacks sys))
+
+(* Write a Chrome trace-event export, then re-read it: an export that
+   does not parse, or holds no events, fails the command. *)
+let export_trace ?extra path tr =
+  Rcoe_obs.Export.write_chrome ?extra ~path tr;
+  match Rcoe_obs.Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | Error e -> fail "trace" ("exported JSON is malformed: " ^ e)
+  | Ok j -> (
+      match Rcoe_obs.Json.member "traceEvents" j with
+      | Some (Rcoe_obs.Json.List (_ :: _ as evs)) ->
+          Printf.printf "wrote:      %s (%d trace events)\n" path
+            (List.length evs)
+      | _ -> fail "trace" "traceEvents missing or empty")
 
 (* --- commands ---------------------------------------------------------- *)
 
 let list_cmd =
   let doc = "list available workloads" in
   let run () =
-    List.iter print_endline workload_names;
-    print_endline "kv (via the `kv` subcommand)"
+    List.iter (fun (name, _) -> print_endline name) workloads;
+    print_endline "kvstore (via the `serve` subcommand)"
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
 let run_cmd =
   let doc = "run a workload under a replication configuration" in
   let wl_arg =
-    Arg.(required & opt (some string) None & info [ "w"; "workload" ] ~doc:"workload name")
+    Arg.(required & opt (some (workload_conv workloads)) None
+         & info [ "w"; "workload" ] ~doc:"workload name")
+  in
+  let vm_arg = Arg.(value & flag & info [ "vm" ] ~doc:"run as a virtual-machine guest") in
+  let fast_catchup_arg =
+    Arg.(value & flag
+         & info [ "fast-catchup" ]
+             ~doc:"PMU-assisted CC catch-up (the paper's Section VI proposal)")
   in
   let strict_lint_arg =
     Arg.(value & flag
@@ -280,44 +315,48 @@ let run_cmd =
              ~doc:"print the full metrics registry (counters and \
                    histograms) after the run")
   in
-  let run wl mode n arch vm level seed fast_catchup checkpoint_every
-      checkpoint_mode max_rollbacks parallel exec_backend detection
-      replay_chunk_ticks replay_queue_depth replay_checkers strict_lint
-      metrics =
-    reject_parallel_under_replay ~detection ~parallel;
-    let branch_count = Wl.branch_count_for arch in
-    let program = program_of_name wl ~branch_count in
-    let config =
-      apply_detection ~detection ~replay_chunk_ticks ~replay_queue_depth
-        ~replay_checkers
-        (apply_engine ~program ~parallel
-           {
-             (mk_config ~fast_catchup ~checkpoint_every ~checkpoint_mode
-                ~max_rollbacks ~exec_backend mode n arch vm level seed
-                ~with_net:false)
-             with
-             Config.strict_lint;
-           })
+  let trace_out_arg =
+    trace_out_arg
+      ~doc:"record a cycle-accurate trace and export it to this path as \
+            Chrome trace-event JSON (load it at ui.perfetto.dev); the \
+            export is re-read and must parse and hold events"
+  in
+  let own =
+    let set vm fast_catchup strict_lint trace_out config =
+      {
+        config with
+        Config.vm;
+        fast_catchup;
+        strict_lint;
+        trace =
+          Option.map (fun _ -> { Rcoe_obs.Trace.capacity = 65536 }) trace_out;
+      }
     in
+    Term.(const set $ vm_arg $ fast_catchup_arg $ strict_lint_arg $ trace_out_arg)
+  in
+  let run wl config parallel metrics trace_out =
+    let arch = config.Config.arch in
+    let program = program_of wl ~branch_count:(Wl.branch_count_for arch) in
+    let config = apply_engine ~program ~parallel config in
     let r = Runner.run_program ~config ~program () in
+    let sys = r.Runner.sys in
     List.iter
       (fun w -> Printf.printf "lint:       warning: %s\n" w)
-      (System.lint_warnings r.Runner.sys);
-    (let report = System.lint_report r.Runner.sys in
-     if
-       report.Rcoe_isa.Lint.verdict = Rcoe_isa.Lint.CC_required
-       && config.Config.mode = Config.LC
-     then
-       Printf.printf
-         "lint:       program requires CC; this LC run may silently \
-          diverge\n");
+      (System.lint_warnings sys);
+    if
+      (System.lint_report sys).Rcoe_isa.Lint.verdict = Rcoe_isa.Lint.CC_required
+      && config.Config.mode = Config.LC
+    then
+      Printf.printf
+        "lint:       program requires CC; this LC run may silently \
+         diverge\n";
     let profile = Rcoe_machine.Arch.profile_of arch in
     Printf.printf "workload:   %s\n" wl;
     Printf.printf "config:     %s on %s%s, level %s\n"
       (Config.replicas_label config)
       (Rcoe_machine.Arch.to_string arch)
-      (if vm then " (VM)" else "")
-      (Config.sync_level_to_string level);
+      (if config.Config.vm then " (VM)" else "")
+      (Config.sync_level_to_string config.Config.sync_level);
     Printf.printf "engine:     %s, %s backend\n"
       (Config.engine_to_string config.Config.engine)
       (Config.exec_backend_to_string config.Config.exec_backend);
@@ -328,193 +367,35 @@ let run_cmd =
     Printf.printf "cycles:     %d (%.1f us at %d MHz)\n" r.Runner.cycles
       (Rcoe_machine.Arch.cycles_to_us profile r.Runner.cycles)
       profile.Rcoe_machine.Arch.freq_mhz;
-    let c = System.counter r.Runner.sys in
+    let c = System.counter sys in
     Printf.printf
       "sync:       %d rounds, %d ticks, %d votes, %d bp fires, %d FT rounds\n"
       (c "sync.rounds") (c "kernel.ticks_delivered") (c "sync.votes")
       (c "catchup.bp_fires") (c "sync.ft_rounds");
     if config.Config.checkpoint_every > 0 then
       Printf.printf "recovery:   %d checkpoints (%s), %d rollbacks\n"
-        (System.checkpoints_taken r.Runner.sys)
+        (System.checkpoints_taken sys)
         (Config.checkpoint_mode_to_string config.Config.checkpoint_mode)
-        (List.length (System.rollbacks r.Runner.sys));
-    if config.Config.detection = Config.Replay then
-      print_replay_summary r.Runner.sys;
-    let out = System.output r.Runner.sys 0 in
+        (List.length (System.rollbacks sys));
+    if config.Config.detection = Config.Replay then print_replay_summary sys;
+    let out = System.output sys 0 in
     if out <> "" then Printf.printf "output:     %S\n" out;
     if metrics then
-      Rcoe_util.Table.print
-        (Rcoe_obs.Metrics.to_table (System.metrics r.Runner.sys))
+      Rcoe_util.Table.print (Rcoe_obs.Metrics.to_table (System.metrics sys));
+    Option.iter
+      (fun path ->
+        let tr = System.trace sys in
+        Printf.printf "trace:      %d events recorded, %d dropped (ring %d)\n"
+          (Rcoe_obs.Trace.total tr) (Rcoe_obs.Trace.dropped tr)
+          (Rcoe_obs.Trace.capacity tr);
+        export_trace path tr;
+        Rcoe_util.Table.print (Rcoe_obs.Export.summary_table tr))
+      trace_out
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ wl_arg $ mode_arg $ replicas_arg $ arch_arg $ vm_arg
-      $ level_arg $ seed_arg $ fast_catchup_arg $ checkpoint_every_arg
-      $ checkpoint_mode_arg $ max_rollbacks_arg $ parallel_arg
-      $ exec_backend_arg $ detection_arg $ replay_chunk_ticks_arg
-      $ replay_queue_depth_arg $ replay_checkers_arg $ strict_lint_arg
-      $ metrics_arg)
-
-let kv_cmd =
-  let doc = "run the KV server under a YCSB workload" in
-  let ycsb_arg =
-    Arg.(value & opt string "A" & info [ "workload" ] ~doc:"YCSB workload A-F")
-  in
-  let records_arg =
-    Arg.(value & opt int 200 & info [ "records" ] ~doc:"record count")
-  in
-  let ops_arg =
-    Arg.(value & opt int 1000 & info [ "operations" ] ~doc:"operation count")
-  in
-  let masking_arg =
-    Arg.(value & flag
-         & info [ "masking" ]
-             ~doc:"enable TMR->DMR error masking (requires -n 3)")
-  in
-  let run mode n arch level seed wl records operations masking parallel
-      exec_backend =
-    let base =
-      mk_config ~masking ~exec_backend mode n arch false level seed
-        ~with_net:true
-    in
-    let config =
-      apply_engine ~parallel
-        ~program:(Kv_run.program_for ~config:base ~records ~operations)
-        base
-    in
-    let res =
-      Kv_run.run ~config ~workload:(Ycsb.workload_of_string wl) ~records
-        ~operations ()
-    in
-    let c = res.Kv_run.counters in
-    Printf.printf "config:      %s on %s, level %s, YCSB-%s\n"
-      (Config.replicas_label config)
-      (Rcoe_machine.Arch.to_string arch)
-      (Config.sync_level_to_string level)
-      wl;
-    Printf.printf "engine:      %s\n"
-      (Config.engine_to_string config.Config.engine);
-    (match System.eligibility res.Kv_run.sys with
-    | Some e ->
-        Printf.printf "analyzer:    %s\n"
-          (if Eligibility.eligible e then "parallel-eligible"
-           else "parallel-ineligible")
-    | None -> ());
-    Printf.printf "throughput:  %.1f kops/s (run phase: %d ops, %d cycles)\n"
-      res.Kv_run.kops_per_sec res.Kv_run.ops_completed res.Kv_run.elapsed_cycles;
-    Printf.printf "client:      %d issued, %d completed, %d corrupted, %d errors\n"
-      c.Ycsb.issued c.Ycsb.completed c.Ycsb.corrupted c.Ycsb.client_errors;
-    match System.halted res.Kv_run.sys with
-    | Some h -> Printf.printf "halted:      %s\n" (System.halt_reason_to_string h)
-    | None -> ()
-  in
-  Cmd.v (Cmd.info "kv" ~doc)
-    Term.(
-      const run $ mode_arg $ replicas_arg $ arch_arg $ level_arg $ seed_arg
-      $ ycsb_arg $ records_arg $ ops_arg $ masking_arg $ parallel_arg
-      $ exec_backend_arg)
-
-let trace_cmd =
-  let doc =
-    "run a workload with cycle-accurate tracing and export a Chrome \
-     trace-event JSON (load it at ui.perfetto.dev)"
-  in
-  let wl_arg =
-    Arg.(required & opt (some string) None
-         & info [ "w"; "workload" ]
-             ~doc:"workload name (also accepts `kvstore` for a short \
-                   YCSB run)")
-  in
-  let out_arg =
-    Arg.(required & opt (some string) None
-         & info [ "o"; "output" ] ~doc:"output JSON path")
-  in
-  let capacity_arg =
-    Arg.(value & opt int 65536
-         & info [ "capacity" ] ~doc:"trace ring capacity (events kept)")
-  in
-  let check_arg =
-    Arg.(value & flag
-         & info [ "check" ]
-             ~doc:"re-read the exported file and fail unless it parses \
-                   and contains trace events")
-  in
-  let run wl mode n arch vm level seed fast_catchup checkpoint_every
-      checkpoint_mode max_rollbacks parallel exec_backend out capacity check =
-    (* Replicated modes need at least a DMR pair; bump silently so
-       `trace -w whetstone --mode cc` works without an explicit -n. *)
-    let n = if mode = Config.Base then max 1 n else max 2 n in
-    let with_net = String.equal wl "kvstore" in
-    let records = 48 and operations = 96 in
-    let base =
-      mk_config ~fast_catchup ~checkpoint_every ~checkpoint_mode ~max_rollbacks
-        ~exec_backend mode n arch vm level seed ~with_net
-    in
-    let program =
-      if with_net then Kv_run.program_for ~config:base ~records ~operations
-      else program_of_name wl ~branch_count:(Wl.branch_count_for arch)
-    in
-    let config =
-      apply_engine ~program ~parallel
-        { base with Config.trace = Some { Rcoe_obs.Trace.capacity } }
-    in
-    let sys =
-      if with_net then
-        let res = Kv_run.run ~config ~workload:Ycsb.A ~records ~operations () in
-        res.Kv_run.sys
-      else
-        let r = Runner.run_program ~config ~program () in
-        r.Runner.sys
-    in
-    let tr = System.trace sys in
-    Rcoe_obs.Export.write_chrome ~path:out tr;
-    Printf.printf "workload:   %s\n" wl;
-    Printf.printf "config:     %s on %s%s, level %s\n"
-      (Config.replicas_label config)
-      (Rcoe_machine.Arch.to_string arch)
-      (if vm then " (VM)" else "")
-      (Config.sync_level_to_string level);
-    Printf.printf "trace:      %d events recorded, %d dropped (ring %d)\n"
-      (Rcoe_obs.Trace.total tr)
-      (Rcoe_obs.Trace.dropped tr)
-      (Rcoe_obs.Trace.capacity tr);
-    (match System.netdev sys with
-    | Some nd ->
-        Printf.printf
-          "net:        rx_dropped=%d rx_ring_hwm=%d tx_pending_hwm=%d \
-           tx_sent=%d\n"
-          (Rcoe_machine.Netdev.rx_dropped nd)
-          (Rcoe_machine.Netdev.rx_ring_hwm nd)
-          (Rcoe_machine.Netdev.tx_pending_hwm nd)
-          (Rcoe_machine.Netdev.tx_sent nd)
-    | None -> ());
-    Printf.printf "wrote:      %s\n" out;
-    Rcoe_util.Table.print (Rcoe_obs.Export.summary_table tr);
-    if check then begin
-      let ic = open_in_bin out in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      match Rcoe_obs.Json.parse s with
-      | Error e ->
-          Printf.eprintf "check:      exported JSON is malformed: %s\n" e;
-          exit 1
-      | Ok j -> (
-          match Rcoe_obs.Json.member "traceEvents" j with
-          | Some (Rcoe_obs.Json.List (_ :: _ as evs)) ->
-              Printf.printf "check:      ok (%d trace events)\n"
-                (List.length evs)
-          | _ ->
-              Printf.eprintf "check:      traceEvents missing or empty\n";
-              exit 1)
-    end
-  in
-  Cmd.v (Cmd.info "trace" ~doc)
-    Term.(
-      const run $ wl_arg $ mode_arg $ replicas_arg $ arch_arg $ vm_arg
-      $ level_arg $ seed_arg $ fast_catchup_arg $ checkpoint_every_arg
-      $ checkpoint_mode_arg $ max_rollbacks_arg $ parallel_arg
-      $ exec_backend_arg $ out_arg $ capacity_arg $ check_arg)
+      const run $ wl_arg $ configured ~with_net:false own $ parallel_arg
+      $ metrics_arg $ trace_out_arg)
 
 let serve_cmd =
   let doc =
@@ -523,7 +404,15 @@ let serve_cmd =
      tracing, stall attribution, and an optional fault campaign"
   in
   let ycsb_arg =
-    Arg.(value & opt string "A" & info [ "workload" ] ~doc:"YCSB workload A-F")
+    let parse s =
+      match Ycsb.workload_of_string s with
+      | w -> Ok w
+      | exception Invalid_argument _ ->
+          Error (`Msg (Printf.sprintf "unknown YCSB workload %s (A-F)" s))
+    in
+    let print ppf w = Format.pp_print_string ppf (Ycsb.workload_to_string w) in
+    Arg.(value & opt (conv (parse, print)) Ycsb.A
+         & info [ "workload" ] ~doc:"YCSB workload A-F")
   in
   let records_arg =
     Arg.(value & opt int 256 & info [ "records" ] ~doc:"record count (load phase)")
@@ -546,6 +435,11 @@ let serve_cmd =
     Arg.(value & opt int 256
          & info [ "max-queue" ]
              ~doc:"open-loop bound on outstanding requests")
+  in
+  let masking_arg =
+    Arg.(value & flag
+         & info [ "masking" ]
+             ~doc:"enable TMR->DMR error masking (requires -n 3)")
   in
   let fault_arg =
     Arg.(value & flag
@@ -573,6 +467,13 @@ let serve_cmd =
                    value word of an in-flight RX PUT frame (outside the \
                    SoR; only the ingress-checksum path can catch it)")
   in
+  let fault_term =
+    let spec fault fault_after fault_bit fault_target =
+      if fault then Some { Loadgen.fault_after; fault_bit; fault_target }
+      else None
+    in
+    Term.(const spec $ fault_arg $ fault_after_arg $ fault_bit_arg $ fault_target_arg)
+  in
   let ingress_check_arg =
     Arg.(value & flag
          & info [ "ingress-check" ]
@@ -586,10 +487,10 @@ let serve_cmd =
          & info [ "json" ] ~doc:"write the JSON report here (- for stdout)")
   in
   let trace_out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "trace-out" ]
-             ~doc:"export a Chrome/Perfetto trace with per-request \
-                   tracks to this path")
+    trace_out_arg
+      ~doc:"export a Chrome/Perfetto trace with per-request tracks to \
+            this path; the export is re-read and must parse and hold \
+            events"
   in
   let check_arg =
     Arg.(value & flag
@@ -605,65 +506,49 @@ let serve_cmd =
                    period); larger chunks amortise per-call engine \
                    overhead on the parallel engine")
   in
-  let run mode n arch level seed wl records requests window open_rate max_queue
-      checkpoint_every checkpoint_mode max_rollbacks fault fault_after
-      fault_bit fault_target ingress_check parallel exec_backend detection
-      replay_chunk_ticks replay_queue_depth replay_checkers json_out
-      trace_out check chunk =
-    reject_parallel_under_replay ~detection ~parallel;
-    if detection = Config.Replay && check then begin
-      Printf.eprintf
-        "check:      rejected: --check compares the two lockstep engines; \
-         for the replay-detection determinism pair use `dune build \
-         @replay-diff`\n";
-      exit 1
-    end;
-    let n = if mode = Config.Base then max 1 n else max 2 n in
-    let workload = Ycsb.workload_of_string wl in
+  (* A signature-fault campaign without recovery would fail-stop at
+     detection; default to the recovery-trial cadence. A DMA-frame
+     fault needs no checkpoints — rollback cannot repair it anyway;
+     the ingress path's drop-and-redeliver lane is the recovery.
+     Replay detection cuts its own per-chunk checkpoints and resets the
+     round cadence to 0. *)
+  let own =
+    let set masking ingress_check fault config =
+      let checkpoint_every =
+        match fault with
+        | Some { Loadgen.fault_target = Loadgen.Sig_word; _ }
+          when config.Config.checkpoint_every = 0 ->
+            2
+        | _ -> config.Config.checkpoint_every
+      in
+      { config with Config.masking; ingress_check; checkpoint_every }
+    in
+    Term.(const set $ masking_arg $ ingress_check_arg $ fault_term)
+  in
+  let run config workload records requests window open_rate max_queue fault
+      parallel json_out trace_out check chunk =
+    if config.Config.detection = Config.Replay && check then
+      fail "check"
+        "rejected: --check compares the two lockstep engines; for the \
+         replay-detection determinism pair use `dune build @replay-diff`";
     let pacing =
       if open_rate > 0 then
         Loadgen.Open { interval = open_rate; max_queue }
       else Loadgen.Closed { window }
     in
-    let fault_spec =
-      if fault then Some { Loadgen.fault_after; fault_bit; fault_target }
-      else None
+    let program = Loadgen.program_for ~config ~workload ~records ~requests in
+    let serve ~parallel =
+      let config = apply_engine ~program ~parallel config in
+      ( Loadgen.run ~config ~workload ~records ~requests ~pacing ~chunk ?fault (),
+        Config.engine_to_string config.Config.engine )
     in
-    (* A signature-fault campaign without recovery would fail-stop at
-       detection; default to the recovery-trial cadence. A DMA-frame
-       fault needs no checkpoints — rollback cannot repair it anyway;
-       the ingress path's drop-and-redeliver lane is the recovery.
-       Replay detection cuts its own per-chunk checkpoints, so the
-       round-cadence default must stay off there. *)
-    let checkpoint_every =
-      if
-        fault && fault_target = Loadgen.Sig_word && checkpoint_every = 0
-        && detection <> Config.Replay
-      then 2
-      else checkpoint_every
-    in
-    let base =
-      apply_detection ~detection ~replay_chunk_ticks ~replay_queue_depth
-        ~replay_checkers
-        {
-          (mk_config ~checkpoint_every ~checkpoint_mode ~max_rollbacks
-             ~exec_backend mode n arch false level seed ~with_net:true)
-          with
-          Config.ingress_check;
-        }
-    in
-    let serve config =
-      Loadgen.run ~config ~workload ~records ~requests ~pacing ~chunk
-        ?fault:fault_spec ()
-    in
-    let print_summary tag (r : Loadgen.result) =
+    let print_summary (r, engine) =
       let e2e = Rcoe_obs.Reqtrace.e2e r.Loadgen.rt in
       Printf.printf
-        "%s:%s %.1f kops/s, %d/%d requests, p50=%d p99=%d p99.9=%d max=%d \
+        "%-12s %.1f kops/s, %d/%d requests, p50=%d p99=%d p99.9=%d max=%d \
          cycles\n"
-        tag
-        (String.make (max 1 (11 - String.length tag)) ' ')
-        r.Loadgen.kops_per_sec r.Loadgen.completed r.Loadgen.issued
+        (engine ^ ":") r.Loadgen.kops_per_sec r.Loadgen.completed
+        r.Loadgen.issued
         (Rcoe_obs.Hdr.percentile e2e 50.0)
         (Rcoe_obs.Hdr.percentile e2e 99.0)
         (Rcoe_obs.Hdr.percentile e2e 99.9)
@@ -699,7 +584,7 @@ let serve_cmd =
         (Rcoe_obs.Trace.total tr)
         (Rcoe_obs.Trace.dropped tr)
         (Rcoe_obs.Reqtrace.open_hwm r.Loadgen.rt);
-      if ingress_check || r.Loadgen.ingress_dropped > 0 then begin
+      if config.Config.ingress_check || r.Loadgen.ingress_dropped > 0 then begin
         Printf.printf
           "ingress:    checked=%d dropped=%d redelivered=%d retransmits=%d\n"
           r.Loadgen.ingress_checked r.Loadgen.ingress_dropped
@@ -708,14 +593,14 @@ let serve_cmd =
           Printf.printf "ingress-stall: %s\n"
             (Rcoe_obs.Hdr.summary (Rcoe_obs.Reqtrace.ingress_hdr r.Loadgen.rt))
       end;
-      if fault then begin
+      if fault <> None then begin
         let d = Rcoe_obs.Reqtrace.detect_hdr r.Loadgen.rt in
         let s = Rcoe_obs.Reqtrace.stall_hdr r.Loadgen.rt in
         Printf.printf "detect:     %s\n" (Rcoe_obs.Hdr.summary d);
         Printf.printf "stall:      %s\n" (Rcoe_obs.Hdr.summary s);
         Printf.printf "recovery:   %d rollbacks\n" r.Loadgen.rollbacks
       end;
-      if base.Config.detection = Config.Replay then
+      if config.Config.detection = Config.Replay then
         print_replay_summary r.Loadgen.sys;
       if r.Loadgen.stalled then Printf.printf "stalled:    true\n";
       match System.halted r.Loadgen.sys with
@@ -723,89 +608,72 @@ let serve_cmd =
           Printf.printf "halted:     %s\n" (System.halt_reason_to_string h)
       | None -> ()
     in
-    let emit_artifacts (r : Loadgen.result) ~engine =
+    let emit_artifacts (r, engine) =
       (match json_out with
       | Some "-" ->
           print_endline
             (Rcoe_obs.Json.to_string (Loadgen.report_json r ~engine))
       | Some path ->
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () ->
+          Out_channel.with_open_text path (fun oc ->
               output_string oc
                 (Rcoe_obs.Json.to_string (Loadgen.report_json r ~engine)));
           Printf.printf "wrote:      %s\n" path
       | None -> ());
-      match trace_out with
-      | Some path ->
-          Rcoe_obs.Export.write_chrome
+      Option.iter
+        (fun path ->
+          export_trace
             ~extra:(Rcoe_obs.Reqtrace.chrome_events r.Loadgen.rt)
-            ~path
-            (System.trace r.Loadgen.sys);
-          Printf.printf "wrote:      %s\n" path
-      | None -> ()
+            path (System.trace r.Loadgen.sys))
+        trace_out
     in
     Printf.printf "config:     %s on %s, level %s, YCSB-%s, %s\n"
-      (Config.replicas_label base)
-      (Rcoe_machine.Arch.to_string arch)
-      (Config.sync_level_to_string level)
-      wl
+      (Config.replicas_label config)
+      (Rcoe_machine.Arch.to_string config.Config.arch)
+      (Config.sync_level_to_string config.Config.sync_level)
+      (Ycsb.workload_to_string workload)
       (match pacing with
       | Loadgen.Closed { window } -> Printf.sprintf "closed window %d" window
       | Loadgen.Open { interval; _ } ->
           Printf.sprintf "open 1/%d cycles" interval);
     if check then begin
-      let program =
-        Loadgen.program_for ~config:base ~workload ~records ~requests
+      let seq = serve ~parallel:false in
+      let par = serve ~parallel:true in
+      print_summary seq;
+      print_summary par;
+      let s, _ = seq and p, _ = par in
+      print_detail s;
+      emit_artifacts seq;
+      let diverged =
+        List.filter_map
+          (fun (differs, msg) -> if differs then Some msg else None)
+          [
+            (System.now s.Loadgen.sys <> System.now p.Loadgen.sys, "cycle counts differ");
+            (s.Loadgen.end_sigs <> p.Loadgen.end_sigs, "end-state signatures differ");
+            ( s.Loadgen.outcome_log <> p.Loadgen.outcome_log,
+              Printf.sprintf "outcome logs differ (digest %08x vs %08x)"
+                s.Loadgen.outcome_digest p.Loadgen.outcome_digest );
+          ]
       in
-      let par_cfg = apply_engine ~program ~parallel:true base in
-      let seq_res = serve base in
-      let par_res = serve par_cfg in
-      print_summary "sequential" seq_res;
-      print_summary "parallel" par_res;
-      print_detail seq_res;
-      let fail = ref [] in
-      if seq_res.Loadgen.outcome_log <> par_res.Loadgen.outcome_log then
-        fail :=
-          Printf.sprintf "outcome logs differ (digest %08x vs %08x)"
-            seq_res.Loadgen.outcome_digest par_res.Loadgen.outcome_digest
-          :: !fail;
-      if seq_res.Loadgen.end_sigs <> par_res.Loadgen.end_sigs then
-        fail := "end-state signatures differ" :: !fail;
-      if
-        System.now seq_res.Loadgen.sys <> System.now par_res.Loadgen.sys
-      then fail := "cycle counts differ" :: !fail;
-      emit_artifacts seq_res ~engine:"sequential";
-      match !fail with
-      | [] ->
-          Printf.printf "check:      ok (%d outcomes identical across engines)\n"
-            (List.length seq_res.Loadgen.outcome_log)
-      | msgs ->
-          List.iter (fun m -> Printf.eprintf "check:      DIVERGED: %s\n" m) msgs;
-          exit 1
+      if diverged = [] then
+        Printf.printf "check:      ok (%d outcomes identical across engines)\n"
+          (List.length s.Loadgen.outcome_log)
+      else begin
+        List.iter (fun m -> Printf.eprintf "check:      DIVERGED: %s\n" m) diverged;
+        exit 1
+      end
     end
     else begin
-      let config =
-        apply_engine
-          ~program:(Loadgen.program_for ~config:base ~workload ~records ~requests)
-          ~parallel base
-      in
-      let res = serve config in
-      print_summary (Config.engine_to_string config.Config.engine) res;
-      print_detail res;
-      emit_artifacts res ~engine:(Config.engine_to_string config.Config.engine)
+      let res = serve ~parallel in
+      print_summary res;
+      print_detail (fst res);
+      emit_artifacts res
     end
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ mode_arg $ replicas_arg $ arch_arg $ level_arg $ seed_arg
-      $ ycsb_arg $ records_arg $ requests_arg $ window_arg $ open_rate_arg
-      $ max_queue_arg $ checkpoint_every_arg $ checkpoint_mode_arg
-      $ max_rollbacks_arg $ fault_arg $ fault_after_arg $ fault_bit_arg
-      $ fault_target_arg $ ingress_check_arg $ parallel_arg $ exec_backend_arg
-      $ detection_arg $ replay_chunk_ticks_arg $ replay_queue_depth_arg
-      $ replay_checkers_arg $ json_arg $ trace_out_arg $ check_arg $ chunk_arg)
+      const run $ configured ~with_net:true own $ ycsb_arg $ records_arg
+      $ requests_arg $ window_arg $ open_rate_arg $ max_queue_arg $ fault_term
+      $ parallel_arg $ json_arg $ trace_out_arg $ check_arg $ chunk_arg)
 
 let recover_cmd =
   let doc =
@@ -843,13 +711,14 @@ let recover_cmd =
 let disasm_cmd =
   let doc = "disassemble a workload program" in
   let wl_arg =
-    Arg.(required & opt (some string) None & info [ "w"; "workload" ] ~doc:"workload name")
+    Arg.(required & opt (some (workload_conv workloads)) None
+         & info [ "w"; "workload" ] ~doc:"workload name")
   in
   let counted_arg =
     Arg.(value & flag & info [ "branch-count" ] ~doc:"apply the branch-counting pass")
   in
   let run wl counted =
-    let program = program_of_name wl ~branch_count:counted in
+    let program = program_of wl ~branch_count:counted in
     Printf.printf "%s: %d instructions, %d data words%s\n\n"
       program.Rcoe_isa.Program.name
       (Rcoe_isa.Program.instruction_count program)
@@ -859,6 +728,8 @@ let disasm_cmd =
   in
   Cmd.v (Cmd.info "disasm" ~doc) Term.(const run $ wl_arg $ counted_arg)
 
+(* --- lint -------------------------------------------------------------- *)
+
 (* Parallel-eligibility verdicts for the lint front end: every workload
    is judged as the guest of a networked configuration under each
    coupling mode — exactly what decides whether `--parallel` would
@@ -867,18 +738,193 @@ let disasm_cmd =
    the path the mode never takes. *)
 let elig_modes = [ ("cc", Config.CC); ("lc", Config.LC); ("base", Config.Base) ]
 
-let elig_config ?(ingress_check = false) mode =
+(* Everything any lint format shows about one workload, computed once. *)
+type lint_row = {
+  name : string;
+  counted : bool;  (* [report] and [elig] are of the branch-counted program *)
+  report : Rcoe_isa.Lint.report;
+  counted_report : Rcoe_isa.Lint.report;  (* of the branch-counted program *)
+  elig : (string * Eligibility.t) list;  (* keyed by [elig_modes] label *)
+}
+
+let lint_row ?(counted = false) ?(ingress_check = false) name =
+  let analyze branch_count =
+    let p = program_of name ~branch_count in
+    ( p,
+      Rcoe_isa.Lint.analyze
+        ~exit_syscalls:[ Rcoe_kernel.Syscall.sys_exit ]
+        ~spawn_syscall:Rcoe_kernel.Syscall.sys_spawn p )
+  in
+  let program, report = analyze counted in
+  let elig (label, mode) =
+    let config =
+      {
+        Config.default with
+        Config.mode;
+        nreplicas = (if mode = Config.Base then 1 else 2);
+        with_net = true;
+        exception_barriers = true;
+        ingress_check;
+      }
+    in
+    (label, Eligibility.check ~config ~program)
+  in
   {
-    Config.default with
-    Config.mode;
-    nreplicas = (if mode = Config.Base then 1 else 2);
-    with_net = true;
-    exception_barriers = true;
-    ingress_check;
+    (* The KV guest's footprint is configuration-dependent: the analyzer
+       models the get_info ingress flag, so the checksum loop (and its
+       MMIO reads) only exists in checked configurations. *)
+    name = (if ingress_check then name ^ "+ingress" else name);
+    counted;
+    report;
+    counted_report = (if counted then report else snd (analyze true));
+    elig = List.map elig elig_modes;
   }
 
-let eligibility_of ?ingress_check program mode =
-  Eligibility.check ~config:(elig_config ?ingress_check mode) ~program
+let verdict_str r = Rcoe_isa.Lint.verdict_to_string r.Rcoe_isa.Lint.verdict
+
+let count sev r =
+  List.length
+    (List.filter (fun f -> f.Rcoe_isa.Lint.f_severity = sev) r.Rcoe_isa.Lint.findings)
+
+let print_lint_detail row =
+  let r = row.report in
+  Printf.printf "%s%s: %s\n" row.name
+    (if row.counted then " (branch-counted)" else "")
+    (verdict_str r);
+  Printf.printf "thread roots: %s\n\n"
+    (String.concat ", "
+       (List.map
+          (fun (a, m) ->
+            Printf.sprintf "%d (x%s)" a (if m >= 2 then "2+" else string_of_int m))
+          r.Rcoe_isa.Lint.cfg.Rcoe_isa.Cfg.roots));
+  (match r.Rcoe_isa.Lint.findings with
+  | [] -> print_endline "no findings"
+  | fs ->
+      let t =
+        Rcoe_util.Table.create ~headers:[ "addr"; "severity"; "rule"; "finding" ]
+      in
+      List.iter
+        (fun f ->
+          Rcoe_util.Table.add_row t
+            [
+              (match f.Rcoe_isa.Lint.f_addr with
+              | Some a -> string_of_int a
+              | None -> "-");
+              Rcoe_isa.Lint.severity_to_string f.Rcoe_isa.Lint.f_severity;
+              f.Rcoe_isa.Lint.f_rule;
+              f.Rcoe_isa.Lint.f_message;
+            ])
+        fs;
+      Rcoe_util.Table.print t);
+  print_newline ();
+  print_endline "parallel eligibility (as a networked guest):";
+  List.iter
+    (fun (label, e) ->
+      match e.Eligibility.verdict with
+      | Eligibility.Eligible ->
+          Printf.printf
+            "  %-5s eligible (%d accesses proven device-clean, %d summary \
+             rounds)\n"
+            (label ^ ":") e.Eligibility.n_accesses e.Eligibility.rounds
+      | Eligibility.Ineligible ds ->
+          Printf.printf "  %-5s ineligible (%d diagnostic%s)\n" (label ^ ":")
+            (List.length ds)
+            (if List.length ds = 1 then "" else "s");
+          List.iter (fun d -> Printf.printf "        %s\n" d.Eligibility.d_message) ds)
+    row.elig
+
+let print_lint_table rows =
+  let t =
+    Rcoe_util.Table.create
+      ~headers:
+        [ "workload"; "verdict"; "counted verdict"; "warnings"; "infos";
+          "par-eligible" ]
+  in
+  List.iter
+    (fun row ->
+      let par =
+        List.filter_map
+          (fun (label, e) -> if Eligibility.eligible e then Some label else None)
+          row.elig
+      in
+      Rcoe_util.Table.add_row t
+        [
+          row.name;
+          verdict_str row.report;
+          verdict_str row.counted_report;
+          string_of_int (count Rcoe_isa.Lint.Warning row.report);
+          string_of_int (count Rcoe_isa.Lint.Info row.report);
+          (if par = [] then "-" else String.concat "," par);
+        ])
+    rows;
+  Rcoe_util.Table.print t
+
+(* One line per workload, no timing, fixed field order: the format the
+   checked-in @lint-sweep expectations file pins, so any verdict drift
+   — lint or eligibility — shows up as a diff. *)
+let print_sweep_line row =
+  Printf.printf "%s verdict=%s counted=%s warnings=%d infos=%d %s\n" row.name
+    (verdict_str row.report)
+    (verdict_str row.counted_report)
+    (count Rcoe_isa.Lint.Warning row.report)
+    (count Rcoe_isa.Lint.Info row.report)
+    (String.concat " "
+       (List.map
+          (fun (label, e) ->
+            Printf.sprintf "par.%s=%s" label
+              (if Eligibility.eligible e then "eligible"
+               else Printf.sprintf "ineligible:%d" (List.length (Eligibility.diags e))))
+          row.elig))
+
+(* Timing ([host_us]) is deliberately excluded: the JSON report, like
+   the sweep lines, is bit-reproducible for a given build. *)
+let json_of_row ~with_counted row =
+  let open Rcoe_obs.Json in
+  let addr = function Some a -> Int a | None -> Null in
+  let elig e =
+    Obj
+      [
+        ("eligible", Bool (Eligibility.eligible e));
+        ("accesses", Int e.Eligibility.n_accesses);
+        ("rounds", Int e.Eligibility.rounds);
+        ( "diagnostics",
+          List
+            (List.map
+               (fun d ->
+                 Obj
+                   [
+                     ("addr", addr d.Eligibility.d_addr);
+                     ("message", String d.Eligibility.d_message);
+                   ])
+               (Eligibility.diags e)) );
+      ]
+  in
+  Obj
+    ([
+       ("workload", String row.name);
+       ("branch_counted", Bool row.counted);
+       ("verdict", String (verdict_str row.report));
+       ( "findings",
+         List
+           (List.map
+              (fun f ->
+                Obj
+                  [
+                    ("addr", addr f.Rcoe_isa.Lint.f_addr);
+                    ("rule", String f.Rcoe_isa.Lint.f_rule);
+                    ( "severity",
+                      String
+                        (Rcoe_isa.Lint.severity_to_string
+                           f.Rcoe_isa.Lint.f_severity) );
+                    ("message", String f.Rcoe_isa.Lint.f_message);
+                  ])
+              row.report.Rcoe_isa.Lint.findings) );
+       ( "parallel_eligibility",
+         Obj (List.map (fun (label, e) -> (label, elig e)) row.elig) );
+     ]
+    @
+    if with_counted then [ ("counted_verdict", String (verdict_str row.counted_report)) ]
+    else [])
 
 let lint_cmd =
   let doc =
@@ -886,7 +932,7 @@ let lint_cmd =
      CC_required / Rejected) and parallel-engine eligibility"
   in
   let wl_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some (workload_conv lintable)) None
          & info [ "w"; "workload" ] ~doc:"workload name (default: all)")
   in
   let counted_arg =
@@ -906,257 +952,36 @@ let lint_cmd =
                    verdicts plus per-mode parallel-eligibility — the \
                    format the @lint-sweep expectations file pins")
   in
-  let verdict_str r =
-    Rcoe_isa.Lint.verdict_to_string r.Rcoe_isa.Lint.verdict
-  in
-  let count sev r =
-    List.length
-      (List.filter
-         (fun f -> f.Rcoe_isa.Lint.f_severity = sev)
-         r.Rcoe_isa.Lint.findings)
-  in
-  let json_of_finding f =
-    Rcoe_obs.Json.Obj
-      [
-        ( "addr",
-          match f.Rcoe_isa.Lint.f_addr with
-          | Some a -> Rcoe_obs.Json.Int a
-          | None -> Rcoe_obs.Json.Null );
-        ("rule", Rcoe_obs.Json.String f.Rcoe_isa.Lint.f_rule);
-        ( "severity",
-          Rcoe_obs.Json.String
-            (Rcoe_isa.Lint.severity_to_string f.Rcoe_isa.Lint.f_severity) );
-        ("message", Rcoe_obs.Json.String f.Rcoe_isa.Lint.f_message);
-      ]
-  in
-  (* Timing ([host_us]) is deliberately excluded: the JSON report, like
-     the sweep lines, is bit-reproducible for a given build. *)
-  let json_of_elig e =
-    Rcoe_obs.Json.Obj
-      [
-        ("eligible", Rcoe_obs.Json.Bool (Eligibility.eligible e));
-        ("accesses", Rcoe_obs.Json.Int e.Eligibility.n_accesses);
-        ("rounds", Rcoe_obs.Json.Int e.Eligibility.rounds);
-        ( "diagnostics",
-          Rcoe_obs.Json.List
-            (List.map
-               (fun d ->
-                 Rcoe_obs.Json.Obj
-                   [
-                     ( "addr",
-                       match d.Eligibility.d_addr with
-                       | Some a -> Rcoe_obs.Json.Int a
-                       | None -> Rcoe_obs.Json.Null );
-                     ("message", Rcoe_obs.Json.String d.Eligibility.d_message);
-                   ])
-               (Eligibility.diags e)) );
-      ]
-  in
-  let json_of_workload name counted =
-    let program = lintable_program name ~branch_count:counted in
-    let r = analyze_program program in
-    ( r,
-      Rcoe_obs.Json.Obj
-        [
-          ("workload", Rcoe_obs.Json.String name);
-          ("branch_counted", Rcoe_obs.Json.Bool counted);
-          ("verdict", Rcoe_obs.Json.String (verdict_str r));
-          ( "findings",
-            Rcoe_obs.Json.List
-              (List.map json_of_finding r.Rcoe_isa.Lint.findings) );
-          ( "parallel_eligibility",
-            Rcoe_obs.Json.Obj
-              (List.map
-                 (fun (label, mode) ->
-                   (label, json_of_elig (eligibility_of program mode)))
-                 elig_modes) );
-        ] )
-  in
-  let elig_label e =
-    if Eligibility.eligible e then "eligible"
-    else
-      Printf.sprintf "ineligible:%d" (List.length (Eligibility.diags e))
-  in
-  let lint_one name counted =
-    let program = lintable_program name ~branch_count:counted in
-    let r = analyze_program program in
-    Printf.printf "%s%s: %s\n" name
-      (if counted then " (branch-counted)" else "")
-      (verdict_str r);
-    let roots = r.Rcoe_isa.Lint.cfg.Rcoe_isa.Cfg.roots in
-    Printf.printf "thread roots: %s\n\n"
-      (String.concat ", "
-         (List.map
-            (fun (a, m) ->
-              Printf.sprintf "%d (x%s)" a
-                (if m >= 2 then "2+" else string_of_int m))
-            roots));
-    (match r.Rcoe_isa.Lint.findings with
-    | [] -> print_endline "no findings"
-    | fs ->
-        let t =
-          Rcoe_util.Table.create
-            ~headers:[ "addr"; "severity"; "rule"; "finding" ]
-        in
-        List.iter
-          (fun f ->
-            Rcoe_util.Table.add_row t
-              [
-                (match f.Rcoe_isa.Lint.f_addr with
-                | Some a -> string_of_int a
-                | None -> "-");
-                Rcoe_isa.Lint.severity_to_string f.Rcoe_isa.Lint.f_severity;
-                f.Rcoe_isa.Lint.f_rule;
-                f.Rcoe_isa.Lint.f_message;
-              ])
-          fs;
-        Rcoe_util.Table.print t);
-    print_newline ();
-    print_endline "parallel eligibility (as a networked guest):";
-    List.iter
-      (fun (label, mode) ->
-        let e = eligibility_of program mode in
-        (match e.Eligibility.verdict with
-        | Eligibility.Eligible ->
-            Printf.printf
-              "  %-5s eligible (%d accesses proven device-clean, %d summary \
-               rounds)\n"
-              (label ^ ":") e.Eligibility.n_accesses e.Eligibility.rounds
-        | Eligibility.Ineligible ds ->
-            Printf.printf "  %-5s ineligible (%d diagnostic%s)\n" (label ^ ":")
-              (List.length ds)
-              (if List.length ds = 1 then "" else "s");
-            List.iter
-              (fun d -> Printf.printf "        %s\n" d.Eligibility.d_message)
-              ds))
-      elig_modes;
-    r.Rcoe_isa.Lint.verdict <> Rcoe_isa.Lint.Rejected
-  in
-  let lint_all () =
-    let t =
-      Rcoe_util.Table.create
-        ~headers:
-          [ "workload"; "verdict"; "counted verdict"; "warnings"; "infos";
-            "par-eligible" ]
-    in
-    let ok = ref true in
-    List.iter
-      (fun name ->
-        let program = lintable_program name ~branch_count:false in
-        let plain = analyze_program program in
-        let counted = analyze_program (lintable_program name ~branch_count:true) in
-        if
-          plain.Rcoe_isa.Lint.verdict = Rcoe_isa.Lint.Rejected
-          || counted.Rcoe_isa.Lint.verdict = Rcoe_isa.Lint.Rejected
-        then ok := false;
-        let par =
-          List.filter_map
-            (fun (label, mode) ->
-              if Eligibility.eligible (eligibility_of program mode) then
-                Some label
-              else None)
-            elig_modes
-        in
-        Rcoe_util.Table.add_row t
-          [
-            name;
-            verdict_str plain;
-            verdict_str counted;
-            string_of_int (count Rcoe_isa.Lint.Warning plain);
-            string_of_int (count Rcoe_isa.Lint.Info plain);
-            (if par = [] then "-" else String.concat "," par);
-          ])
-      lintable_names;
-    Rcoe_util.Table.print t;
-    !ok
-  in
-  (* One line per workload, no timing, fixed field order: the format the
-     checked-in @lint-sweep expectations file pins, so any verdict drift
-     — lint or eligibility — shows up as a diff. *)
-  let lint_sweep () =
-    let ok = ref true in
-    List.iter
-      (fun name ->
-        let program = lintable_program name ~branch_count:false in
-        let plain = analyze_program program in
-        let counted = analyze_program (lintable_program name ~branch_count:true) in
-        if
-          plain.Rcoe_isa.Lint.verdict = Rcoe_isa.Lint.Rejected
-          || counted.Rcoe_isa.Lint.verdict = Rcoe_isa.Lint.Rejected
-        then ok := false;
-        Printf.printf "%s verdict=%s counted=%s warnings=%d infos=%d %s\n" name
-          (verdict_str plain) (verdict_str counted)
-          (count Rcoe_isa.Lint.Warning plain)
-          (count Rcoe_isa.Lint.Info plain)
-          (String.concat " "
-             (List.map
-                (fun (label, mode) ->
-                  Printf.sprintf "par.%s=%s" label
-                    (elig_label (eligibility_of program mode)))
-                elig_modes));
-        (* The KV guest is the one workload whose footprint is
-           configuration-dependent: the analyzer models the get_info
-           ingress flag, so the checksum loop (and its MMIO reads) only
-           exists in checked configurations. Pin that verdict too. *)
-        if String.equal name "kvstore" then
-          Printf.printf
-            "%s+ingress verdict=%s counted=%s warnings=%d infos=%d %s\n" name
-            (verdict_str plain) (verdict_str counted)
-            (count Rcoe_isa.Lint.Warning plain)
-            (count Rcoe_isa.Lint.Info plain)
-            (String.concat " "
-               (List.map
-                  (fun (label, mode) ->
-                    Printf.sprintf "par.%s=%s" label
-                      (elig_label
-                         (eligibility_of ~ingress_check:true program mode)))
-                  elig_modes)))
-      lintable_names;
-    !ok
-  in
-  let lint_json wl counted =
-    match wl with
-    | Some name ->
-        let r, j = json_of_workload name counted in
-        print_endline (Rcoe_obs.Json.to_string j);
-        r.Rcoe_isa.Lint.verdict <> Rcoe_isa.Lint.Rejected
-    | None ->
-        let ok = ref true in
-        let js =
-          List.map
-            (fun name ->
-              let r, j = json_of_workload name false in
-              let counted =
-                analyze_program (lintable_program name ~branch_count:true)
-              in
-              if
-                r.Rcoe_isa.Lint.verdict = Rcoe_isa.Lint.Rejected
-                || counted.Rcoe_isa.Lint.verdict = Rcoe_isa.Lint.Rejected
-              then ok := false;
-              match j with
-              | Rcoe_obs.Json.Obj fields ->
-                  Rcoe_obs.Json.Obj
-                    (fields
-                    @ [
-                        ( "counted_verdict",
-                          Rcoe_obs.Json.String (verdict_str counted) );
-                      ])
-              | other -> other)
-            lintable_names
-        in
-        print_endline
-          (Rcoe_obs.Json.to_string
-             (Rcoe_obs.Json.Obj [ ("workloads", Rcoe_obs.Json.List js) ]));
-        !ok
-  in
   let run wl counted json sweep =
-    let ok =
-      if sweep then lint_sweep ()
-      else if json then lint_json wl counted
-      else
-        match wl with Some name -> lint_one name counted | None -> lint_all ()
+    let all () = List.map (fun (name, _) -> lint_row name) lintable in
+    let print_json j = print_endline (Rcoe_obs.Json.to_string j) in
+    let rows =
+      match wl with
+      | _ when sweep ->
+          let rows = all () @ [ lint_row ~ingress_check:true "kvstore" ] in
+          List.iter print_sweep_line rows;
+          rows
+      | Some name ->
+          let row = lint_row ~counted name in
+          if json then print_json (json_of_row ~with_counted:false row)
+          else print_lint_detail row;
+          [ row ]
+      | None ->
+          let rows = all () in
+          if json then
+            print_json
+              (Rcoe_obs.Json.Obj
+                 [
+                   ( "workloads",
+                     Rcoe_obs.Json.List
+                       (List.map (json_of_row ~with_counted:true) rows) );
+                 ])
+          else print_lint_table rows;
+          rows
     in
-    if not ok then exit 1
+    let rejected r = r.Rcoe_isa.Lint.verdict = Rcoe_isa.Lint.Rejected in
+    if List.exists (fun row -> rejected row.report || rejected row.counted_report) rows
+    then exit 1
   in
   Cmd.v (Cmd.info "lint" ~doc)
     Term.(const run $ wl_arg $ counted_arg $ json_arg $ sweep_arg)
@@ -1167,5 +992,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; run_cmd; kv_cmd; serve_cmd; trace_cmd; recover_cmd; disasm_cmd;
-            lint_cmd ]))
+          [ list_cmd; run_cmd; serve_cmd; recover_cmd; disasm_cmd; lint_cmd ]))

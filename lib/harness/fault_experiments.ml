@@ -553,13 +553,22 @@ let recovery_table ?(trials = 12) () =
           "mean-recovery-cyc";
         ]
   in
-  let uncontrolled_total = ref 0 in
-  let row label ~checkpointing ~fault =
+  let uncontrolled_total = ref 0 and unrecovered = ref 0 in
+  (* [must_recover]: every trial must end Recovered, and one that does
+     not counts against the CI gate. The transient replay rows demand
+     it — a fail-stop would be controlled but defeats replay's point.
+     The persistent replay row must fail-stop: a second verdict against
+     the same re-executed chunk escalates past the lone chunk-start
+     snapshot (the fault is deterministic under replay, so retrying
+     cannot help) and halts with the ring empty. *)
+  let row ?(must_recover = false) label trial ~fault =
     let tally = Outcome.tally_create () in
     let rollbacks = ref 0 and ckpts = ref 0 and lats = ref [] in
     for seed = 1 to trials do
-      let outcome, rb, ck, ls = recovery_trial ~checkpointing ~fault ~seed () in
+      let outcome, rb, ck, ls = trial ~fault ~seed () in
       Outcome.tally_add tally outcome;
+      if must_recover && outcome <> Outcome.Recovered then
+        incr unrecovered;
       rollbacks := !rollbacks + rb;
       ckpts := !ckpts + ck;
       lats := ls @ !lats
@@ -582,65 +591,28 @@ let recovery_table ?(trials = 12) () =
         | ls -> Printf.sprintf "%.0f" (Rcoe_util.Stats.mean ls));
       ]
   in
-  (* Replay-detection rows ride the same campaign: the transient rows
-     must be 100% Recovered (a fail-stop would be controlled but
-     defeats replay's point — count it against the CI gate), the
-     persistent row must fail-stop: a second verdict against the same
-     re-executed chunk escalates past the lone chunk-start snapshot
-     (the fault is deterministic under replay, so retrying cannot
-     help) and halts with the ring empty. *)
-  let replay_failures = ref 0 in
-  let replay_row label ~exec_backend ~fault =
-    let tally = Outcome.tally_create () in
-    let rollbacks = ref 0 and ckpts = ref 0 and lats = ref [] in
-    for seed = 1 to trials do
-      let outcome, rb, ck, ls =
-        replay_recovery_trial ~exec_backend ~fault ~seed ()
-      in
-      Outcome.tally_add tally outcome;
-      if fault = `Transient && outcome <> Outcome.Recovered then
-        incr replay_failures;
-      rollbacks := !rollbacks + rb;
-      ckpts := !ckpts + ck;
-      lats := ls @ !lats
-    done;
-    uncontrolled_total :=
-      !uncontrolled_total + Outcome.tally_uncontrolled tally;
-    let open Outcome in
-    Table.add_row tbl
-      [
-        label;
-        (match fault with
-        | `Transient -> "transient"
-        | `Persistent -> "persistent");
-        string_of_int trials;
-        string_of_int (tally_get tally Recovered);
-        string_of_int (tally_get tally Signature_mismatch);
-        string_of_int (tally_get tally No_error);
-        string_of_int (tally_uncontrolled tally);
-        string_of_int !ckpts;
-        string_of_int !rollbacks;
-        (match !lats with
-        | [] -> "n/a"
-        | ls -> Printf.sprintf "%.0f" (Rcoe_util.Stats.mean ls));
-      ]
+  let lockstep checkpointing ~fault ~seed () =
+    recovery_trial ~checkpointing ~fault ~seed ()
   in
-  row "CC-D halt" ~checkpointing:false ~fault:`Transient;
-  row "CC-D rollback" ~checkpointing:true ~fault:`Transient;
-  row "CC-D rollback" ~checkpointing:true ~fault:`Persistent;
-  replay_row "Replay interp" ~exec_backend:Config.Interp ~fault:`Transient;
-  replay_row "Replay blocks" ~exec_backend:Config.Blocks ~fault:`Transient;
-  replay_row "Replay interp" ~exec_backend:Config.Interp ~fault:`Persistent;
+  let replay exec_backend ~fault ~seed () =
+    replay_recovery_trial ~exec_backend ~fault ~seed ()
+  in
+  row "CC-D halt" (lockstep false) ~fault:`Transient;
+  row "CC-D rollback" (lockstep true) ~fault:`Transient;
+  row "CC-D rollback" (lockstep true) ~fault:`Persistent;
+  row "Replay interp" (replay Config.Interp) ~must_recover:true ~fault:`Transient;
+  row "Replay blocks" (replay Config.Blocks) ~must_recover:true ~fault:`Transient;
+  row "Replay interp" (replay Config.Interp) ~fault:`Persistent;
   Table.print tbl;
-  if !replay_failures > 0 then
+  if !unrecovered > 0 then
     Printf.printf
-      "REPLAY: %d transient trial(s) did not end Recovered\n" !replay_failures;
+      "REPLAY: %d transient trial(s) did not end Recovered\n" !unrecovered;
   Printf.printf
     "(recovery latency = re-execution distance back to the detection \
      point plus the restore stall; replay rows recover an unreplicated \
      primary from chunk-start checkpoints after an asynchronous checker \
      verdict; scaled trial counts as in EXPERIMENTS.md)\n%!";
-  !uncontrolled_total + !replay_failures
+  !uncontrolled_total + !unrecovered
 
 (* -------------------------------------------- DMA ingress campaign -- *)
 

@@ -426,8 +426,6 @@ let fig4 () =
   in
   let records = 120 and operations = 2_400 in
   let injected = ref false in
-  let windows = ref [] in
-  let last_mark = ref (0, 0) in
   let inject sys =
     if (not !injected) && System.tick_count sys > 40 then begin
       injected := true;
@@ -438,17 +436,10 @@ let fig4 () =
         ~bit:7
     end
   in
-  (* Sample throughput in windows by wrapping the ycsb counters through
-     periodic probes: Kv_run does not expose mid-run samples, so we use
-     its inject hook to record (cycle, completed-so-far through tx count)
-     indirectly via netdev drains — instead we simply record downgrade
-     events and overall before/after throughput. *)
   let res =
     Kv_run.run ~config ~workload:Ycsb.A ~records ~operations ~inject
       ~window:4 ()
   in
-  ignore !windows;
-  ignore !last_mark;
   let sys = res.Kv_run.sys in
   Printf.printf "completed %d ops at %.1f kops/s overall\n"
     res.Kv_run.ops_completed res.Kv_run.kops_per_sec;
