@@ -338,8 +338,13 @@ let run_cmd =
     let arch = config.Config.arch in
     let program = program_of wl ~branch_count:(Wl.branch_count_for arch) in
     let config = apply_engine ~program ~parallel config in
-    let r = Runner.run_program ~config ~program () in
-    let sys = r.Runner.sys in
+    let sys =
+      match System.create_result ~config ~program with
+      | Ok sys -> sys
+      | Error reason -> fail "config" ("rejected: " ^ reason)
+    in
+    System.run sys ~max_cycles:200_000_000;
+    let cycles = System.now sys in
     List.iter
       (fun w -> Printf.printf "lint:       warning: %s\n" w)
       (System.lint_warnings sys);
@@ -360,12 +365,12 @@ let run_cmd =
     Printf.printf "engine:     %s, %s backend\n"
       (Config.engine_to_string config.Config.engine)
       (Config.exec_backend_to_string config.Config.exec_backend);
-    Printf.printf "finished:   %b\n" r.Runner.finished;
-    (match r.Runner.halted with
+    Printf.printf "finished:   %b\n" (System.finished sys);
+    (match System.halted sys with
     | Some h -> Printf.printf "halted:     %s\n" (System.halt_reason_to_string h)
     | None -> ());
-    Printf.printf "cycles:     %d (%.1f us at %d MHz)\n" r.Runner.cycles
-      (Rcoe_machine.Arch.cycles_to_us profile r.Runner.cycles)
+    Printf.printf "cycles:     %d (%.1f us at %d MHz)\n" cycles
+      (Rcoe_machine.Arch.cycles_to_us profile cycles)
       profile.Rcoe_machine.Arch.freq_mhz;
     let c = System.counter sys in
     Printf.printf

@@ -1,13 +1,15 @@
 (** Load-serving harness: drives the replicated KV server like a
     production service and measures it per request.
 
-    Wraps the closed-loop window driver of {!Kv_run} with request-level
-    observability ({!Rcoe_obs.Reqtrace} wired into the NIC's packet
-    observers), an outcome log for cross-engine determinism checks, an
-    open-loop fixed-rate arrival mode paced by the device clock, and a
-    fault-campaign mode that injects a signature flip mid-run and
-    measures per-request detection latency and recovery stalls through
-    the checkpoint/rollback machinery.
+    Runs the system in fixed chunks of simulated cycles
+    ({!Rcoe_core.System.run}), injecting requests and collecting
+    responses at each chunk boundary, with request-level observability
+    ({!Rcoe_obs.Reqtrace} wired into the NIC's packet observers), an
+    outcome log for cross-engine determinism checks, a closed-loop
+    window or an open-loop fixed-rate arrival mode paced by the device
+    clock, and a fault-campaign mode that injects a signature flip
+    mid-run and measures per-request detection latency and recovery
+    stalls through the checkpoint/rollback machinery.
 
     The YCSB load phase (one PUT per record) always runs closed-loop;
     the configured pacing applies to the operation mix that follows. *)

@@ -450,26 +450,43 @@ let invalidate_all t =
 
 (* --- stepping ----------------------------------------------------------- *)
 
+(* [Core.flush_bus_wait] for a burst: move the caller's trace clock to
+   burst cycle [k] first. The guard only skips calls that would be
+   no-ops ([flush_bus_wait] itself starts with the same test). *)
+let flush_at c env ~at k =
+  if c.Core.bus_wait > 0 then begin
+    at k;
+    Core.flush_bus_wait c env
+  end
+
 (* Batched stepping for the run loop's burst fast paths ([Window.burst]
    and [Window.job]). Runs up to [fuel] cycles in one tight loop,
    absorbing [Ran]/[Stalled] results internally and returning at the
-   first event (or when the fuel runs out). Each iteration first
-   refills every lane in [buses] — exactly the bus work [Machine.tick]
-   performs on a device-free machine — so bus-credit state interleaves
-   with memory accesses precisely as it would under per-cycle stepping;
-   the caller adds the consumed cycle count to [Machine.now] afterwards.
+   first event (or when the fuel runs out). Each cycle first refills
+   every lane in [buses] — exactly the bus work [Machine.tick] performs
+   on a device-free machine — so bus-credit state interleaves with
+   memory accesses precisely as it would under per-cycle stepping; the
+   caller adds the consumed cycle count to its clock afterwards.
+
+   A stalled cycle only refills the lanes and decrements [stall], so a
+   run of [k] stalled cycles is taken in one step: [Bus.advance] by [k]
+   and [stall - k]. Lanes are independent, so refilling each one [k]
+   times in turn equals [k] rounds over all of them.
+
+   The only trace event a burst can emit is the bus-stall span of
+   [Core.flush_bus_wait], stamped by the trace clock the caller owns.
+   [at k] runs just before each flush with the flushing cycle's offset
+   [k] (1 = the burst's first cycle), so the caller can move that clock
+   to the cycle per-cycle stepping would stamp.
 
    Preconditions (the caller's burst-eligibility check): the core is not
    halted, no breakpoint is armed ([bp = None], [bp_suppress] clear),
-   tracing is disabled (trace stamps read [Machine.now], which this loop
-   defers), and nothing outside the core — devices, IPIs, preemption
-   ticks — can intervene within [fuel] cycles. Under those conditions
-   the loop body below is [Core.step]'s shell with the loop-invariant
-   branches hoisted out, and a burst of [n] cycles is bit-identical to
-   [n] successive [Machine.tick] + [step] pairs. The [bus_wait > 0]
-   guard before [Core.flush_bus_wait] only skips calls that would be
-   no-ops ([flush_bus_wait] itself starts with the same test). *)
-let run t ~buses ~fuel =
+   and nothing outside the core — devices, IPIs, preemption ticks — can
+   intervene within [fuel] cycles. Under those conditions the loop body
+   below is [Core.step]'s shell with the loop-invariant branches hoisted
+   out, and a burst of [n] cycles is bit-identical to [n] successive
+   [Machine.tick] + [step] pairs. *)
+let run t ~buses ~fuel ~at =
   let c = t.bcore and env = t.benv in
   let code_len = Array.length t.ops in
   let nbus = Array.length buses in
@@ -477,12 +494,19 @@ let run t ~buses ~fuel =
   let ev = ref None in
   let running = ref true in
   while !running && !consumed < fuel do
-    for i = 0 to nbus - 1 do
-      Bus.tick (Array.unsafe_get buses i)
-    done;
-    incr consumed;
-    if c.Core.stall > 0 then c.Core.stall <- c.Core.stall - 1
+    if c.Core.stall > 0 then begin
+      let k = min c.Core.stall (fuel - !consumed) in
+      for i = 0 to nbus - 1 do
+        Bus.advance (Array.unsafe_get buses i) ~cycles:k
+      done;
+      consumed := !consumed + k;
+      c.Core.stall <- c.Core.stall - k
+    end
     else begin
+      for i = 0 to nbus - 1 do
+        Bus.tick (Array.unsafe_get buses i)
+      done;
+      incr consumed;
       let ip = c.Core.ip in
       if ip < 0 || ip >= code_len then begin
         ev := Some (Core.Ev_fault (Core.Bad_ip ip));
@@ -498,11 +522,11 @@ let run t ~buses ~fuel =
             running := false
         | exception Core.Bus_busy -> c.Core.bus_wait <- c.Core.bus_wait + 1
         | Some e ->
-            if c.Core.bus_wait > 0 then Core.flush_bus_wait c env;
+            flush_at c env ~at !consumed;
             ev := Some e;
             running := false
         | None ->
-            if c.Core.bus_wait > 0 then Core.flush_bus_wait c env;
+            flush_at c env ~at !consumed;
             if t.jitter_on && Rng.float c.Core.jitter 1.0 < t.jitter_p then
               c.Core.stall <- c.Core.stall + t.jitter_cycles
       end

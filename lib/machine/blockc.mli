@@ -79,32 +79,42 @@ val step : t -> Core.step_result
     stall/breakpoint/fault/event outcomes, same trace emissions, same
     RNG consumption. Lazily compiles the current page on first entry. *)
 
-val run : t -> buses:Bus.t array -> fuel:int -> int * Core.event option
-(** [run t ~buses ~fuel] executes up to [fuel] architectural cycles in
-    one call, for the engines' burst fast paths: each iteration refills
+val run :
+  t -> buses:Bus.t array -> fuel:int -> at:(int -> unit) ->
+  int * Core.event option
+(** [run t ~buses ~fuel ~at] executes up to [fuel] architectural cycles
+    in one call, for the engines' burst fast paths: each cycle refills
     every lane in [buses] and then performs one {!step}, absorbing
-    [Ran]/[Stalled] results and returning at the first event. Returns
-    the number of cycles consumed — including the cycle of a
-    terminating event — and that event, if any. [buses] are the bus
-    lanes the caller owns for this stretch: every lane of a machine
-    whose only running core is this one (the unreplicated burst of
+    [Ran]/[Stalled] results and returning at the first event. A run of
+    stalled cycles is taken in one step ({!Bus.advance}). Returns the
+    number of cycles consumed — including the cycle of a terminating
+    event — and that event, if any. [buses] are the bus lanes the
+    caller owns for this stretch: every lane of a machine whose only
+    running core is this one (the unreplicated burst of
     [Window.burst], which then adds the consumed count to
     [Machine.now]), or just this core's own lane inside an execution
     window, where each replica ticks its own lane and the window's
     retirement tops the others up.
 
+    The only trace event a burst emits is the bus-stall span of
+    {!Core.flush_bus_wait}. Its stamp reads the trace clock, which the
+    burst does not advance, so [at k] is called just before each such
+    flush with the flushing cycle's offset [k] ([1] is the burst's
+    first cycle); the caller sets its trace clock to that cycle.
+
     Preconditions, checked by the caller: the core is not halted, no
-    breakpoint is armed ([bp = None], [bp_suppress] clear), tracing is
-    disabled, and no device-visible activity (frame delivery, raised
-    IRQ line), IPI delivery or preemption tick can fall within [fuel]
-    cycles. Devices may exist: a per-cycle [dev_tick] over a quiescent
-    stretch only refreshes the device's cycle cache, so the caller
-    clips [fuel] strictly short of [Netdev.next_event] (a window ends
-    there instead) and runs [Machine.tick_devices] once after
-    accounting the consumed cycles, before dispatching a terminating
-    event whose handler may touch device registers. Under those conditions a burst of [n] cycles
-    is bit-identical to [n] successive lane refills + {!step} pairs —
-    the per-cycle checks it hoists are all loop-invariant. *)
+    breakpoint is armed ([bp = None], [bp_suppress] clear), and no
+    device-visible activity (frame delivery, raised IRQ line), IPI
+    delivery or preemption tick can fall within [fuel] cycles. Devices
+    may exist: a per-cycle [dev_tick] over a quiescent stretch only
+    refreshes the device's cycle cache, so the caller clips [fuel]
+    strictly short of [Netdev.next_event] (a window ends there
+    instead) and runs [Machine.tick_devices] once after accounting the
+    consumed cycles, before dispatching a terminating event whose
+    handler may touch device registers. Under those conditions a burst
+    of [n] cycles is bit-identical to [n] successive lane refills +
+    {!step} pairs, trace stamps included — the per-cycle checks it
+    hoists are all loop-invariant. *)
 
 val invalidate_addr : t -> int -> unit
 (** Drop the compiled page containing the given code address (no-op if

@@ -1,13 +1,22 @@
+(* Every field is a float, so OCaml stores the record flat and the
+   mutators below allocate nothing; [consumed] counts whole words,
+   which a float holds exactly. *)
 type t = {
   bus_rate : float;
   max_credit : float;
   mutable credit : float;
   mutable offered : float;
-  mutable consumed : int;
+  mutable consumed : float;
 }
 
 let create ~rate =
-  { bus_rate = rate; max_credit = 4.0; credit = 4.0; offered = 0.0; consumed = 0 }
+  {
+    bus_rate = rate;
+    max_credit = 4.0;
+    credit = 4.0;
+    offered = 0.0;
+    consumed = 0.0;
+  }
 
 let tick t =
   t.offered <- t.offered +. t.bus_rate;
@@ -17,32 +26,28 @@ let try_acquire t n =
   let need = float_of_int n in
   if t.credit >= need then begin
     t.credit <- t.credit -. need;
-    t.consumed <- t.consumed + n;
+    t.consumed <- t.consumed +. need;
     true
   end
   else false
 
 let advance t ~cycles =
-  (* Exactly [cycles] applications of [tick]: the parallel engine uses
-     this to bring a lane that stopped refilling mid-window (its replica
-     parked) up to the window boundary, and the result must be
-     bit-identical to the per-cycle refills of a sequential run —
-     floating-point addition is not associative, so no closed form. *)
+  (* Exactly [cycles] applications of [tick]: floating-point addition
+     is not associative, so no closed form is bit-identical to the
+     per-cycle refills. *)
   for _ = 1 to cycles do
     tick t
   done
 
 let rate t = t.bus_rate
 
-type state = { st_credit : float; st_offered : float; st_consumed : int }
+type state = t
 
-let state t =
-  { st_credit = t.credit; st_offered = t.offered; st_consumed = t.consumed }
+let state t = { t with credit = t.credit }
 
 let set_state t s =
-  t.credit <- s.st_credit;
-  t.offered <- s.st_offered;
-  t.consumed <- s.st_consumed
+  t.credit <- s.credit;
+  t.offered <- s.offered;
+  t.consumed <- s.consumed
 
-let utilisation t =
-  if t.offered <= 0.0 then 0.0 else float_of_int t.consumed /. t.offered
+let utilisation t = if t.offered <= 0.0 then 0.0 else t.consumed /. t.offered

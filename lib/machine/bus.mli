@@ -14,13 +14,15 @@ val create : rate:float -> t
     4 credits. *)
 
 val tick : t -> unit
-(** Advance one global cycle (refill credits). *)
+(** Advance one global cycle (refill credits). Neither [tick] nor
+    {!try_acquire} allocates. *)
 
 val advance : t -> cycles:int -> unit
-(** [advance t ~cycles] applies {!tick} exactly [cycles] times. Used by
-    the parallel engine to catch a per-core lane up to a window
-    boundary with bit-identical credit state to a sequential run (the
-    refill is floating-point, so a closed form would diverge). *)
+(** [advance t ~cycles] applies {!tick} exactly [cycles] times, with
+    credit state bit-identical to [cycles] per-cycle refills (the
+    refill is floating-point, so a closed form would diverge). A burst
+    takes a run of stalled cycles with it, and a window's retirement
+    tops every lane up to the window end. *)
 
 val try_acquire : t -> int -> bool
 (** [try_acquire t n] takes [n] credits if available. *)
@@ -34,10 +36,10 @@ type state
 (** The lane's mutable credit/accounting state at a point in time. *)
 
 val state : t -> state
-(** Capture the lane's state. Replay checkers save this at a chunk cut:
-    credit refill is floating-point and path-dependent, so a shadow
-    machine must restart from the exact saved values to stay
-    cycle-identical with the primary. *)
+(** Capture the lane's state, a copy of the lane. Replay checkers save
+    this at a chunk cut: credit refill is floating-point and
+    path-dependent, so a shadow machine must restart from the exact
+    saved values to stay cycle-identical with the primary. *)
 
 val set_state : t -> state -> unit
 (** Restore a previously captured state. *)

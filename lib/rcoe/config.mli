@@ -21,10 +21,10 @@ type sync_level =
 type engine =
   | Sequential
       (** Step replicas round-robin on the calling domain. A replicated
-          run on [Blocks] that is untraced and eligible for [Parallel]
-          ({!parallel_ineligibility} = [None]) runs the same execution
-          windows as [Parallel], each replica's window inline in turn;
-          every other run steps cycle by cycle. *)
+          run on [Blocks] that is eligible for [Parallel]
+          ({!parallel_ineligibility} = [None]), traced or not, runs the
+          same execution windows as [Parallel], each replica's window
+          inline in turn; every other run steps cycle by cycle. *)
   | Parallel
       (** Step each live replica's partition on its own [Domain.t]
           between sync points; barriers, voting, IPIs, and all shared
@@ -45,8 +45,8 @@ type exec_backend =
   | Interp  (** Decode every instruction on every cycle ([Core.step]). *)
   | Blocks
       (** Pre-decode each code page once into closures with operands
-          resolved; invalidated on self-modifying patches. An untraced
-          run also bursts through stretches of cycles without the
+          resolved; invalidated on self-modifying patches. A run, traced
+          or not, also bursts through stretches of cycles without the
           per-cycle engine shell: an unreplicated run between ticks, a
           replicated run eligible for [Parallel] between core events
           inside execution windows, on either engine. *)

@@ -162,7 +162,8 @@ let shadow_config cfg =
 (* Shadow systems are created lazily (program lint and layout make
    creation too costly per chunk) and pooled: at most
    [replay_checkers] ever exist, each used by one checker domain at a
-   time. *)
+   time. A shadow differs from the admitted primary only in detection,
+   trace and engine, so its own admission cannot fail. *)
 let get_shadow t rp =
   match rp.rp_shadows with
   | s :: rest ->
@@ -171,9 +172,12 @@ let get_shadow t rp =
   | [] ->
       if rp.rp_shadows_made < t.cfg.Config.replay_checkers then begin
         rp.rp_shadows_made <- rp.rp_shadows_made + 1;
-        Some
-          (create ~config:(shadow_config t.cfg)
-             ~program:(Kernel.program t.replicas.(0).kern))
+        match
+          create_result ~config:(shadow_config t.cfg)
+            ~program:(Kernel.program t.replicas.(0).kern)
+        with
+        | Ok shadow -> Some shadow
+        | Error msg -> invalid_arg ("Engine_replay: shadow refused: " ^ msg)
       end
       else None
 

@@ -514,23 +514,21 @@ let map_windows t k ~primary =
 
 let check_program cfg (program : Rcoe_isa.Program.t) =
   let profile = Arch.profile_of cfg.Config.arch in
-  if cfg.Config.mode = Config.CC then begin
-    (match Rcoe_isa.Lint.exclusives program with
-    | [] -> ()
+  if cfg.Config.mode <> Config.CC then Ok ()
+  else
+    match Rcoe_isa.Lint.exclusives program with
     | (addr, i) :: _ ->
-        invalid_arg
+        Error
           (Printf.sprintf
-             "System.create: CC-RCoE forbids exclusives (use Sys_atomic): %s \
-              at %d"
-             (Rcoe_isa.Instr.to_string i) addr));
-    if
-      profile.Arch.count_mode = Arch.Compiler_assisted
-      && not program.Rcoe_isa.Program.branch_counted
-    then
-      invalid_arg
-        "System.create: compiler-assisted CC-RCoE requires a branch-counted \
-         program (assemble with ~branch_count:true)"
-  end
+             "CC-RCoE forbids exclusives (use Sys_atomic): %s at %d"
+             (Rcoe_isa.Instr.to_string i) addr)
+    | []
+      when profile.Arch.count_mode = Arch.Compiler_assisted
+           && not program.Rcoe_isa.Program.branch_counted ->
+        Error
+          "compiler-assisted CC-RCoE requires a branch-counted program \
+           (assemble with ~branch_count:true)"
+    | [] -> Ok ()
 
 (* The static analyzer runs on every program; its report is kept on the
    system for callers. Under [strict_lint] a rejected program — or a
@@ -542,64 +540,31 @@ let lint_program cfg (program : Rcoe_isa.Program.t) =
       ~exit_syscalls:[ Syscall.sys_exit ]
       ~spawn_syscall:Syscall.sys_spawn program
   in
-  if cfg.Config.strict_lint then begin
-    let first_error () =
-      match
-        List.find_opt
-          (fun f -> f.Rcoe_isa.Lint.f_severity = Rcoe_isa.Lint.Error)
-          lint.Rcoe_isa.Lint.findings
-      with
-      | Some f -> f.Rcoe_isa.Lint.f_message
-      | None -> "rejected"
-    in
-    match lint.Rcoe_isa.Lint.verdict with
-    | Rcoe_isa.Lint.Rejected ->
-        invalid_arg
-          (Printf.sprintf "System.create: %s rejected by the static \
-                           analyzer: %s"
-             program.Rcoe_isa.Program.name (first_error ()))
-    | Rcoe_isa.Lint.CC_required when cfg.Config.mode = Config.LC ->
-        invalid_arg
-          (Printf.sprintf
-             "System.create: %s has unprotected shared-memory races and \
-              requires closely-coupled execution; LC replicas may \
-              silently diverge"
-             program.Rcoe_isa.Program.name)
-    | Rcoe_isa.Lint.CC_required | Rcoe_isa.Lint.LC_safe -> ()
-  end;
-  lint
+  let first_error () =
+    match
+      List.find_opt
+        (fun f -> f.Rcoe_isa.Lint.f_severity = Rcoe_isa.Lint.Error)
+        lint.Rcoe_isa.Lint.findings
+    with
+    | Some f -> f.Rcoe_isa.Lint.f_message
+    | None -> "rejected"
+  in
+  match lint.Rcoe_isa.Lint.verdict with
+  | Rcoe_isa.Lint.Rejected when cfg.Config.strict_lint ->
+      Error
+        (Printf.sprintf "%s rejected by the static analyzer: %s"
+           program.Rcoe_isa.Program.name (first_error ()))
+  | Rcoe_isa.Lint.CC_required
+    when cfg.Config.strict_lint && cfg.Config.mode = Config.LC ->
+      Error
+        (Printf.sprintf
+           "%s has unprotected shared-memory races and requires \
+            closely-coupled execution; LC replicas may silently diverge"
+           program.Rcoe_isa.Program.name)
+  | _ -> Ok lint
 
-let create ~config:cfg ~program =
-  (* Networked configurations get the footprint analyzer's per-workload
-     verdict up front — on both engines, so the metrics registered below
-     (and hence the bit-for-bit Seq/Par identity over metric names and
-     counter values) do not depend on the engine. The verdict feeds
-     [Config.validate ~net_ok]: a proof that all device-ring accesses
-     stay inside the kernel-serialised syscall paths lifts the blanket
-     with_net rejection for the parallel engine. *)
-  let elig =
-    if cfg.Config.with_net then Some (Eligibility.check ~config:cfg ~program)
-    else None
-  in
-  let net_ok =
-    match elig with Some e -> Eligibility.eligible e | None -> false
-  in
-  (match Config.validate ~net_ok cfg with
-  | Ok () -> ()
-  | Error msg ->
-      let msg =
-        (* When the one failing check is net eligibility, attach the
-           analyzer's instruction-address provenance. *)
-        match elig with
-        | Some e
-          when (not (Eligibility.eligible e))
-               && Config.validate ~net_ok:true cfg = Ok () ->
-            msg ^ "; analyzer verdict: " ^ Eligibility.describe e
-        | _ -> msg
-      in
-      invalid_arg ("System.create: " ^ msg));
-  check_program cfg program;
-  let lint = lint_program cfg program in
+(* The system [create_result] admits. *)
+let build cfg program ~elig ~lint =
   let profile = Arch.profile_of cfg.Config.arch in
   let lay =
     Layout.compute ~nreplicas:cfg.Config.nreplicas
@@ -786,6 +751,42 @@ let create ~config:cfg ~program =
     replicas;
   Machine.route_irqs_to mach t.prim;
   t
+
+(* Every refusal of [create], as a reason: an invalid configuration, a
+   program the configuration cannot run, or one [strict_lint] refuses. *)
+let create_result ~config:cfg ~program =
+  (* Networked configurations get the footprint analyzer's per-workload
+     verdict up front — on both engines, so the metrics registered below
+     (and hence the bit-for-bit Seq/Par identity over metric names and
+     counter values) do not depend on the engine. The verdict feeds
+     [Config.validate ~net_ok]: a proof that all device-ring accesses
+     stay inside the kernel-serialised syscall paths lifts the blanket
+     with_net rejection for the parallel engine. *)
+  let elig =
+    if cfg.Config.with_net then Some (Eligibility.check ~config:cfg ~program)
+    else None
+  in
+  let net_ok =
+    match elig with Some e -> Eligibility.eligible e | None -> false
+  in
+  match Config.validate ~net_ok cfg with
+  | Error msg ->
+      (* When the one failing check is net eligibility, attach the
+         analyzer's instruction-address provenance. *)
+      Error
+        (match elig with
+        | Some e
+          when (not (Eligibility.eligible e))
+               && Config.validate ~net_ok:true cfg = Ok () ->
+            msg ^ "; analyzer verdict: " ^ Eligibility.describe e
+        | _ -> msg)
+  | Ok () -> (
+      match check_program cfg program with
+      | Error msg -> Error msg
+      | Ok () -> (
+          match lint_program cfg program with
+          | Error msg -> Error msg
+          | Ok lint -> Ok (build cfg program ~elig ~lint)))
 
 (* ---------------------------------------------------------------------- *)
 (* FT operations                                                           *)

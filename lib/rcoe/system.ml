@@ -9,10 +9,17 @@
 
 include Sched
 
+let create_result ~config ~program =
+  match Sched.create_result ~config ~program with
+  | Ok t ->
+      if config.Config.detection = Config.Replay then Engine_replay.setup t;
+      Ok t
+  | Error msg -> Error msg
+
 let create ~config ~program =
-  let t = Sched.create ~config ~program in
-  if config.Config.detection = Config.Replay then Engine_replay.setup t;
-  t
+  match create_result ~config ~program with
+  | Ok t -> t
+  | Error msg -> invalid_arg ("System.create: " ^ msg)
 
 let run ?stop t ~max_cycles =
   let cfg = config t in

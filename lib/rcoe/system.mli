@@ -56,7 +56,8 @@ type event_kind =
 
 type t
 
-val create : config:Config.t -> program:Rcoe_isa.Program.t -> t
+val create_result :
+  config:Config.t -> program:Rcoe_isa.Program.t -> (t, string) result
 (** Validates the configuration and program compatibility (CC forbids
     exclusives; compiler-assisted profiles require a branch-counted
     program), runs the static analyzer ({!Rcoe_isa.Lint.analyze}),
@@ -65,12 +66,16 @@ val create : config:Config.t -> program:Rcoe_isa.Program.t -> t
     program's main thread everywhere. Networked configurations
     additionally run the footprint analyzer ({!Eligibility.check});
     its verdict decides whether [with_net] may use the parallel engine.
-    Raises [Invalid_argument] on an invalid configuration — including,
+    Returns [Error reason] for an invalid configuration — including,
     when {!Config.strict_lint} is set, a lint-rejected program or a racy
     ({!Rcoe_isa.Lint.CC_required}) program under LC coupling, and, for
     [engine = Parallel] with [with_net], a program whose footprint the
     analyzer could not prove free of raw device-ring accesses (the
-    message carries the per-instruction provenance). *)
+    reason carries the per-instruction provenance). *)
+
+val create : config:Config.t -> program:Rcoe_isa.Program.t -> t
+(** {!create_result}, raising [Invalid_argument "System.create: reason"]
+    on [Error reason]. *)
 
 val lint_report : t -> Rcoe_isa.Lint.report
 (** The static-analysis report computed at [create] time. *)
@@ -121,9 +126,9 @@ val run : ?stop:(t -> bool) -> t -> max_cycles:int -> unit
     Dispatches on {!Config.engine}:
 
     - [Sequential] steps every replica on the calling domain, one
-      simulated cycle at a time — the reference semantics. An untraced
-      replicated run on the [Blocks] backend that is eligible for
-      [Parallel] instead runs [Parallel]'s execution windows, each
+      simulated cycle at a time — the reference semantics. A replicated
+      run on the [Blocks] backend that is eligible for [Parallel],
+      traced or not, instead runs [Parallel]'s execution windows, each
       replica's window inline in turn and each replica bursting
       between core events; the result is bit-for-bit the same.
     - [Parallel] runs each live replica's between-sync-point stretch on

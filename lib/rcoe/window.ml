@@ -41,10 +41,12 @@
      are replayed by [retire] in (cycle, replica-id) order — exactly the
      order the per-cycle loop's rid-ordered stepping produces.
    - Between core events a job runs its replica through [Blockc.run] on
-     the replica's own bus lane, when the backend is [Blocks], tracing
-     is off and no breakpoint is armed: the per-cycle checks of [job]
-     are loop-invariant between events, so one burst of [n] cycles is
-     the same as [n] per-cycle iterations.
+     the replica's own bus lane, when the backend is [Blocks] and no
+     breakpoint is armed: the per-cycle checks of [job] are
+     loop-invariant between events, so one burst of [n] cycles is the
+     same as [n] per-cycle iterations. The one trace event a burst can
+     emit, a bus-stall span, reads the job's clock, which [Blockc.run]'s
+     [~at] moves to the flush cycle first.
 
    The window then "actually" ends at [w_actual], the cycle at which the
    per-cycle loop would next have run round-lifecycle code: the
@@ -78,9 +80,7 @@ let job t r w ~s ~cap =
   let lane = Machine.bus_lane t.mach ~core_id:r.rid in
   let lanes = [| lane |] in
   let core = Kernel.core r.kern in
-  (* [Blockc.run] defers trace stamps and skips the breakpoint check, so
-     a traced run keeps per-cycle stepping throughout. *)
-  let bc = if Trace.enabled t.trace then None else Kernel.block_cache r.kern in
+  let bc = Kernel.block_cache r.kern in
   (* A finish or fail-stop *during* cycle [c] ends the job's window at
      [c] — the per-cycle loop would have noticed it in the same
      iteration. *)
@@ -107,8 +107,12 @@ let job t r w ~s ~cap =
     else
       match bc with
       | Some bc when core.Core.bp = None && not core.Core.bp_suppress ->
-          let consumed, ev = Blockc.run bc ~buses:lanes ~fuel:(cap - !c + 1) in
-          let last = !c + consumed - 1 in
+          let first = !c in
+          let consumed, ev =
+            Blockc.run bc ~buses:lanes ~fuel:(cap - first + 1)
+              ~at:(fun k -> w.wv_now <- first + k - 1)
+          in
+          let last = first + consumed - 1 in
           w.wv_now <- last;
           w.w_ticked <- w.w_ticked + consumed;
           Option.iter
@@ -166,12 +170,13 @@ let horizon t ~s ~start ~max_cycles ~has_stop =
 (* Quiescent-burst fast path for an unreplicated run on the
    block-compiled backend. Such a machine spends almost every cycle in
    the same configuration: phase [Ph_idle], the one replica in [Rs_run]
-   with no breakpoint armed, no devices but the NIC, no IPI in flight,
-   tracing off. Every per-cycle check [classic_cycle] performs is
+   with no breakpoint armed, no devices but the NIC, no IPI in flight.
+   Every per-cycle check [classic_cycle] performs is
    loop-invariant across such a stretch, and [advance_phase] is a no-op
    on every cycle before the [horizon]. So [Blockc.run] burns up to the
    cycle before the horizon in a tight loop that refills the bus lanes
-   inline, and the elapsed time is accounted to [Machine.now]; the
+   inline, and the elapsed time is accounted to [Machine.now] — also
+   mid-burst, through [~at], before a bus-stall span reads it; the
    horizon cycle itself runs through [classic_cycle], whose
    [Machine.tick] delivers any device activity and whose
    [advance_phase] delivers the tick or IRQ on exactly the cycles
@@ -185,7 +190,6 @@ let burst t ~s ~start ~max_cycles ~has_stop =
   let cfg = t.cfg in
   cfg.Config.exec_backend = Config.Blocks
   && cfg.Config.mode = Config.Base
-  && cfg.Config.trace = None
   && Array.length t.mach.Machine.devices
      <= (match t.net with Some _ -> 1 | None -> 0)
   &&
@@ -202,7 +206,10 @@ let burst t ~s ~start ~max_cycles ~has_stop =
       let fuel = horizon t ~s ~start ~max_cycles ~has_stop - s - 1 in
       fuel > 0
       &&
-      let consumed, ev = Blockc.run bc ~buses:t.mach.Machine.buses ~fuel in
+      let consumed, ev =
+        Blockc.run bc ~buses:t.mach.Machine.buses ~fuel
+          ~at:(fun k -> t.mach.Machine.now <- s + k)
+      in
       t.mach.Machine.now <- s + consumed;
       (* Refresh the device clock before dispatching the event: a
          terminating syscall may read or write device registers, and
@@ -363,9 +370,9 @@ let retire t ~s ~cap =
   advance_phase t
 
 (* The jobs of a [Sequential] run, run inline in rid order, or [None]
-   when the run takes no windows: unreplicated runs burst instead, an
-   [Interp] run stays per-cycle as the oracle the windows are held equal
-   to, and a traced run would step per cycle inside its windows anyway. *)
+   when the run takes no windows: unreplicated runs burst instead, and
+   an [Interp] run stays per-cycle as the oracle the windows are held
+   equal to. *)
 let inline_jobs t =
   let cfg = t.cfg in
   let net_ok =
@@ -374,7 +381,6 @@ let inline_jobs t =
   if
     cfg.Config.mode <> Config.Base
     && cfg.Config.exec_backend = Config.Blocks
-    && cfg.Config.trace = None
     && Config.parallel_ineligibility ~net_ok cfg = None
   then
     Some

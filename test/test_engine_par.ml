@@ -5,8 +5,8 @@
    under fault injection with rollback recovery, and in Base mode.
    Traced rows compare the two engines on the interpreter; untraced
    rows hold the per-cycle oracle ([Interp], [Sequential]) equal to
-   the windowed burst path of the [Blocks] backend on both engines,
-   which only untraced replicated runs take. Also covers the
+   the windowed burst path of the [Blocks] backend on both engines
+   ([test_exec_blocks.ml] holds traced bursts to it). Also covers the
    [Rcoe_util.Barrier] primitive and the lint-style
    parallel-eligibility rejections. *)
 

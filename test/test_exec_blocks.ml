@@ -19,6 +19,7 @@ open Rcoe_workloads
 open Rcoe_harness
 module Trace = Rcoe_obs.Trace
 module Metrics = Rcoe_obs.Metrics
+module Reqtrace = Rcoe_obs.Reqtrace
 module Outcome = Rcoe_faults.Outcome
 
 let x86 = Arch.X86
@@ -146,6 +147,80 @@ let test_lockstep_oracle () =
       Alcotest.(check bool) "blocks discovered" true
         (st.Blockc.blocks_compiled >= 3)
 
+(* --- bursts against per-cycle steps, on one core -------------------------- *)
+
+let bus_stalls evs =
+  List.length
+    (List.filter
+       (fun e -> match e.Trace.body with Trace.Bus_stall _ -> true | _ -> false)
+       evs)
+
+(* One traced core on a starved bus lane, run twice: per cycle
+   ([Machine.tick] + [Kernel.step]) and in [Blockc.run] bursts cut at
+   an odd fuel, with [~at] moving the machine clock the way
+   [Window.burst] does. Bus-busy retries flush stall spans inside the
+   bursts and jitter stalls are skipped in one step, sometimes across a
+   fuel cut; clocks, core state and the trace must agree. An
+   unreplicated lane keeps the whole bus rate and never stalls under
+   the shipped profiles, so only this test reaches a flush from a
+   burst on the machine clock. *)
+let test_burst_vs_steps () =
+  let mk () =
+    let lay = Layout.compute ~nreplicas:1 ~user_words:16384 in
+    let trace = Trace.create { Trace.capacity = 1 lsl 16 } in
+    let machine =
+      Machine.create ~trace
+        ~profile:{ Arch.x86 with Arch.bus_rate = 0.1 }
+        ~mem_words:lay.Layout.total_words ~ncores:1 ~seed:5 ()
+    in
+    let k =
+      Kernel.create ~backend:Blockc.Blocks ~machine ~rid:0 ~core_id:0
+        ~layout:lay ~program:lockstep_program ~callbacks:null_callbacks ()
+    in
+    Kernel.setup_address_space k;
+    ignore (Kernel.spawn k ~entry:lockstep_program.Program.entry ~arg:0);
+    Kernel.start k;
+    (machine, k, trace)
+  in
+  (* [true] once the program exited. *)
+  let on_event k = function
+    | Core.Ev_syscall n when n = Syscall.sys_exit -> true
+    | Core.Ev_syscall n ->
+        ignore (Kernel.handle_syscall k n);
+        false
+    | _ -> Alcotest.fail "unexpected core event"
+  in
+  let ma, ka, ta = mk () and mb, kb, tb = mk () in
+  let exited = ref false in
+  while not !exited do
+    Machine.tick ma;
+    match Kernel.step ka with
+    | Core.Ran | Core.Stalled -> ()
+    | Core.Event ev -> exited := on_event ka ev
+  done;
+  let bc = Option.get (Kernel.block_cache kb) in
+  let exited = ref false in
+  while not !exited do
+    let s = mb.Machine.now in
+    let consumed, ev =
+      Blockc.run bc ~buses:mb.Machine.buses ~fuel:37
+        ~at:(fun k -> mb.Machine.now <- s + k)
+    in
+    mb.Machine.now <- s + consumed;
+    Option.iter (fun ev -> exited := on_event kb ev) ev
+  done;
+  Alcotest.(check int) "final cycle" ma.Machine.now mb.Machine.now;
+  check_cores_equal ~cycle:ma.Machine.now (Kernel.core ka) (Kernel.core kb);
+  Alcotest.(check string) "same console output"
+    (Buffer.contents (Kernel.output ka))
+    (Buffer.contents (Kernel.output kb));
+  let ea = Trace.events ta and eb = Trace.events tb in
+  let stalls = bus_stalls ea in
+  Alcotest.(check bool)
+    (Printf.sprintf "bus-stall spans flushed (%d)" stalls)
+    true (stalls >= 50);
+  Alcotest.(check bool) "same trace events" true (ea = eb)
+
 (* --- full-system sweep: LC/CC x DMR/TMR x Seq/Par ----------------------- *)
 
 let backend_cfg ?(traced = true) backend cfg =
@@ -232,7 +307,7 @@ let test_sweep_exercises_catchup () =
   Alcotest.(check bool) "single-step resumes on compiled blocks" true
     (count "catchup.single_steps" > 0)
 
-(* --- untraced: bursts inside execution windows --------------------------- *)
+(* --- bursts inside execution windows ------------------------------------ *)
 
 (* Share of the replicas' simulated cycles ([nreplicas] x final cycle)
    that ran inside [Blockc.run]. *)
@@ -246,44 +321,69 @@ let burst_share sys =
   done;
   float_of_int !burst /. float_of_int (n * System.now sys)
 
+(* Replicated runs on [Blocks] burst each replica from one core event
+   to the next inside execution windows, on both engines, traced or
+   not; each must equal the per-cycle interpreter oracle. The coverage
+   check guards against a precondition slip that silently drops back
+   to per-cycle stepping while every identity check stays green. *)
+let burst_row ~traced ~label ?program ~min_share cfg =
+  let oracle = run_sweep ~traced ?program cfg Config.Interp in
+  Alcotest.(check bool) (label ^ ": oracle run completed") true
+    (System.finished oracle || System.halted oracle <> None);
+  List.iter
+    (fun engine ->
+      let b =
+        run_sweep ~traced ?program { cfg with Config.engine } Config.Blocks
+      in
+      let tag = label ^ "/" ^ Config.engine_to_string engine in
+      Test_engine_par.check_identical ~label:tag oracle b;
+      let share = burst_share b in
+      if share < min_share then
+        Alcotest.failf "%s: bursts ran %.1f%% of replica cycles, want >= %.0f%%"
+          tag (100.0 *. share) (100.0 *. min_share))
+    [ Config.Sequential; Config.Parallel ];
+  oracle
+
+let whetstone () = Whetstone.program ~loops:100 ~branch_count:false ()
+let cc2 () = sweep_cfg ~mode:Config.CC ~nreplicas:2 ~engine:Config.Sequential
+
 let test_sweep_untraced () =
-  (* Untraced replicated runs on [Blocks] burst each replica from one
-     core event to the next inside execution windows, on both engines;
-     each must equal the per-cycle interpreter oracle. The coverage
-     check guards against a precondition slip that silently drops back
-     to per-cycle stepping while every identity check stays green. *)
-  let row ~label ?program ~min_share cfg =
-    let oracle = run_sweep ~traced:false ?program cfg Config.Interp in
-    Alcotest.(check bool) (label ^ ": oracle run completed") true
-      (System.finished oracle || System.halted oracle <> None);
-    List.iter
-      (fun engine ->
-        let b =
-          run_sweep ~traced:false ?program { cfg with Config.engine }
-            Config.Blocks
-        in
-        let tag = label ^ "/" ^ Config.engine_to_string engine in
-        Test_engine_par.check_identical ~label:tag oracle b;
-        let share = burst_share b in
-        if share < min_share then
-          Alcotest.failf "%s: bursts ran %.1f%% of replica cycles, want >= %.0f%%"
-            tag (100.0 *. share) (100.0 *. min_share))
-      [ Config.Sequential; Config.Parallel ]
-  in
-  let whetstone = Whetstone.program ~loops:100 ~branch_count:false () in
-  let cc2 = sweep_cfg ~mode:Config.CC ~nreplicas:2 ~engine:Config.Sequential in
-  row ~label:"CC-2 whetstone" ~program:whetstone ~min_share:0.7 cc2;
+  let row = burst_row ~traced:false in
+  ignore
+    (row ~label:"CC-2 whetstone" ~program:(whetstone ()) ~min_share:0.7
+       (cc2 ()));
   List.iter
     (fun (mode, n) ->
-      row
-        ~label:(Printf.sprintf "%s-%d" (Config.mode_to_string mode) n)
-        ~min_share:0.0
-        (sweep_cfg ~mode ~nreplicas:n ~engine:Config.Sequential))
-    [ (Config.LC, 2); (Config.LC, 3); (Config.CC, 3) ];
-  (* A traced run keeps per-cycle stepping throughout. *)
-  let traced = run_sweep ~program:whetstone cc2 Config.Blocks in
-  Alcotest.(check (float 0.0)) "traced CC-2 runs no burst" 0.0
-    (burst_share traced)
+      ignore
+        (row
+           ~label:(Printf.sprintf "%s-%d" (Config.mode_to_string mode) n)
+           ~min_share:0.0
+           (sweep_cfg ~mode ~nreplicas:n ~engine:Config.Sequential)))
+    [ (Config.LC, 2); (Config.LC, 3); (Config.CC, 3) ]
+
+let test_sweep_traced () =
+  (* A traced run bursts as far as an untraced one, and its trace is
+     the oracle's event for event. The only event a burst emits is a
+     bus-stall span, stamped at the cycle of its flush: x86 TMR lanes
+     refill at 2/3 word per cycle, so a memory-bound LC-3 run flushes
+     thousands of them from inside window bursts. *)
+  let row = burst_row ~traced:true in
+  ignore
+    (row ~label:"traced CC-2 whetstone" ~program:(whetstone ()) ~min_share:0.7
+       (cc2 ()));
+  let oracle =
+    row ~label:"traced LC-3 membw"
+      ~program:(Membw.program ~buffer_words:1024 ~reps:2 ~branch_count:false ())
+      ~min_share:0.7
+      (sweep_cfg ~mode:Config.LC ~nreplicas:3 ~engine:Config.Sequential)
+  in
+  let tr = System.trace oracle in
+  let evs = Trace.events tr in
+  Alcotest.(check int) "ring kept every event" (Trace.total tr)
+    (List.length evs);
+  let stalls = bus_stalls evs in
+  if stalls < 1000 then
+    Alcotest.failf "traced LC-3 membw: %d bus-stall spans, want >= 1000" stalls
 
 (* --- fault injection + rollback recovery -------------------------------- *)
 
@@ -329,6 +429,64 @@ let test_ingress_drop_differential () =
     (ra.Loadgen.counters = rb.Loadgen.counters);
   Alcotest.(check bool) "the drop path actually fired" true
     (ra.Loadgen.ingress_dropped > 0)
+
+(* A served run shaped like the [serve-ycsb] benchmark: CC-DMR with
+   exception barriers (so it takes execution windows), ingress checks,
+   a checkpoint every second round and a signature flip rolled back
+   mid-run, under an always-on trace ring. [Blocks] on both engines
+   must equal the per-cycle [Interp] run, per-request attribution and
+   trace event list included. *)
+let test_serve_windows_differential () =
+  let serve backend engine =
+    let config =
+      {
+        (Runner.config_for ~mode:Config.CC ~nreplicas:2 ~arch:x86
+           ~with_net:true ~seed:5 ())
+        with
+        Config.exec_backend = backend;
+        engine;
+        exception_barriers = true;
+        ingress_check = true;
+        checkpoint_every = 2;
+        max_rollbacks = 3;
+        trace = Some { Trace.capacity = 1 lsl 16 };
+      }
+    in
+    Loadgen.run ~config ~workload:Ycsb.A ~records:16 ~requests:80
+      ~pacing:(Loadgen.Open { interval = 15_000; max_queue = 64 })
+      ~gen_seed:3
+      ~fault:
+        {
+          Loadgen.fault_after = 40;
+          fault_bit = 5;
+          fault_target = Loadgen.Sig_word;
+        }
+      ()
+  in
+  let a = serve Config.Interp Config.Sequential in
+  Alcotest.(check bool) "the flip fired" true a.Loadgen.fault_fired;
+  Alcotest.(check bool) "the flip was rolled back" true
+    (a.Loadgen.rollbacks >= 1);
+  Alcotest.(check int) "every request completed" 96 a.Loadgen.completed;
+  List.iter
+    (fun engine ->
+      let b = serve Config.Blocks engine in
+      let tag = "serve/" ^ Config.engine_to_string engine in
+      Alcotest.(check bool) (tag ^ ": outcome log") true
+        (a.Loadgen.outcome_log = b.Loadgen.outcome_log);
+      Alcotest.(check int) (tag ^ ": run-phase cycles") a.Loadgen.elapsed_cycles
+        b.Loadgen.elapsed_cycles;
+      Alcotest.(check bool) (tag ^ ": end signatures") true
+        (a.Loadgen.end_sigs = b.Loadgen.end_sigs);
+      Alcotest.(check (list (pair string int))) (tag ^ ": attribution")
+        (Reqtrace.attribution a.Loadgen.rt)
+        (Reqtrace.attribution b.Loadgen.rt);
+      Test_engine_par.check_identical ~label:tag a.Loadgen.sys b.Loadgen.sys;
+      let share = burst_share b.Loadgen.sys in
+      if share < 0.7 then
+        Alcotest.failf "%s: bursts ran %.1f%% of replica cycles, want >= 70%%"
+          tag (100.0 *. share))
+    [ Config.Sequential; Config.Parallel ]
 
 (* --- interrupt mid-Rep_movs under CC catch-up --------------------------- *)
 
@@ -416,6 +574,8 @@ let suite =
     Alcotest.test_case
       "twin-core lockstep vs oracle (+ breakpoint on compiled block)" `Quick
       test_lockstep_oracle;
+    Alcotest.test_case "bursts equal per-cycle steps, stall stamps included"
+      `Quick test_burst_vs_steps;
     Alcotest.test_case "healthy sweep: Base/LC/CC x DMR/TMR, sequential"
       `Slow test_sweep_seq;
     Alcotest.test_case "healthy sweep: LC-T/CC-D, parallel engine" `Slow
@@ -424,10 +584,14 @@ let suite =
       test_sweep_exercises_catchup;
     Alcotest.test_case "untraced sweep: windowed bursts match the oracle"
       `Slow test_sweep_untraced;
+    Alcotest.test_case "traced sweep: bursts match the oracle, bus stalls too"
+      `Slow test_sweep_traced;
     Alcotest.test_case "fault + rollback recovery differential" `Slow
       test_recovery_differential;
     Alcotest.test_case "ingress-drop differential" `Slow
       test_ingress_drop_differential;
+    Alcotest.test_case "served CC-DMR on Blocks windows equals Interp" `Slow
+      test_serve_windows_differential;
     Alcotest.test_case "interrupt mid-Rep_movs under CC catch-up" `Slow
       test_mid_rep_movs_differential;
     Alcotest.test_case "self-modifying code invalidation regression" `Quick

@@ -48,6 +48,22 @@ let test_bus_rate_caps_throughput () =
   done;
   Alcotest.(check bool) "about half" true (!got >= 45 && !got <= 55)
 
+let test_bus_no_alloc () =
+  (* Every burst cycle ticks a lane, so the pair must not allocate. *)
+  let b = Bus.create ~rate:(2.0 /. 3.0) in
+  let pairs () =
+    for _ = 1 to 10_000 do
+      Bus.tick b;
+      ignore (Bus.try_acquire b 1 : bool)
+    done
+  in
+  pairs ();
+  let before = Gc.minor_words () in
+  pairs ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words for 10k tick + try_acquire" 0.0
+    words
+
 (* --- Page tables -------------------------------------------------------- *)
 
 let test_pte_roundtrip () =
@@ -508,6 +524,8 @@ let suite =
     Alcotest.test_case "mem blit" `Quick test_mem_blit;
     Alcotest.test_case "bus tokens" `Quick test_bus_tokens;
     Alcotest.test_case "bus rate caps throughput" `Quick test_bus_rate_caps_throughput;
+    Alcotest.test_case "bus tick + acquire allocate nothing" `Quick
+      test_bus_no_alloc;
     Alcotest.test_case "pte roundtrip" `Quick test_pte_roundtrip;
     Alcotest.test_case "translate unmapped" `Quick test_translate_unmapped;
     Alcotest.test_case "translate basic + write protect" `Quick test_translate_basic;
