@@ -14,13 +14,6 @@ type t =
   | Ingress_dropped
   | System_reboot
 
-let all =
-  [
-    No_error; Ycsb_corruption; Ycsb_error; User_mem_fault; User_other_fault;
-    Kernel_exception; Barrier_timeout; Signature_mismatch; Masked;
-    Recovered; Ingress_dropped; System_reboot;
-  ]
-
 let to_string = function
   | No_error -> "no error"
   | Ycsb_corruption -> "YCSB corruptions"
@@ -123,5 +116,3 @@ let tally_controlled tly =
   Hashtbl.fold (fun o n acc -> if controlled o then n + acc else acc) tly 0
 
 let tally_uncontrolled tly = tally_total tly - tally_controlled tly
-
-let tally_rows tly = List.map (fun o -> (to_string o, tally_get tly o)) all

@@ -56,5 +56,3 @@ val tally_get : tally -> t -> int
 val tally_total : tally -> int
 val tally_controlled : tally -> int
 val tally_uncontrolled : tally -> int
-val tally_rows : tally -> (string * int) list
-(** All outcome counts in display order. *)

@@ -502,12 +502,12 @@ let recovery_trial ?(exec_backend = Config.Interp) ~checkpointing ~fault ~seed
    under asynchronous replay detection ([Config.Replay]): detection is
    a checker's end-of-chunk signature disagreement rather than a
    lockstep vote, and recovery rolls back to the mismatching chunk's
-   pinned start checkpoint. A transient must end [Recovered] with the
-   fault-free reference output — on both execution backends; a
-   persistent fault re-asserts after the rollback, and the repeat
-   verdict against the same chunk fail-stops: replay re-executed the
-   chunk from a clean snapshot and it *still* mismatched, so the
-   fault is deterministic and retrying cannot help. *)
+   start image. A transient must end [Recovered] with the fault-free
+   reference output — on both execution backends; a persistent fault
+   re-asserts after the rollback, and the repeat verdict against the
+   same chunk fail-stops: replay re-executed the chunk from a clean
+   snapshot and it *still* mismatched, so the fault is deterministic
+   and retrying cannot help. *)
 let replay_recovery_trial ?(exec_backend = Config.Interp) ~fault ~seed () =
   let config =
     {
@@ -557,10 +557,9 @@ let recovery_table ?(trials = 12) () =
   (* [must_recover]: every trial must end Recovered, and one that does
      not counts against the CI gate. The transient replay rows demand
      it — a fail-stop would be controlled but defeats replay's point.
-     The persistent replay row must fail-stop: a second verdict against
-     the same re-executed chunk escalates past the lone chunk-start
-     snapshot (the fault is deterministic under replay, so retrying
-     cannot help) and halts with the ring empty. *)
+     The persistent replay row must fail-stop: a second mismatch before
+     any chunk verifies (the fault is deterministic under replay, so
+     retrying cannot help) halts instead of rolling back again. *)
   let row ?(must_recover = false) label trial ~fault =
     let tally = Outcome.tally_create () in
     let rollbacks = ref 0 and ckpts = ref 0 and lats = ref [] in

@@ -37,8 +37,6 @@ open Rcoe_util
 
 type backend = Interp | Blocks
 
-let backend_to_string = function Interp -> "interp" | Blocks -> "blocks"
-
 (* Code pages use the same 256-entry granularity as [Mem]'s dirty
    tracking: one shared notion of "page" keeps the invalidation story
    uniform across data and code even though code lives outside [Mem]. *)

@@ -39,9 +39,6 @@
     the oracle interpreter ({!Core.step}); [Blocks] is this module. *)
 type backend = Interp | Blocks
 
-val backend_to_string : backend -> string
-(** ["interp"] or ["blocks"]. *)
-
 type t
 (** A block cache bound to one core and its environment. Create one per
     kernel; it shares the core's mutable state and observes every

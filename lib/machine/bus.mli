@@ -29,17 +29,14 @@ val try_acquire : t -> int -> bool
 
 val rate : t -> float
 
-val utilisation : t -> float
-(** Fraction of offered credits consumed since creation (diagnostic). *)
-
 type state
-(** The lane's mutable credit/accounting state at a point in time. *)
+(** The lane's mutable state at a point in time: its credit. *)
 
 val state : t -> state
-(** Capture the lane's state, a copy of the lane. Replay checkers save
-    this at a chunk cut: credit refill is floating-point and
-    path-dependent, so a shadow machine must restart from the exact
-    saved values to stay cycle-identical with the primary. *)
+(** Capture the lane's credit. Replay images save it at a chunk cut:
+    credit refill is floating-point and path-dependent, so a shadow
+    machine must restart from the exact saved value to stay
+    cycle-identical with the primary. *)
 
 val set_state : t -> state -> unit
 (** Restore a previously captured state. *)

@@ -70,12 +70,6 @@ let branch_count t (p : Arch.profile) =
   | Arch.Hardware -> t.hw_branches
   | Arch.Compiler_assisted -> t.regs.(Rcoe_isa.Reg.index Rcoe_isa.Reg.branch_counter)
 
-let set_branch_count t (p : Arch.profile) v =
-  match p.count_mode with
-  | Arch.Hardware -> t.hw_branches <- v
-  | Arch.Compiler_assisted ->
-      t.regs.(Rcoe_isa.Reg.index Rcoe_isa.Reg.branch_counter) <- v
-
 let clear_exclusive t = t.excl_armed <- false
 
 let add_stall t n = t.stall <- t.stall + n

@@ -96,9 +96,6 @@ val branch_count : t -> Arch.profile -> int
 (** The user branch counter under the profile's counting mode: the PMU
     register (hardware) or the reserved register (compiler-assisted). *)
 
-val set_branch_count : t -> Arch.profile -> int -> unit
-(** Restore the counter on context switch (it is thread-local state). *)
-
 val clear_exclusive : t -> unit
 (** Kernel entry clears the exclusive monitor (as real kernels do). *)
 

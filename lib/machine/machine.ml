@@ -58,13 +58,6 @@ let tick_devices t =
 
 let bus_lane t ~core_id = t.buses.(core_id)
 
-let bus_utilisation t =
-  let n = Array.length t.buses in
-  if n = 0 then 0.0
-  else
-    Array.fold_left (fun acc b -> acc +. Bus.utilisation b) 0.0 t.buses
-    /. float_of_int n
-
 let dev_read t dpn off =
   if dpn >= 0 && dpn < Array.length t.devices then
     t.devices.(dpn).Device.read_reg off

@@ -53,9 +53,6 @@ val tick_devices : t -> unit
 val bus_lane : t -> core_id:int -> Bus.t
 (** The per-core bus lane (see {!type-t}). *)
 
-val bus_utilisation : t -> float
-(** Mean utilisation across lanes (diagnostic). *)
-
 val dev_read : t -> int -> int -> int
 (** [dev_read m dpn off]; unknown device pages read 0. *)
 

@@ -45,47 +45,6 @@ let get mem t ~vpn =
 
 let clear mem t = Mem.fill mem ~addr:t.base ~len:t.npages 0
 
-(* Spare software bit (bit 4): dirty mirror. [encode]/[decode] ignore
-   it, so rebuilding an entry from its record clears the mirror —
-   exactly like an OS software bit the MMU never sets on its own. *)
-let dirty_bit = 16
-
-let set_dirty mem t ~vpn =
-  check_vpn t vpn;
-  let a = t.base + vpn in
-  Mem.write mem a (Mem.read mem a lor dirty_bit)
-
-let is_dirty mem t ~vpn =
-  check_vpn t vpn;
-  Mem.read mem (t.base + vpn) land dirty_bit <> 0
-
-let clear_all_dirty mem t =
-  for vpn = 0 to t.npages - 1 do
-    let a = t.base + vpn in
-    let w = Mem.read mem a in
-    if w land dirty_bit <> 0 then Mem.write mem a (w land lnot dirty_bit)
-  done
-
-let mirror_dirty mem t =
-  let marked = ref 0 in
-  for vpn = 0 to t.npages - 1 do
-    let a = t.base + vpn in
-    let w = Mem.read mem a in
-    if w land 1 <> 0 && w land 8 = 0 then begin
-      let phys = (w lsr 8) lsl page_shift in
-      if
-        phys >= 0
-        && phys < Mem.size mem
-        && Mem.page_is_dirty mem ~addr:phys
-        && w land dirty_bit = 0
-      then begin
-        Mem.write mem a (w lor dirty_bit);
-        incr marked
-      end
-    end
-  done;
-  !marked
-
 type resolution =
   | Phys of int
   | Device of int * int

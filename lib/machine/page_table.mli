@@ -15,15 +15,9 @@
       the 32-bit Arm profile has no such spare bit, so masking is
       unsupported there — Section IV-A)
     - bit 3: device page (accesses are MMIO, not RAM)
-    - bit 4: dirty mirror (spare software bit; see below)
-    - bits 8+: physical page number (or device page id)
-
-    Bit 4 is the same kind of spare page-table bit the paper's x86
-    masking path uses for DMA marks: {!mirror_dirty} copies {!Mem}'s
-    per-physical-page dirty flags into it so tooling can inspect write
-    tracking through the paging structures. {!encode}/{!decode} ignore
-    the bit — re-encoding an entry (as {!set} does) clears the mirror,
-    exactly like rebuilding a PTE on real hardware. *)
+    - bits 4-7: unused; {!decode} ignores them, so a fault that flips
+      one leaves the translation unchanged
+    - bits 8+: physical page number (or device page id) *)
 
 type pte = {
   valid : bool;
@@ -59,24 +53,6 @@ val set : Mem.t -> table -> vpn:int -> pte -> unit
 val get : Mem.t -> table -> vpn:int -> pte
 
 val clear : Mem.t -> table -> unit
-
-val dirty_bit : int
-(** The spare bit's mask (16). *)
-
-val set_dirty : Mem.t -> table -> vpn:int -> unit
-(** Raw-word OR of {!dirty_bit} into the PTE; raises
-    [Invalid_argument] on a bad [vpn]. *)
-
-val is_dirty : Mem.t -> table -> vpn:int -> bool
-
-val clear_all_dirty : Mem.t -> table -> unit
-(** Strip {!dirty_bit} from every entry. *)
-
-val mirror_dirty : Mem.t -> table -> int
-(** Set {!dirty_bit} on every valid non-device entry whose mapped
-    physical page is dirty in [mem]'s write-tracking bitmap; returns
-    the number of entries newly marked. Invalid or device entries are
-    left untouched. *)
 
 type resolution =
   | Phys of int  (** RAM physical word address. *)

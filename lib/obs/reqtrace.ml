@@ -1,5 +1,3 @@
-type phase = Queue | Ring | Service | Drain
-
 (* Stall classes chargeable against an open request. Compute is never
    stored: it is defined as the end-to-end remainder at receipt, which
    is what makes the attribution sum exact by construction. *)
@@ -284,12 +282,6 @@ let open_requests t = Hashtbl.length t.open_reqs
 let open_hwm t = t.open_hwm
 let completed t = t.n_completed
 let e2e t = t.h_e2e
-
-let phase_hdr t = function
-  | Queue -> t.h_queue
-  | Ring -> t.h_ring
-  | Service -> t.h_service
-  | Drain -> t.h_drain
 
 let attribution t =
   [

@@ -23,8 +23,6 @@
 
 type t
 
-type phase = Queue | Ring | Service | Drain
-
 val create : ?keep:int -> unit -> t
 (** [keep] (default 4096) bounds the completed-request records retained
     for {!chrome_events}; aggregates cover every request regardless. *)
@@ -54,8 +52,6 @@ val completed : t -> int
 
 val e2e : t -> Hdr.t
 (** Inject-to-receipt latency over all completed requests. *)
-
-val phase_hdr : t -> phase -> Hdr.t
 
 val attribution : t -> (string * int) list
 (** Aggregate cycles per class over completed requests —

@@ -29,17 +29,13 @@ type snap = {
 
 type t = {
   depth : int;
-  mutable snaps : snap list;
-      (* newest first; length <= depth unless pins defer eviction *)
+  mutable snaps : snap list;  (* newest first; length <= depth *)
   mutable taken : int;
-  mutable pins : (snap * int ref) list;
-      (* physical-identity refcounts; non-empty only while a consumer
-         (replay checker, diagnostic) holds a snapshot handle *)
 }
 
 let create ~depth =
   if depth < 1 then invalid_arg "Checkpoint.create: depth must be >= 1";
-  { depth; snaps = []; taken = 0; pins = [] }
+  { depth; snaps = []; taken = 0 }
 
 let depth t = t.depth
 let count t = List.length t.snaps
@@ -106,40 +102,16 @@ let fold_into ~evicted snap =
         snap.s_replicas;
   }
 
-let pinned t snap = List.exists (fun (s, _) -> s == snap) t.pins
-
-let pin t snap =
-  match List.find_opt (fun (s, _) -> s == snap) t.pins with
-  | Some (_, r) -> incr r
-  | None -> t.pins <- (snap, ref 1) :: t.pins
-
-(* Eviction folds the oldest snapshot's arrays into its successor —
-   mutating the one and replacing the other — so both are off-limits
-   while any consumer holds a handle to them. Pinned tails simply defer
-   eviction: the ring grows past [depth] and shrinks back as soon as the
-   pins are released. *)
-let rec shrink t =
-  if List.length t.snaps > t.depth then
-    match List.rev t.snaps with
-    | oldest :: next :: rest
-      when (not (pinned t oldest)) && not (pinned t next) ->
-        t.snaps <- List.rev (fold_into ~evicted:oldest next :: rest);
-        shrink t
-    | _ -> ()
-
-let unpin t snap =
-  match List.find_opt (fun (s, _) -> s == snap) t.pins with
-  | None -> invalid_arg "Checkpoint.unpin: snapshot is not pinned"
-  | Some (_, r) ->
-      decr r;
-      if !r = 0 then
-        t.pins <- List.filter (fun (s, _) -> not (s == snap)) t.pins;
-      shrink t
-
+(* Eviction folds the oldest snapshot's arrays into its successor,
+   mutating the one and replacing the other. *)
 let push t snap =
   t.snaps <- snap :: t.snaps;
   t.taken <- t.taken + 1;
-  shrink t
+  if List.length t.snaps > t.depth then
+    match List.rev t.snaps with
+    | oldest :: next :: rest ->
+        t.snaps <- List.rev (fold_into ~evicted:oldest next :: rest)
+    | _ -> ()
 
 let newest t = match t.snaps with [] -> None | s :: _ -> Some s
 
@@ -156,19 +128,38 @@ let total_words s =
     (region_len s.s_shared + region_len s.s_dma)
     s.s_replicas
 
+(* What a [Delta] capture of a region copies: each dirty page as
+   (region offset, words), the last one clipped to the region. *)
+let dirty_spans mem ~base ~len =
+  List.map
+    (fun page ->
+      let off = page - base in
+      (off, min Mem.page_size (len - off)))
+    (Mem.snapshot_dirty mem ~addr:base ~len)
+
 let capture_region mem ~kind ~base ~len =
   match kind with
   | Full -> R_full (Mem.read_block mem base len)
   | Delta ->
       let r_pages =
         List.map
-          (fun page ->
-            let off = page - base in
-            let blen = min Mem.page_size (len - off) in
-            (off, Mem.read_block mem page blen))
-          (Mem.snapshot_dirty mem ~addr:base ~len)
+          (fun (off, blen) -> (off, Mem.read_block mem (base + off) blen))
+          (dirty_spans mem ~base ~len)
       in
       R_delta { r_len = len; r_pages }
+
+let delta_words mem (lay : Layout.t) ~rids =
+  let dirty ~base ~len =
+    List.fold_left (fun n (_, blen) -> n + blen) 0 (dirty_spans mem ~base ~len)
+  in
+  let sh = lay.Layout.shared in
+  List.fold_left
+    (fun n rid ->
+      let p = lay.Layout.partitions.(rid) in
+      n + dirty ~base:p.Layout.p_base ~len:p.Layout.p_words)
+    (dirty ~base:sh.Layout.s_base ~len:sh.Layout.s_words
+    + dirty ~base:lay.Layout.dma_base ~len:lay.Layout.dma_words)
+    rids
 
 let capture ?(clear_dirty = true) mem (lay : Layout.t) ~kind ~cycle ~round_seq
     ~ticks ~prim ~replicas =
@@ -245,28 +236,40 @@ let rec resolve_chain = function
       apply_pages base d.r_pages;
       base
 
-let resolve_region t snap slot =
-  let rec chain_from = function
-    | [] -> [ snap ] (* standalone snapshot, not (or no longer) in the ring *)
-    | s :: rest when s == snap -> s :: rest
-    | _ :: rest -> chain_from rest
+(* [snap] and the ring entries below it, newest first: the chain its
+   deltas resolve through ([snap] alone when it is not, or no longer,
+   in the ring). *)
+let chain_from t snap =
+  let rec go = function
+    | [] -> [ snap ]
+    | s :: _ as chain when s == snap -> chain
+    | _ :: rest -> go rest
   in
-  resolve_chain (regions_for_slot (chain_from t.snaps) slot)
+  go t.snaps
+
+let partition_of rid s =
+  Option.map
+    (fun i -> i.i_partition)
+    (List.find_opt (fun i -> i.i_rid = rid) s.s_replicas)
 
 let resolve_partition t snap ~rid =
-  resolve_region t snap (fun s ->
-      Option.map
-        (fun i -> i.i_partition)
-        (List.find_opt (fun i -> i.i_rid = rid) s.s_replicas))
+  resolve_chain (regions_for_slot (chain_from t snap) (partition_of rid))
 
-let restore_memory mem (lay : Layout.t) t snap =
+(* Write [snap]'s regions back: a region it holds in full straight from
+   its array, a delta resolved down [chain]. *)
+let write_back mem (lay : Layout.t) chain snap =
+  let put base slot =
+    Mem.write_block mem base
+      (match regions_for_slot chain slot with
+      | [ R_full arr ] -> arr
+      | regions -> resolve_chain regions)
+  in
   List.iter
     (fun img ->
-      let p = lay.Layout.partitions.(img.i_rid) in
-      Mem.write_block mem p.Layout.p_base
-        (resolve_partition t snap ~rid:img.i_rid))
+      put lay.Layout.partitions.(img.i_rid).Layout.p_base (partition_of img.i_rid))
     snap.s_replicas;
-  Mem.write_block mem lay.Layout.shared.Layout.s_base
-    (resolve_region t snap (fun s -> Some s.s_shared));
-  Mem.write_block mem lay.Layout.dma_base
-    (resolve_region t snap (fun s -> Some s.s_dma))
+  put lay.Layout.shared.Layout.s_base (fun s -> Some s.s_shared);
+  put lay.Layout.dma_base (fun s -> Some s.s_dma)
+
+let restore_memory mem lay t snap = write_back mem lay (chain_from t snap) snap
+let restore_image mem lay snap = write_back mem lay [ snap ] snap

@@ -21,13 +21,16 @@
     flags again after a rollback restore (memory then equals the newest
     snapshot).
 
-    Snapshots live in a bounded ring, newest first. Keeping more than
-    one matters: a fault injected *after* a vote but *before* the next
-    capture is frozen into the newest snapshot, and recovery must be
-    able to escalate to an older, still-clean one (see
+    Lockstep snapshots live in a bounded ring, newest first. Keeping
+    more than one matters: a fault injected *after* a vote but *before*
+    the next capture is frozen into the newest snapshot, and recovery
+    must be able to escalate to an older, still-clean one (see
     [Sched.try_rollback]). The oldest ring entry is always
     self-contained (all-full regions): eviction folds the outgoing base
     into its successor in O(delta) time, reusing the base's arrays.
+    Replay detection keeps no ring: each chunk starts from a standalone
+    [Full] snapshot ({!restore_image}), which checker domains read while
+    the primary runs on, so it must never be pushed into a ring.
 
     The engine above owns policy (when to capture, retry budgets,
     costs); this module owns the data. Device-internal state (e.g. the
@@ -88,25 +91,9 @@ val push : t -> snap -> unit
 (** Store as newest. When the ring is full the oldest snapshot is
     evicted and folded into its successor, which becomes the new
     self-contained base (its arrays absorb the evicted base's, so the
-    fold is O(delta)). Eviction is deferred while either of the two
-    oldest snapshots is pinned (see {!pin}): the ring then grows past
-    [depth] and shrinks back when the pins release. *)
-
-val pin : t -> snap -> unit
-(** Hold [snap] against eviction. Folding mutates the evicted base's
-    arrays in place and replaces its successor record, both of which
-    silently invalidate a handle a long-running consumer (a replay
-    checker verifying a chunk, a diagnostic resolving an old image)
-    still holds — so such a consumer must pin the snapshot for as long
-    as it keeps the handle. Pins are refcounted per snapshot (physical
-    identity). *)
-
-val unpin : t -> snap -> unit
-(** Release one {!pin}. When the last pin on a tail snapshot drops, any
-    deferred evictions run immediately. Raises [Invalid_argument] if
-    [snap] is not pinned. *)
-
-val pinned : t -> snap -> bool
+    fold is O(delta)). Folding mutates the evicted base's arrays in
+    place and replaces its successor record, so a handle to either goes
+    stale. *)
 
 val newest : t -> snap option
 
@@ -145,14 +132,25 @@ val capture :
     Clears the dirty flags afterwards unless [clear_dirty:false]
     (which lets a differential harness capture the same cut twice). *)
 
+val delta_words :
+  Rcoe_machine.Mem.t -> Rcoe_kernel.Layout.t -> rids:int list -> int
+(** The words a [Delta] capture of replicas [rids] would copy now: the
+    dirty pages of their partitions, the shared region and the DMA
+    window, each region's last page clipped to it. Call before the
+    capture that clears the dirty flags. *)
+
 val restore_memory : Rcoe_machine.Mem.t -> Rcoe_kernel.Layout.t -> t -> snap -> unit
 (** Blit every captured partition, the shared region and the DMA window
     back, reconstructing delta regions from [t]'s chain below [snap].
     The caller pairs this with {!Rcoe_kernel.Kernel.restore} on each
     image, resetting its own engine state, and — under incremental
     checkpointing — {!Rcoe_machine.Mem.clear_dirty} (memory now equals
-    the restored snapshot). A [snap] not present in [t] is restored
+    the restored snapshot). A region [snap] holds in full is written
+    straight from its array. A [snap] not present in [t] is restored
     standalone and must be self-contained. *)
+
+val restore_image : Rcoe_machine.Mem.t -> Rcoe_kernel.Layout.t -> snap -> unit
+(** {!restore_memory} for a standalone snapshot, one no ring holds. *)
 
 val resolve_partition : t -> snap -> rid:int -> int array
 (** The fully-resolved partition image of replica [rid] in [snap]

@@ -85,8 +85,6 @@ let checkpoint_mode_to_string = function
 
 let exec_backend_to_string = function Interp -> "interp" | Blocks -> "blocks"
 
-let detection_to_string = function Lockstep -> "lockstep" | Replay -> "replay"
-
 (* Lint-style eligibility check for the domain-parallel engine. The
    parallel engine runs replicas concurrently only between sync points,
    so any feature that couples partitions *within* a round, at cycle
@@ -168,7 +166,7 @@ let validate ?net_ok t =
        checkpoint_every must be 0"
   else if t.detection = Replay && t.checkpoint_mode = Full then
     err
-      "replay detection cuts a delta checkpoint per chunk on a full base; \
+      "replay detection prices each chunk cut as a delta checkpoint; \
        checkpoint_mode must be Incremental"
   else if t.detection = Replay && t.replay_chunk_ticks < 1 then
     err "replay_chunk_ticks must be >= 1"

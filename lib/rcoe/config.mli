@@ -61,12 +61,16 @@ type detection =
   | Replay
       (** An unreplicated primary (mode [Base]) runs ahead at native
           speed, cutting its execution into chunks at preemption-tick
-          boundaries. Each chunk is a (delta-checkpoint, input-log)
-          pair pushed into a bounded queue; checker [Domain.t]s restore
-          the chunk's start state into a shadow machine, replay the
-          logged host inputs, and compare end-of-chunk Fletcher
-          signatures. A mismatch rolls the primary back to the chunk's
-          start checkpoint via the existing budgeted rollback path.
+          boundaries. Each chunk is a (start image, input log) pair
+          pushed into a bounded queue — the image a standalone full
+          snapshot plus the outside-SoR state, its capture stall priced
+          as a delta checkpoint; checker [Domain.t]s restore the
+          chunk's start image into a shadow machine, replay the logged
+          host inputs, and compare end-of-chunk Fletcher signatures. A
+          mismatch rolls the primary back to the chunk's start image
+          through the lockstep rollback's restore path, within
+          [max_rollbacks]; a second mismatch before any chunk verifies
+          fail-stops.
           Sync overhead ~0; detection lag is bounded by
           [replay_chunk_ticks * tick_interval * replay_queue_depth].
           See {!Engine_replay}. *)
@@ -146,7 +150,7 @@ type t = {
       (** Bounded ring of retained checkpoints (>= 1). Depth >= 2 lets
           recovery escalate past a snapshot that itself froze in the
           fault (captured after the vote but before the corruption was
-          detectable). *)
+          detectable). Replay detection keeps no ring. *)
   checkpoint_mode : checkpoint_mode;
       (** Capture strategy; default [Incremental]. *)
   max_rollbacks : int;
@@ -158,8 +162,8 @@ type t = {
       (** Detection strategy; default [Lockstep]. [Replay] requires
           [mode = Base], [engine = Sequential] (the checker domains are
           owned by the replay engine itself), [checkpoint_every = 0]
-          (chunks cut their own checkpoints), and [checkpoint_mode =
-          Incremental] (each chunk is a delta on the ring's full base). *)
+          (chunks cut their own images), and [checkpoint_mode =
+          Incremental] (each cut is priced as a delta checkpoint). *)
   replay_chunk_ticks : int;
       (** Replay chunk length in preemption ticks (>= 1, default 1):
           a chunk spans [replay_chunk_ticks * tick_interval] cycles. *)
@@ -209,4 +213,3 @@ val sync_level_to_string : sync_level -> string
 val engine_to_string : engine -> string
 val checkpoint_mode_to_string : checkpoint_mode -> string
 val exec_backend_to_string : exec_backend -> string
-val detection_to_string : detection -> string

@@ -4,12 +4,14 @@
    The primary runs *unreplicated*, at near-Base speed, through
    [Window.run] (quiescent bursts included), whose [before] hook cuts
    the chunks. Every [replay_chunk_ticks] preemption ticks it cuts a
-   chunk: a delta checkpoint into the ring, a frozen [cut_state], and
-   the input log drained since the previous cut. Closed chunks enter a bounded
-   in-flight queue; checker domains concurrently restore each chunk's
-   start into a private shadow system, re-execute it — re-injecting the
-   logged host inputs at the recorded cycles — and compare the
-   end-of-chunk Fletcher signature over the replicated memory.
+   chunk: one image of the cut ([cut_state]: a standalone full
+   snapshot plus the outside-SoR state), its capture stall priced as a
+   delta checkpoint, and the input log drained since the previous cut.
+   Closed chunks enter a bounded in-flight queue; checker domains
+   concurrently restore each chunk's start image into a private shadow
+   system, re-execute it — re-injecting the logged host inputs at the
+   recorded cycles — and compare the end-of-chunk Fletcher signature
+   over the replicated memory.
 
    Detection is therefore asynchronous: a fault inside chunk [j] is
    discovered when [j]'s verdict is processed, at most
@@ -20,17 +22,17 @@
    simulated clock is untouched, so backpressure never perturbs the
    machine's determinism).
 
-   On a mismatch the chunk's pinned start snapshot is made the newest
-   ring entry and recovery goes through the existing budgeted
-   [try_rollback] escalation path; on top of the memory/kernel rewind
-   the engine also restores the outside-SoR state replay froze at the
-   cut (device queues, bus credit, jitter RNG), so re-execution re-lives
-   the same timeline minus the (un-reinjected) fault. The pipeline then
-   resets: in-flight chunks are discarded, the ring is re-seeded with a
-   fresh full capture, and the input log restarts — inputs absorbed
-   after the rollback point are lost, exactly like frames a rebooting
-   NIC drops, and the serving harness's client retransmission recovers
-   them. *)
+   On a mismatch the primary rolls back to the chunk's start image
+   through the same restore path as a lockstep rollback and the
+   checkers' shadows ([Sched.restore_snap]), within the [max_rollbacks]
+   budget; on top of the memory/kernel rewind the engine also restores
+   the outside-SoR state the image froze (device queues, bus credit,
+   jitter RNG), so re-execution re-lives the same timeline minus the
+   (un-reinjected) fault. The pipeline then resets: in-flight chunks
+   are discarded, a fresh image of the rolled-back state starts the
+   next chunk, and the input log restarts — inputs absorbed after the
+   rollback point are lost, exactly like frames a rebooting NIC drops,
+   and the serving harness's client retransmission recovers them. *)
 
 open Rcoe_machine
 open Rcoe_kernel
@@ -42,49 +44,50 @@ module Rng = Rcoe_util.Rng
    window is deliberately excluded — the device writes it outside the
    sphere of replication, so the paper's residual DMA vulnerability is
    preserved under replay detection exactly as under lockstep. *)
-let region_sig t =
+let digest part shared =
   let f = Rcoe_checksum.Fletcher.create () in
-  let p = t.lay.Layout.partitions.(0) in
-  Rcoe_checksum.Fletcher.add_words f
-    (Mem.read_block (mem t) p.Layout.p_base p.Layout.p_words);
-  let sh = t.lay.Layout.shared in
-  Rcoe_checksum.Fletcher.add_words f
-    (Mem.read_block (mem t) sh.Layout.s_base sh.Layout.s_words);
+  Rcoe_checksum.Fletcher.add_words f part;
+  Rcoe_checksum.Fletcher.add_words f shared;
   Rcoe_checksum.Fletcher.digest f
 
-(* Freeze the complete execution point. Runs on the primary's domain at
-   a quiescent inter-cycle boundary; the copies it takes are what lets
-   checker domains work without ever touching live or ring state. Call
-   only after any stall for the cut itself has been charged, so the
-   frozen core state already contains it. *)
-let cut_state t =
-  let r = t.replicas.(0) in
-  let core = Kernel.core r.kern in
-  let p = t.lay.Layout.partitions.(0) in
-  let sh = t.lay.Layout.shared in
+(* The live memory's digest, to compare a replay against its cut's. *)
+let region_sig t =
+  let p = t.lay.Layout.partitions.(0) and sh = t.lay.Layout.shared in
+  digest
+    (Mem.read_block (mem t) p.Layout.p_base p.Layout.p_words)
+    (Mem.read_block (mem t) sh.Layout.s_base sh.Layout.s_words)
+
+(* Freeze the complete execution point as one image around [snap], a
+   full snapshot of the primary just taken. Runs on the primary's domain
+   at a quiescent inter-cycle boundary. [stall] is the cut's capture
+   stall, charged after [snap] was taken (0 for the setup image and the
+   re-seed after a rollback). *)
+let cut_state t ~stall (snap : Checkpoint.snap) =
+  let core = Kernel.core t.replicas.(0).kern in
   {
-    cs_cycle = now t;
-    cs_ticks = t.ticks;
-    cs_round_seq = t.round_seq;
+    cs_snap = snap;
+    cs_stall = stall;
     cs_next_tick = t.next_tick;
-    cs_finished = r.finished;
-    cs_kernel = Kernel.snapshot r.kern;
-    cs_part = Mem.read_block (mem t) p.Layout.p_base p.Layout.p_words;
-    cs_shared = Mem.read_block (mem t) sh.Layout.s_base sh.Layout.s_words;
-    cs_dma =
-      Mem.read_block (mem t) t.lay.Layout.dma_base t.lay.Layout.dma_words;
     cs_cycles = core.Core.cycles;
     cs_instret = core.Core.instret;
     cs_jitter = Rng.copy core.Core.jitter;
     cs_bus = Bus.state t.mach.Machine.buses.(0);
     cs_net = Option.map Netdev.snapshot t.net;
-    cs_sig = region_sig t;
+    cs_sig =
+      (match (snap.Checkpoint.s_replicas, snap.Checkpoint.s_shared) with
+      | [ { Checkpoint.i_partition = Checkpoint.R_full part; _ } ],
+        Checkpoint.R_full shared ->
+          digest part shared
+      | _ -> invalid_arg "Engine_replay: an image is one full partition");
   }
 
+let image t = cut_state t ~stall:0 (capture t ~kind:Checkpoint.Full)
+let cut_cycle cs = cs.cs_snap.Checkpoint.s_cycle
+
 (* Rewind the state outside the sphere of replication ("outside-SoR")
-   that a cut freezes and the checkpoint ring does not capture: the
-   core's cycle counters and jitter RNG, the bus credit and the device
-   queues. The rewound timeline runs again, so any halt is cleared. *)
+   that an image freezes beside its snapshot: the core's cycle counters
+   and jitter RNG, the bus credit and the device queues. The rewound
+   timeline runs again, so any halt is cleared. *)
 let restore_outside_sor t (cs : cut_state) =
   let core = Kernel.core t.replicas.(0).kern in
   core.Core.cycles <- cs.cs_cycles;
@@ -96,35 +99,22 @@ let restore_outside_sor t (cs : cut_state) =
   | _ -> ());
   t.halt <- None
 
-(* Restore a cut into a shadow system: leaves [sys] exactly as the
-   captured system stood at the cut, ready to re-execute the chunk. *)
+(* Restore a cut into a shadow system through the rollback's restore
+   path, then add back the cut's capture stall and set the clocks:
+   leaves [sys] exactly as the captured system stood at the cut, ready
+   to re-execute the chunk. *)
 let restore_cut sys (cs : cut_state) =
-  let r = sys.replicas.(0) in
-  let p = sys.lay.Layout.partitions.(0) in
-  let sh = sys.lay.Layout.shared in
-  Mem.write_block (mem sys) p.Layout.p_base cs.cs_part;
-  Mem.write_block (mem sys) sh.Layout.s_base cs.cs_shared;
-  Mem.write_block (mem sys) sys.lay.Layout.dma_base cs.cs_dma;
-  Kernel.restore r.kern cs.cs_kernel;
-  r.finished <- cs.cs_finished;
-  r.pending_ft <- None;
-  r.joined <- false;
-  r.defer_publish <- false;
-  r.state <- Rs_run;
+  restore_snap sys cs.cs_snap;
+  charge sys.replicas.(0) cs.cs_stall;
   restore_outside_sor sys cs;
-  Machine.clear_ipi sys.mach ~core_id:0;
-  sys.mach.Machine.now <- cs.cs_cycle;
-  sys.next_tick <- cs.cs_next_tick;
-  sys.ticks <- cs.cs_ticks;
-  sys.round_seq <- cs.cs_round_seq;
-  sys.phase <- Ph_idle
+  sys.mach.Machine.now <- cut_cycle cs;
+  sys.next_tick <- cs.cs_next_tick
 
 (* Start the pipeline of a freshly created system (run by
    [System.create]): log every host inject from the first cycle (the
    harness may feed the device before it first runs the system), and
-   take the cycle-0 base checkpoint the first chunk is relative to. *)
+   take the cycle-0 image the first chunk starts from. *)
 let setup t =
-  let ring = match t.ckpts with Some ck -> ck | None -> assert false in
   let ilog = Inputlog.create () in
   Option.iter
     (fun nd ->
@@ -133,16 +123,13 @@ let setup t =
           Inputlog.record ilog ~at:(now t) ~deliver_at payload)
         ())
     t.net;
-  let snap = capture_checkpoint t ring in
   t.rp <-
     Some
       {
-        rp_ring = ring;
         rp_log = ilog;
         rp_span = t.cfg.Config.replay_chunk_ticks * t.cfg.Config.tick_interval;
         rp_seq = 0;
-        rp_cut = cut_state t;
-        rp_snap = snap;
+        rp_cut = image t;
         rp_next_cut = t.cfg.Config.replay_chunk_ticks;
         rp_inflight = [];
         rp_shadows = [];
@@ -190,7 +177,7 @@ let get_shadow t rp =
    replay) the primary did at the same cycle. *)
 let verify_chunk sys (ch : chunk) =
   restore_cut sys ch.ch_start;
-  let target = ch.ch_end.cs_cycle in
+  let target = cut_cycle ch.ch_end in
   let step_to cycle = Window.run sys ~max_cycles:(cycle - now sys) in
   let rec drive events =
     match Inputlog.next_at events with
@@ -233,28 +220,31 @@ let release_shadow rp inf =
   | None -> ()
 
 (* Capture the current quiescent point as the next chunk boundary:
-   charge the capture stall, push + pin the delta snapshot, freeze the
-   cut, close the accumulating chunk into the in-flight queue, and
-   enforce the queue bound (blocking on the oldest verdict —
-   backpressure). *)
+   take the image, charge its capture stall, close the accumulating
+   chunk into the in-flight queue, and enforce the queue bound (blocking
+   on the oldest verdict — backpressure). *)
 let rec do_cut t rp =
-  (* The capture stall must be charged before the cut is frozen: the
-     restored start state of the *next* chunk has to contain it, or a
-     replay of that chunk would run ahead of the primary's timeline. *)
-  let snap = capture_checkpoint t rp.rp_ring in
-  charge_checkpoint t snap;
-  let cut = cut_state t in
+  (* The stall is priced as the delta checkpoint a ring would take (the
+     dirty pages, counted before the full capture clears them) and
+     stored in the image: the restored start state of the *next* chunk
+     has to contain it, or a replay of that chunk would run ahead of the
+     primary's timeline, while a rollback restores the image without
+     it. *)
+  let words = Checkpoint.delta_words (mem t) t.lay ~rids:(live t) in
+  let snap = capture t ~kind:Checkpoint.Full in
+  let stall =
+    charge_checkpoint t ~words ~skipped:(Checkpoint.total_words snap - words)
+  in
+  let cut = cut_state t ~stall snap in
   let closed =
     {
       ch_seq = rp.rp_seq;
       ch_start = rp.rp_cut;
-      ch_snap = rp.rp_snap;
       ch_log = Inputlog.cut rp.rp_log;
       ch_end = cut;
     }
   in
   rp.rp_cut <- cut;
-  rp.rp_snap <- snap;
   rp.rp_seq <- rp.rp_seq + 1;
   (* Schedule relative to the actual cut tick: a cut the quiescence
      guard delayed must not make the next one degenerate. *)
@@ -286,9 +276,7 @@ let rec do_cut t rp =
   done
 
 (* Process the oldest in-flight chunk's verdict, blocking until its
-   checker finishes. Verdicts are processed strictly in chunk order,
-   which is also what keeps the pin/unpin discipline safe: a snapshot
-   is unpinned only once every consumer of its chunk is done. *)
+   checker finishes. Verdicts are processed strictly in chunk order. *)
 and harvest_oldest t rp =
   match rp.rp_inflight with
   | [] -> ()
@@ -305,17 +293,15 @@ and harvest_oldest t rp =
       release_shadow rp inf;
       rp.rp_inflight <- rest;
       let ch = inf.if_chunk in
-      let lag = now t - ch.ch_end.cs_cycle in
+      let lag = now t - cut_cycle ch.ch_end in
       Metrics.observe t.ms.m_replay_lag (float_of_int lag);
-      Trace.replay_verdict t.trace ~seq:ch.ch_seq ~chunk_end:ch.ch_end.cs_cycle
+      Trace.replay_verdict t.trace ~seq:ch.ch_seq ~chunk_end:(cut_cycle ch.ch_end)
         ~lag ~ok;
       if ok then begin
         Metrics.incr t.ms.m_replay_verified;
-        Checkpoint.unpin rp.rp_ring ch.ch_snap;
-        (* A verified chunk is forward progress: reset the rollback
-           escalation, as a verified lockstep checkpoint would. *)
+        (* A verified chunk is forward progress: the next mismatch may
+           roll back again, as after a verified lockstep checkpoint. *)
         t.retries_at_newest <- 0;
-        t.escalations <- 0;
         assign_checkers t rp
       end
       else begin
@@ -325,55 +311,40 @@ and harvest_oldest t rp =
 
 (* A replayed chunk diverged: everything from its start cycle on is
    suspect. Discard the invalid future (in-flight chunks and the
-   accumulating one), rewind to the chunk's start through the budgeted
-   rollback path, and reset the pipeline. *)
+   accumulating one), roll back to the chunk's start image and reset the
+   pipeline. The start gets one retry, the lockstep rule for the newest
+   snapshot with no older one to escalate to: a second mismatch before
+   any chunk verifies, or a spent [max_rollbacks] budget, means the
+   fault is persistent — fail-stop, the lockstep path's verdict for the
+   same state. *)
 and on_mismatch t rp inf rest =
   log_event t E_mismatch;
   List.iter
     (fun i ->
       (match i.if_domain with Some d -> ignore (Domain.join d) | None -> ());
-      release_shadow rp i;
-      Checkpoint.unpin rp.rp_ring i.if_chunk.ch_snap)
+      release_shadow rp i)
     rest;
   rp.rp_inflight <- [];
-  Checkpoint.unpin rp.rp_ring rp.rp_snap;
   Inputlog.clear rp.rp_log;
-  (* Make the mismatched chunk's start the newest ring entry — the
-     entries above it all belonged to the discarded future and are
-     unpinned now. *)
-  let target = inf.if_chunk.ch_snap in
-  while
-    match Checkpoint.newest rp.rp_ring with
-    | Some s -> not (s == target)
-    | None -> false
-  do
-    Checkpoint.drop_newest rp.rp_ring
-  done;
-  if try_rollback t then begin
-    (* [perform_rollback] rewound the replicated cut; additionally
-       rewind the outside-SoR state replay froze, so re-execution
-       re-lives the chunk's exact timeline (device deliveries and
-       timing jitter included) minus the fault. Host inputs recorded
-       after the chunk started are gone with the cleared log; the
-       serving client's retransmission path redelivers them. *)
-    restore_outside_sor t inf.if_chunk.ch_start;
-    (* Pipeline reset: empty the ring and re-seed it with a fresh full
-       capture of the rolled-back state, which also re-baselines the
-       dirty-page tracking for the next delta. *)
-    Checkpoint.unpin rp.rp_ring target;
-    while Checkpoint.count rp.rp_ring > 0 do
-      Checkpoint.drop_newest rp.rp_ring
-    done;
-    let snap = capture_checkpoint t rp.rp_ring in
-    rp.rp_cut <- cut_state t;
-    rp.rp_snap <- snap;
+  if t.rollbacks_done < t.cfg.Config.max_rollbacks && t.retries_at_newest = 0
+  then begin
+    let start = inf.if_chunk.ch_start in
+    roll_back t start.cs_snap;
+    (* [roll_back] rewound the replicated cut; additionally rewind the
+       outside-SoR state the image froze, so re-execution re-lives the
+       chunk's exact timeline (device deliveries and timing jitter
+       included) minus the fault. Host inputs recorded after the chunk
+       started are gone with the cleared log; the serving client's
+       retransmission path redelivers them. *)
+    restore_outside_sor t start;
+    (* Pipeline reset: a fresh image of the rolled-back state starts
+       the next chunk; its full capture also re-baselines the
+       dirty-page tracking the next cut is priced by. *)
+    rp.rp_cut <- image t;
     rp.rp_seq <- rp.rp_seq + 1;
     rp.rp_next_cut <- t.ticks + t.cfg.Config.replay_chunk_ticks
   end
-  else if t.halt = None then
-    (* Budget exhausted or the ring gave out: persistent fault,
-       fail-stop — the lockstep path's verdict for the same state. *)
-    halt_system t H_mismatch
+  else if t.halt = None then halt_system t H_mismatch
 
 (* A cut needs a quiescent primary: the frozen [cut_state] records
    none of the engine's round bookkeeping (an open FT-op rendezvous,
@@ -400,7 +371,7 @@ let drain t =
   | Some rp ->
       if
         quiescent t
-        && (rp.rp_cut.cs_cycle < now t || Inputlog.pending rp.rp_log > 0)
+        && (cut_cycle rp.rp_cut < now t || Inputlog.pending rp.rp_log > 0)
       then do_cut t rp;
       while rp.rp_inflight <> [] do
         harvest_oldest t rp
@@ -436,7 +407,7 @@ let run ?stop t ~max_cycles =
       (not !stopped)
       && (finished t || t.halt <> None)
       && (rp.rp_inflight <> []
-         || rp.rp_cut.cs_cycle < now t
+         || cut_cycle rp.rp_cut < now t
          || Inputlog.pending rp.rp_log > 0)
     then begin
       do_cut t rp;

@@ -184,25 +184,20 @@ and async_round = {
 (* Replay-based detection (RepTFD) pipeline state                          *)
 (* ---------------------------------------------------------------------- *)
 
-(* A chunk cut: everything a shadow machine needs to restart execution
-   at this exact point, bit for bit. The ring snapshot covers the
-   replicated memory cut; the fields here additionally freeze the
-   outside-SoR state the ring deliberately does not capture — device
-   queues, the floating-point bus credit, the jitter RNG — which replay
-   needs but lockstep rollback does not (re-execution after a lockstep
-   rollback is *new* time; a replayed chunk re-lives the *same* time).
-   All arrays are private copies resolved on the primary's domain at cut
-   time, so checker domains never touch the (mutable) checkpoint ring. *)
+(* A chunk cut: one image of everything a machine needs to restart
+   execution at this exact point, bit for bit — the rollback source on
+   the primary and the start state of every checker's shadow. The
+   standalone full snapshot covers the replicated cut; the fields here
+   additionally freeze the outside-SoR state a snapshot deliberately
+   does not capture — device queues, the floating-point bus credit, the
+   jitter RNG — which replay needs but lockstep rollback does not
+   (re-execution after a lockstep rollback is *new* time; a replayed
+   chunk re-lives the *same* time). Immutable once taken, so checker
+   domains read it while the primary runs on. *)
 type cut_state = {
-  cs_cycle : int;
-  cs_ticks : int;
-  cs_round_seq : int;
+  cs_snap : Checkpoint.snap;  (* taken before the cut's stall charge *)
+  cs_stall : int;  (* that charge, which a shadow adds back *)
   cs_next_tick : int;
-  cs_finished : bool;
-  cs_kernel : Kernel.snapshot;  (* taken after the cut's stall charge *)
-  cs_part : int array;  (* primary partition image *)
-  cs_shared : int array;
-  cs_dma : int array;
   cs_cycles : int;  (* core active-cycle / instret counters *)
   cs_instret : int;
   cs_jitter : Rcoe_util.Rng.t;  (* private copy of the core's jitter RNG *)
@@ -217,7 +212,6 @@ type cut_state = {
 type chunk = {
   ch_seq : int;
   ch_start : cut_state;
-  ch_snap : Checkpoint.snap;  (* pinned ring entry at [ch_start] *)
   ch_log : Inputlog.event list;
   ch_end : cut_state;
 }
@@ -248,8 +242,9 @@ type t = {
   mutable pending_reintegrate : int option;
   mutable reintegration_log : (int * int) list;
   mutable event_log_len : int;
-  (* Rollback recovery. The ring exists only when checkpointing is
-     configured; all bookkeeping below is dead weight otherwise. *)
+  (* Rollback recovery. The ring exists only when lockstep checkpointing
+     is configured; replay detection rolls back to its chunk images and
+     uses only the counters. *)
   ckpts : Checkpoint.t option;
   mutable rounds_since_ckpt : int;
   mutable rollbacks_done : int;
@@ -282,12 +277,10 @@ and inflight = {
    primary-domain-only; the only cross-domain traffic is the immutable
    chunk handed to [Domain.spawn] and the [bool] verdict joined back. *)
 and replay = {
-  rp_ring : Checkpoint.t;
   rp_log : Inputlog.t;
   rp_span : int;  (* nominal chunk length, cycles *)
   mutable rp_seq : int;  (* sequence number of the accumulating chunk *)
   mutable rp_cut : cut_state;  (* its start *)
-  mutable rp_snap : Checkpoint.snap;  (* its pinned start snapshot *)
   mutable rp_next_cut : int;  (* tick count that triggers the next cut *)
   mutable rp_inflight : inflight list;  (* oldest first *)
   mutable rp_shadows : t list;  (* idle shadow systems *)
@@ -378,8 +371,13 @@ let downgrades t = t.downgrade_log
 
 let rollbacks t = t.rollback_log
 
+(* Every frozen image counts: under replay the setup image, one per cut
+   and one re-seed per rollback, i.e. one per chunk sequence number. *)
 let checkpoints_taken t =
-  match t.ckpts with Some ck -> Checkpoint.taken ck | None -> 0
+  match (t.ckpts, t.rp) with
+  | Some ck, _ -> Checkpoint.taken ck
+  | None, Some rp -> rp.rp_seq + 1
+  | None, None -> 0
 let events t = t.event_log
 let tick_count t = t.ticks
 let output t rid = Buffer.contents (Kernel.output t.replicas.(rid).kern)
@@ -719,11 +717,8 @@ let build cfg program ~elig ~lint =
       reintegration_log = [];
       event_log_len = 0;
       ckpts =
-        (* Replay detection owns the ring too: chunk-start snapshots
-           live in it so a mismatch rolls back through the same
-           budgeted [try_rollback] escalation as a lockstep vote. *)
-        (if cfg.Config.checkpoint_every > 0 || cfg.Config.detection = Config.Replay
-         then Some (Checkpoint.create ~depth:cfg.Config.checkpoint_depth)
+        (if cfg.Config.checkpoint_every > 0 then
+           Some (Checkpoint.create ~depth:cfg.Config.checkpoint_depth)
          else None);
       rounds_since_ckpt = 0;
       rollbacks_done = 0;
@@ -1088,55 +1083,47 @@ let publish_signatures t =
    they model a wide DMA/bulk-copy engine, plus a fixed quiesce cost. *)
 let ckpt_copy_cost words = (words / 32) + 2_000
 
-(* Capture every live replica into the ring. The ring's base must be
-   self-contained, so the first capture is always a full copy; after
-   that the configured mode decides (replay detection is always
-   incremental). Under replay detection every snapshot starts a chunk
-   and stays pinned until that chunk's verdict is in. *)
-let capture_checkpoint t ck =
-  let kind =
-    if t.cfg.Config.checkpoint_mode = Config.Full || Checkpoint.count ck = 0
-    then Checkpoint.Full
-    else Checkpoint.Delta
-  in
-  let snap =
-    Checkpoint.capture (mem t) t.lay ~kind ~cycle:(now t)
-      ~round_seq:t.round_seq ~ticks:t.ticks ~prim:t.prim
-      ~replicas:
-        (List.map (fun r -> (r.rid, r.kern, r.finished)) (live_replicas t))
-  in
-  Checkpoint.push ck snap;
-  if t.cfg.Config.detection = Config.Replay then Checkpoint.pin ck snap;
-  snap
+let capture t ~kind =
+  Checkpoint.capture (mem t) t.lay ~kind ~cycle:(now t)
+    ~round_seq:t.round_seq ~ticks:t.ticks ~prim:t.prim
+    ~replicas:
+      (List.map (fun r -> (r.rid, r.kern, r.finished)) (live_replicas t))
 
-(* Charge a capture's copy stall to every live replica and account it. *)
-let charge_checkpoint t snap =
-  let words = Checkpoint.words snap in
-  let skipped = Checkpoint.skipped_words snap in
+(* Charge the copy stall of a capture that copied [words] to every live
+   replica and account it; returns the stall. *)
+let charge_checkpoint t ~words ~skipped =
   let cost = ckpt_copy_cost words in
   List.iter (fun r -> charge r cost) (live_replicas t);
   Metrics.incr t.ms.m_ckpt_taken;
   Metrics.incr ~by:words t.ms.m_ckpt_words_copied;
   Metrics.incr ~by:skipped t.ms.m_ckpt_words_skipped;
   Metrics.observe t.ms.m_ckpt_cost (float_of_int cost);
-  Trace.checkpoint t.trace ~words ~skipped ~cost
+  Trace.checkpoint t.trace ~words ~skipped ~cost;
+  cost
 
+(* Capture every live replica into the ring. The ring's base must be
+   self-contained, so the first capture is always a full copy; after
+   that the configured mode decides. *)
 let take_checkpoint t ck =
-  let snap = capture_checkpoint t ck in
+  let kind =
+    if t.cfg.Config.checkpoint_mode = Config.Full || Checkpoint.count ck = 0
+    then Checkpoint.Full
+    else Checkpoint.Delta
+  in
+  let snap = capture t ~kind in
+  Checkpoint.push ck snap;
   (* A fresh verified snapshot is forward progress: reset escalation. *)
   t.retries_at_newest <- 0;
   t.escalations <- 0;
-  charge_checkpoint t snap
+  ignore
+    (charge_checkpoint t ~words:(Checkpoint.words snap)
+       ~skipped:(Checkpoint.skipped_words snap))
 
 (* Runs at the end of every successfully voted round (the only verified
    quiescent points). *)
 let maybe_checkpoint t =
   match t.ckpts with
   | None -> ()
-  (* Under replay detection the ring is fed by the chunk cuts
-     ([Engine_replay.do_cut]); round-interval captures would interleave
-     unpinned snapshots with the pinned chunk starts. *)
-  | Some _ when t.cfg.Config.detection = Config.Replay -> ()
   | Some ck ->
       if t.halt = None && not (finished t) then begin
         t.rounds_since_ckpt <- t.rounds_since_ckpt + 1;
@@ -1146,13 +1133,16 @@ let maybe_checkpoint t =
         end
       end
 
-(* Rewind the whole system to [snap]: memory, kernels, engine clocks and
-   roles. Wall-clock cycles never rewind — re-execution is *new* time,
-   which is exactly the recovery latency the campaign measures. Returns
-   the restore stall charged to the survivors. *)
-let perform_rollback t ck (snap : Checkpoint.snap) =
+(* Rewind the replicated cut to [snap]: memory, kernels, replica roles
+   and the engine's logical clocks. This is the one restore path:
+   lockstep rollback resolves a ring entry through [ring]; replay
+   rollback and the replay checkers' shadows restore a standalone chunk
+   image. *)
+let restore_snap t ?ring (snap : Checkpoint.snap) =
   Array.iter (fun r -> tp_end t r) t.replicas;
-  Checkpoint.restore_memory (mem t) t.lay ck snap;
+  (match ring with
+  | Some ck -> Checkpoint.restore_memory (mem t) t.lay ck snap
+  | None -> Checkpoint.restore_image (mem t) t.lay snap);
   (* Memory now equals the restored snapshot: it is the baseline the
      next delta capture is relative to. *)
   if t.cfg.Config.checkpoint_mode = Config.Incremental then
@@ -1177,13 +1167,31 @@ let perform_rollback t ck (snap : Checkpoint.snap) =
   Machine.route_irqs_to t.mach t.prim;
   t.round_seq <- snap.Checkpoint.s_round_seq;
   t.ticks <- snap.Checkpoint.s_ticks;
-  t.phase <- Ph_idle;
+  t.phase <- Ph_idle
+
+(* Roll the whole system back to [snap] and account it. Wall-clock
+   cycles never rewind — re-execution is *new* time, which is exactly
+   the recovery latency the campaign measures — and the restore stall
+   is charged to the survivors. *)
+let roll_back t ?ring (snap : Checkpoint.snap) =
+  t.rollbacks_done <- t.rollbacks_done + 1;
+  t.retries_at_newest <- t.retries_at_newest + 1;
+  observe_detection t;
+  let detected_at = now t in
+  restore_snap t ?ring snap;
   t.next_tick <- now t + t.cfg.Config.tick_interval;
   (* Restore writes the whole cut back regardless of how it was
      captured, so the stall scales with the resolved size. *)
   let cost = ckpt_copy_cost (Checkpoint.total_words snap) in
   List.iter (fun r -> charge r cost) (live_replicas t);
-  cost
+  Metrics.incr t.ms.m_rollbacks;
+  (* Recovery latency: the re-execution distance plus the restore
+     stall. *)
+  Metrics.observe t.ms.m_recover_latency
+    (float_of_int (detected_at - snap.Checkpoint.s_cycle + cost));
+  Trace.rollback t.trace ~to_cycle:snap.Checkpoint.s_cycle ~cost;
+  t.rollback_log <- (detected_at, snap.Checkpoint.s_cycle) :: t.rollback_log;
+  log_event t (E_rollback snap.Checkpoint.s_cycle)
 
 (* Recovery policy: bounded retries with exponential escalation. The
    newest snapshot gets 2^n retries (n = escalations so far) before it
@@ -1206,21 +1214,7 @@ let try_rollback t =
         match Checkpoint.newest ck with
         | None -> false
         | Some snap ->
-            t.rollbacks_done <- t.rollbacks_done + 1;
-            t.retries_at_newest <- t.retries_at_newest + 1;
-            observe_detection t;
-            let detected_at = now t in
-            let cost = perform_rollback t ck snap in
-            Metrics.incr t.ms.m_rollbacks;
-            (* Recovery latency: the re-execution distance plus the
-               restore stall. *)
-            Metrics.observe t.ms.m_recover_latency
-              (float_of_int
-                 (detected_at - snap.Checkpoint.s_cycle + cost));
-            Trace.rollback t.trace ~to_cycle:snap.Checkpoint.s_cycle ~cost;
-            t.rollback_log <-
-              (detected_at, snap.Checkpoint.s_cycle) :: t.rollback_log;
-            log_event t (E_rollback snap.Checkpoint.s_cycle);
+            roll_back t ~ring:ck snap;
             true
       end
 

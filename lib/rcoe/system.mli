@@ -183,10 +183,14 @@ val rollbacks : t -> (int * int) list
     signature mismatch, a failed masking vote, or a blocked downgrade
     then rewinds to the newest verified snapshot and re-executes,
     with a [max_rollbacks] budget and exponential escalation to older
-    snapshots, so persistent faults still fail-stop. *)
+    snapshots, so persistent faults still fail-stop. Under replay
+    detection a checker mismatch rewinds to the mismatching chunk's
+    start image instead (see {!Config.detection}). *)
 
 val checkpoints_taken : t -> int
-(** Verified checkpoints captured over the run. *)
+(** Verified checkpoints captured over the run; under replay detection,
+    every frozen chunk image (the setup image, one per cut, one re-seed
+    per rollback). *)
 
 val events : t -> (int * event_kind) list
 (** Notable events with their cycle, most recent first. Bounded: long

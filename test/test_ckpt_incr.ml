@@ -1,6 +1,6 @@
 (* Tests for dirty-page incremental checkpointing: Mem write tracking
-   and its first-out-of-range Abort payloads, the page-table dirty
-   mirror, the deferred-reduction checksum fast paths, delta-chain ring
+   and its first-out-of-range Abort payloads, the deferred-reduction
+   checksum fast paths, delta-chain ring
    eviction (fold-on-evict), and the acceptance sweep proving that
    Config.Incremental restores bit-for-bit identically to Config.Full
    across LC/CC x DMR/TMR on both engines, at strictly lower charged
@@ -87,53 +87,6 @@ let test_block_abort_payloads () =
   (* None of the failed ops may have dirtied anything. *)
   Alcotest.(check (list int)) "failed ops leave memory clean" []
     (dirty_pages m)
-
-(* --- page-table dirty mirror --------------------------------------------- *)
-
-let test_pte_dirty_mirror () =
-  let m = Mem.create (16 * psz) in
-  let t = { Page_table.base = 8; npages = 4 } in
-  Page_table.clear m t;
-  let pte ?(valid = true) ?(device = false) ppn =
-    { Page_table.valid; writable = true; dma = false; device; ppn }
-  in
-  Page_table.set m t ~vpn:0 (pte 2);
-  Page_table.set m t ~vpn:1 (pte 3);
-  Page_table.set m t ~vpn:2 (pte ~device:true 4);
-  Page_table.set m t ~vpn:3 (pte ~valid:false 5);
-  Mem.clear_dirty m;
-  (* Dirty the frames of vpn 0 (mirrorable), vpn 2 (device - skipped)
-     and vpn 3 (invalid - skipped). *)
-  Mem.write m (2 * psz) 1;
-  Mem.write m (4 * psz) 1;
-  Mem.write m (5 * psz) 1;
-  Alcotest.(check int) "mirrors only valid non-device frames" 1
-    (Page_table.mirror_dirty m t);
-  Alcotest.(check bool) "vpn 0 mirrored" true (Page_table.is_dirty m t ~vpn:0);
-  Alcotest.(check bool) "vpn 1 clean frame" false
-    (Page_table.is_dirty m t ~vpn:1);
-  Alcotest.(check bool) "device vpn skipped" false
-    (Page_table.is_dirty m t ~vpn:2);
-  Alcotest.(check bool) "invalid vpn skipped" false
-    (Page_table.is_dirty m t ~vpn:3);
-  (* Already-mirrored entries are not counted twice. *)
-  Alcotest.(check int) "idempotent" 0 (Page_table.mirror_dirty m t);
-  (* The software bit is invisible to encode/decode and a set rebuilds
-     the word, clearing the mirror - like an OS-managed spare PTE bit. *)
-  Alcotest.(check bool) "decode ignores mirror bit" true
-    (Page_table.get m t ~vpn:0 = pte 2);
-  Page_table.set m t ~vpn:0 (pte 2);
-  Alcotest.(check bool) "set clears mirror" false
-    (Page_table.is_dirty m t ~vpn:0);
-  Page_table.set_dirty m t ~vpn:1;
-  Page_table.set_dirty m t ~vpn:2;
-  Page_table.clear_all_dirty m t;
-  for vpn = 0 to 3 do
-    Alcotest.(check bool)
-      (Printf.sprintf "clear_all_dirty vpn %d" vpn)
-      false
-      (Page_table.is_dirty m t ~vpn)
-  done
 
 (* --- deferred-reduction checksum identity -------------------------------- *)
 
@@ -385,7 +338,6 @@ let suite =
     Alcotest.test_case "dirty bitmap semantics" `Quick test_dirty_bitmap;
     Alcotest.test_case "block-op abort payloads" `Quick
       test_block_abort_payloads;
-    Alcotest.test_case "page-table dirty mirror" `Quick test_pte_dirty_mirror;
     Alcotest.test_case "fletcher add_words identity" `Quick
       test_fletcher_add_words_identity;
     Alcotest.test_case "signature add_words identity" `Quick

@@ -1,10 +1,10 @@
 (* Replay-based detection (Config.detection = Replay): the unreplicated
-   primary runs ahead cutting (delta-checkpoint, input-log) chunks that
+   primary runs ahead cutting (start-image, input-log) chunks that
    checker domains re-execute and compare by memory digest. These tests
-   cover the checkpoint-ring pin discipline the pipeline depends on,
-   healthy-run verification, the transient-fault -> Recovered acceptance
-   scenario with its detection-lag bound, run-to-run and Interp/Blocks
-   determinism, and the replay metrics/trace surface. *)
+   cover healthy-run verification, the transient-fault -> Recovered
+   acceptance scenario with its exact accounting and detection-lag
+   bound, run-to-run and Interp/Blocks determinism, and the replay
+   metrics/trace surface. *)
 
 open Rcoe_machine
 open Rcoe_core
@@ -14,47 +14,6 @@ module Trace = Rcoe_obs.Trace
 module Metrics = Rcoe_obs.Metrics
 
 let x86 = Arch.X86
-
-(* --- checkpoint-ring pin discipline (regression) ------------------------- *)
-
-let mk_snap cycle =
-  {
-    Checkpoint.s_kind = Checkpoint.Full;
-    s_cycle = cycle;
-    s_round_seq = 0;
-    s_ticks = 0;
-    s_prim = 0;
-    s_shared = Checkpoint.R_full [||];
-    s_dma = Checkpoint.R_full [||];
-    s_replicas = [];
-    s_words = 0;
-    s_skipped_words = 0;
-  }
-
-let test_pin_refcount () =
-  (* A pinned tail defers eviction; pins are refcounted per snapshot, so
-     a double pin must survive a single unpin (the regression: a second
-     pin used to be forgotten, letting a fold invalidate a checker's
-     chunk mid-verification). *)
-  let ck = Checkpoint.create ~depth:2 in
-  let s1 = mk_snap 100 in
-  Checkpoint.push ck s1;
-  Checkpoint.pin ck s1;
-  Checkpoint.pin ck s1;
-  Checkpoint.push ck (mk_snap 200);
-  Checkpoint.push ck (mk_snap 300);
-  (* Eviction of the pinned oldest is deferred: the ring grows. *)
-  Alcotest.(check int) "ring grew past depth" 3 (Checkpoint.count ck);
-  Checkpoint.unpin ck s1;
-  Alcotest.(check bool) "still pinned after one unpin" true
-    (Checkpoint.pinned ck s1);
-  Alcotest.(check int) "still deferred" 3 (Checkpoint.count ck);
-  Checkpoint.unpin ck s1;
-  Alcotest.(check bool) "released" false (Checkpoint.pinned ck s1);
-  Alcotest.(check int) "deferred evictions ran" 2 (Checkpoint.count ck);
-  Alcotest.check_raises "unpin of unpinned raises"
-    (Invalid_argument "Checkpoint.unpin: snapshot is not pinned") (fun () ->
-      Checkpoint.unpin ck s1)
 
 (* --- configuration ------------------------------------------------------- *)
 
@@ -204,7 +163,30 @@ let test_transient_fault_recovered () =
     (System.output clean 0) (System.output sys 0);
   (* Fault runs are deterministic too. *)
   Alcotest.(check bool) "fault run deterministic" true
-    (fingerprint sys = fingerprint (replay_run ~fault ()))
+    (fingerprint sys = fingerprint (replay_run ~fault ()));
+  (* The replay accounting, pinned exactly on both backends: cut stalls
+     priced as delta captures, one rollback to the mismatching chunk's
+     start, every frozen image (setup, cuts, the re-seed after the
+     rollback) counted. *)
+  List.iter
+    (fun backend ->
+      let sys = replay_run ~backend ~fault () in
+      let name = Config.exec_backend_to_string backend ^ ": " in
+      let check_int label want got =
+        Alcotest.(check int) (name ^ label) want got
+      in
+      check_int "final cycle" 204_485 (System.now sys);
+      check_int "ckpt.taken" 11 (counter sys "ckpt.taken");
+      check_int "ckpt.words_copied" 10_496 (counter sys "ckpt.words_copied");
+      check_int "ckpt.words_skipped" 2_287_360
+        (counter sys "ckpt.words_skipped");
+      check_int "checkpoints_taken" 13 (System.checkpoints_taken sys);
+      Alcotest.(check (list (pair int int)))
+        (name ^ "rollbacks") [ (80_000, 40_000) ] (System.rollbacks sys);
+      check_int "replay.chunks" 11 (counter sys "replay.chunks");
+      check_int "replay.chunks_verified" 9
+        (counter sys "replay.chunks_verified"))
+    [ Config.Interp; Config.Blocks ]
 
 (* --- detection-lag bound ------------------------------------------------- *)
 
@@ -320,7 +302,6 @@ let test_replay_gauges () =
 
 let suite =
   [
-    Alcotest.test_case "checkpoint pin refcount" `Quick test_pin_refcount;
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "healthy run verifies every chunk" `Quick
       test_healthy_run_verifies;
