@@ -457,8 +457,8 @@ let flush_at c env ~at k =
     Core.flush_bus_wait c env
   end
 
-(* Batched stepping for the run loop's burst fast paths ([Window.burst]
-   and [Window.job]). Runs up to [fuel] cycles in one tight loop,
+(* Batched stepping for the run loop's fast paths ([Window.burst],
+   [Window.job] and [Window.skip]). Runs up to [fuel] cycles in one tight loop,
    absorbing [Ran]/[Stalled] results internally and returning at the
    first event (or when the fuel runs out). Each cycle first refills
    every lane in [buses] — exactly the bus work [Machine.tick] performs
@@ -478,9 +478,9 @@ let flush_at c env ~at k =
    to the cycle per-cycle stepping would stamp.
 
    Preconditions (the caller's burst-eligibility check): the core is not
-   halted, no breakpoint is armed ([bp = None], [bp_suppress] clear),
-   and nothing outside the core — devices, IPIs, preemption ticks — can
-   intervene within [fuel] cycles. Under those conditions the loop body
+   halted, no breakpoint is armed ([bp = None], [bp_suppress] clear)
+   unless [fuel <= stall], and nothing outside the core — devices,
+   IPIs, preemption ticks — can intervene within [fuel] cycles. Under those conditions the loop body
    below is [Core.step]'s shell with the loop-invariant branches hoisted
    out, and a burst of [n] cycles is bit-identical to [n] successive
    [Machine.tick] + [step] pairs. *)

@@ -90,8 +90,8 @@ val run :
     running core is this one (the unreplicated burst of
     [Window.burst], which then adds the consumed count to
     [Machine.now]), or just this core's own lane inside an execution
-    window, where each replica ticks its own lane and the window's
-    retirement tops the others up.
+    window or a quiet-cycle skip, where each replica ticks its own lane
+    and the caller tops the others up.
 
     The only trace event a burst emits is the bus-stall span of
     {!Core.flush_bus_wait}. Its stamp reads the trace clock, which the
@@ -100,7 +100,10 @@ val run :
     first cycle); the caller sets its trace clock to that cycle.
 
     Preconditions, checked by the caller: the core is not halted, no
-    breakpoint is armed ([bp = None], [bp_suppress] clear), and no
+    breakpoint is armed ([bp = None], [bp_suppress] clear) unless
+    [fuel <= stall] (the burst then only takes stalled cycles, which
+    never test the breakpoint — the run loop's quiet-cycle skip steps a
+    catch-up replica paying a debug exception this way), and no
     device-visible activity (frame delivery, raised IRQ line), IPI
     delivery or preemption tick can fall within [fuel] cycles. Devices
     may exist: a per-cycle [dev_tick] over a quiescent stretch only

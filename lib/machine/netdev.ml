@@ -158,22 +158,24 @@ let dev_tick t ~now =
   in
   drain ()
 
-(* The earliest cycle strictly after [after] at which this device could
-   change observable machine state on its own: the head of the host
-   queue becoming deliverable (bounded below by the next tick), or
-   [after] itself when the interrupt line is already up. [None] when the
-   device is quiescent — wedged, queue empty, or no free RX slot (ring
-   full, or every vacancy quarantined behind a NACK): deliveries then
-   wait on a driver consume or ring-state read, which only user code
-   triggers, so no spontaneous activity can happen. *)
-let next_event t ~after =
-  if t.wedged then None
-  else if t.irq_line then Some after
-  else if Queue.is_empty t.free_slots then None
+(* The cycle strictly after [after] at which the head of the host queue
+   becomes deliverable (bounded below by the next tick). [None] when no
+   delivery can happen on its own — wedged, queue empty, or no free RX
+   slot (ring full, or every vacancy quarantined behind a NACK):
+   deliveries then wait on a driver consume or ring-state read, which
+   only user code triggers. *)
+let next_delivery t ~after =
+  if t.wedged || Queue.is_empty t.free_slots then None
   else
     match Queue.peek_opt t.host_q with
     | None -> None
     | Some (at, _, _) -> Some (max (after + 1) at)
+
+(* The earliest cycle at which this device could change observable
+   machine state on its own: [after] itself when the interrupt line is
+   already up, else the next delivery. *)
+let next_event t ~after =
+  if (not t.wedged) && t.irq_line then Some after else next_delivery t ~after
 
 (* A NACKed slot re-arms only once the driver reads RX_COUNT: the read
    is the first point at which the driver has observed the post-drop

@@ -74,6 +74,15 @@ val next_event : t -> after:int -> int option
     engine uses this to clip execution windows so that device activity
     lands on the same cycle as under sequential stepping. *)
 
+val next_delivery : t -> after:int -> int option
+(** The delivery cycle of the queued head packet (clamped to
+    [after + 1]), [None] when no delivery can happen without a driver
+    action (wedged, nothing queued, or the RX ring full): {!next_event}
+    without the interrupt line. A delivery DMAs the frame into the ring
+    and calls the [on_rx] observer with its cycle, so a run that steps
+    many cycles at once stops short of it even in phases where nobody
+    polls the interrupt line. *)
+
 val set_wedged : t -> bool -> unit
 (** A wedged NIC stops delivering queued packets and raising interrupts
     (the overclocking campaigns use this for catastrophic I/O-path

@@ -24,7 +24,8 @@ type engine =
           run on [Blocks] that is eligible for [Parallel]
           ({!parallel_ineligibility} = [None]), traced or not, runs the
           same execution windows as [Parallel], each replica's window
-          inline in turn; every other run steps cycle by cycle. *)
+          inline in turn; every other run steps cycle by cycle, apart
+          from the quiet cycles [Blocks] takes in one step. *)
   | Parallel
       (** Step each live replica's partition on its own [Domain.t]
           between sync points; barriers, voting, IPIs, and all shared
@@ -49,7 +50,12 @@ type exec_backend =
           or not, also bursts through stretches of cycles without the
           per-cycle engine shell: an unreplicated run between ticks, a
           replicated run eligible for [Parallel] between core events
-          inside execution windows, on either engine. *)
+          inside execution windows, on either engine. Outside those,
+          any run takes a stretch of quiet cycles — every replica
+          stalled, idle or spinning at a barrier, and no tick, IPI,
+          frame delivery, timeout or round completion due — in one
+          step; replicated runs without exception barriers, which open
+          no windows, gain most from it. *)
 
 (** How divergence is detected (the two ends of the paper's sync-cost
     trade-off curve, the second populated by RepTFD-style replay). *)

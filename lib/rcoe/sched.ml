@@ -1,12 +1,12 @@
 (* The replication scheduler: system state, round lifecycle, voting,
    masking, checkpointing, and per-replica stepping. The one run loop
-   over simulated cycles, with the classic cycle and the quiescent
-   burst it takes, lives in [Window]; [Engine_par] runs its window jobs
-   on worker domains, [Engine_replay] adds chunk cuts and owns the
-   replay pipeline's set-up and cut state, and [System] is the public
-   facade that dispatches on the configuration. This module has no
-   interface — the engines need the internals — but nothing outside
-   the library should depend on it. *)
+   over simulated cycles, with the classic cycle, the quiescent burst
+   and the quiet-cycle skip it takes, lives in [Window]; [Engine_par]
+   runs its window jobs on worker domains, [Engine_replay] adds chunk
+   cuts and owns the replay pipeline's set-up and cut state, and
+   [System] is the public facade that dispatches on the configuration.
+   This module has no interface — the engines need the internals — but
+   nothing outside the library should depend on it. *)
 
 open Rcoe_machine
 open Rcoe_kernel
@@ -1783,14 +1783,17 @@ let step_catchup t r cu =
           | Core.Event ev -> on_catchup_event t r cu ev
   end
 
+(* [cycles] cycles of spinning at a barrier: charged kernel work
+   (publishing, voting, VM crossings) overlaps the wait instead of
+   deferring resume, so the residual stall decays by one per cycle. *)
+let spin r ~cycles =
+  let core = Kernel.core r.kern in
+  if core.Core.stall > 0 then core.Core.stall <- max 0 (core.Core.stall - cycles)
+
 let step_replica t r =
   match r.state with
   | Rs_removed | Rs_halted -> ()
-  | Rs_gather_wait | Rs_vote_wait | Rs_rendezvous ->
-      (* Spinning at a barrier: charged kernel work (publishing, voting,
-         VM crossings) overlaps the wait instead of deferring resume. *)
-      let core = Kernel.core r.kern in
-      if core.Core.stall > 0 then core.Core.stall <- core.Core.stall - 1
+  | Rs_gather_wait | Rs_vote_wait | Rs_rendezvous -> spin r ~cycles:1
   | Rs_chase target ->
       if event_count t r >= target then arrive t r else run_user t r
   | Rs_catchup cu -> step_catchup t r cu
@@ -1810,6 +1813,62 @@ let step_replica t r =
         | _ -> ()
       end
       else run_user t r
+
+(* What [step_replica] does with [r] on the cycles after [s], as long as
+   no round event intervenes — the per-replica count of the run loop's
+   quiet-cycle skip ([Window.skip]):
+   - [Q_acts]: the next cycle executes an instruction, takes an IPI, or
+     changes replica or round state (arrives, joins, arms a breakpoint);
+   - [Q_stalled n]: each of the next [n] cycles only burns one stall
+     cycle in [Kernel.step];
+   - [Q_spins]: a barrier spin, whose cycles only decay the stall
+     ([spin]);
+   - [Q_still n]: the next [n] cycles do nothing ([max_int]: no bound).
+   Mirrors [step_replica] and [step_catchup] branch for branch. An IPI
+   that becomes visible at cycle [p] bounds a running replica to the
+   [p - s - 1] cycles before it, since [step_replica] tests for it
+   before the stall. A PMU fast catch-up counts as acting throughout. *)
+type quiet = Q_acts | Q_stalled of int | Q_spins | Q_still of int
+
+(* [run_user]'s next cycles, at most [bound] of them; a stalled step of
+   a replica that deferred its publication may join the gather. *)
+let quiet_user r bound =
+  let core = Kernel.core r.kern in
+  if core.Core.halted || Kernel.current_tid r.kern < 0 then Q_still bound
+  else if core.Core.stall = 0 || r.defer_publish then Q_acts
+  else Q_stalled (min bound core.Core.stall)
+
+let quiet t r ~s =
+  match r.state with
+  | Rs_removed | Rs_halted -> Q_still max_int
+  | Rs_gather_wait | Rs_vote_wait | Rs_rendezvous -> Q_spins
+  | Rs_chase target ->
+      if event_count t r >= target then Q_acts else quiet_user r max_int
+  | Rs_catchup cu -> (
+      let leader = cu.leader_clock in
+      if event_count t r < leader.Clock.count then quiet_user r max_int
+      else
+        match leader.Clock.pos with
+        | Clock.In_kernel -> quiet_user r max_int
+        | Clock.At_user _ ->
+            (* Unarmed, the next cycle runs the PMU phase or arms the
+               breakpoint; armed, it steps the core without [run_user]'s
+               checks, so only a live stalled core is quiet. *)
+            let core = Kernel.core r.kern in
+            if (not cu.bp_set) || core.Core.halted || core.Core.stall = 0
+            then Q_acts
+            else Q_stalled core.Core.stall)
+  | Rs_run ->
+      if (Kernel.core r.kern).Core.halted then Q_still max_int
+      else
+        let p = t.mach.Machine.ipi_pending.(r.rid) in
+        let bound = if p = max_int then max_int else p - s - 1 in
+        if bound <= 0 then Q_acts
+        else if r.finished || Kernel.current_tid r.kern < 0 then
+          match t.phase with
+          | Ph_async { stage = `Gather; _ } -> Q_acts
+          | _ -> Q_still bound
+        else quiet_user r bound
 
 (* ---------------------------------------------------------------------- *)
 (* Phase advancement and round initiation                                  *)
@@ -1840,6 +1899,21 @@ let base_tick t =
         (Option.map (fun f ~tid ~ctx_addr -> f ~rid:0 ~tid ~ctx_addr) hook)
       r.kern
   end
+
+(* The round can be decided now, barring a timeout: every live replica
+   has joined the gather, arrived at the final barrier, or reached the
+   rendezvous. [advance_phase] completes the round's stage on it, and
+   the quiet-cycle skip refuses to run past it: [start_move] can arrive
+   every replica at once, and the round then completes on the next
+   cycle. *)
+let round_ready t =
+  let all p = Array.for_all (fun r -> r.state = Rs_removed || p r) t.replicas in
+  match t.phase with
+  | Ph_idle -> false
+  | Ph_async { stage = `Gather; _ } -> all (fun r -> r.joined)
+  | Ph_async { stage = `Move; _ } ->
+      all (fun r -> r.state = Rs_vote_wait && arrived_bar t r.rid)
+  | Ph_rdv _ -> all (fun r -> r.state = Rs_rendezvous && arrived_bar t r.rid)
 
 let advance_phase t =
   match t.phase with
@@ -1892,17 +1966,10 @@ let advance_phase t =
         if handle_timeout t ~stragglers then
           round.round_started <- now t (* fresh budget for the survivors *)
       end
-      else
+      else if round_ready t then
         match round.stage with
-        | `Gather ->
-            if List.for_all (fun r -> r.joined) (live_replicas t) then
-              start_move t round
-        | `Move ->
-            if
-              List.for_all
-                (fun r -> r.state = Rs_vote_wait && arrived_bar t r.rid)
-                (live_replicas t)
-            then complete_round t ~events:(Some round.events))
+        | `Gather -> start_move t round
+        | `Move -> complete_round t ~events:(Some round.events))
   | Ph_rdv rdv ->
       if now t - rdv.rdv_started > t.cfg.Config.barrier_timeout then begin
         let stragglers =
@@ -1910,11 +1977,7 @@ let advance_phase t =
         in
         if handle_timeout t ~stragglers then rdv.rdv_started <- now t
       end
-      else if
-        List.for_all
-          (fun r -> r.state = Rs_rendezvous && arrived_bar t r.rid)
-          (live_replicas t)
-      then begin
+      else if round_ready t then begin
         Metrics.incr t.ms.m_rendezvous;
         complete_round t ~events:None
       end

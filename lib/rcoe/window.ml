@@ -1,16 +1,21 @@
 (* The run loop: the only code in the library that steps simulated
    cycles. Each iteration of [run] first runs an optional [before] hook
-   (replay detection cuts its chunks there), then takes one of three
+   (replay detection cuts its chunks there), then takes one of four
    steps:
 
    - one execution window, when the caller passed [jobs];
    - else a quiescent burst of an unreplicated run on the [Blocks]
      backend ([burst]);
+   - else, on [Blocks], the next run of quiet cycles at once ([skip]):
+     cycles in which no replica executes an instruction and the round
+     decides nothing — stalled, idle and barrier-spinning replicas,
+     mostly inside async rounds and in runs without exception barriers,
+     which open no windows;
    - else one [classic_cycle]: tick the machine, step every replica in
      rid order, and advance the round state machine. On [Interp] this
      is the reference all faster steps are held bit-identical to.
 
-   One [horizon] bounds both fast steps, so that no round-lifecycle
+   One [horizon] bounds all three fast steps, so that no round-lifecycle
    decision the classic loop would take falls strictly inside them.
 
    Execution windows. Between two sync points every live replica only
@@ -129,40 +134,42 @@ let job t r w ~s ~cap =
   done
 
 (* Furthest cycle the next window may reach, and one past the last
-   cycle a Base burst may run. Chosen so that no round-lifecycle
-   decision the per-cycle loop would take falls strictly inside the
-   step:
+   cycle a Base burst or a quiet-cycle skip may run. Chosen so that no
+   round-lifecycle decision the per-cycle loop would take falls strictly
+   inside the step:
    - [Ph_idle]: up to the next preemption tick. For replicated modes
      also at most [barrier_timeout] cycles out, so a rendezvous that
      *starts* inside the window (earliest at [s+1]) cannot have its
      timeout deadline fire before the window ends.
-   - [Ph_rdv]: exactly up to the timeout deadline — the first cycle at
-     which [advance_phase] declares the timeout.
-   In [Ph_idle] with a NIC attached, also no further than the device's
-   next spontaneous event: [advance_phase] polls the interrupt line only
-   in that phase, so the step must end exactly at the cycle where a
-   delivery (or an already-raised line) would make the per-cycle loop's
-   poll fire. During [Ph_rdv] the poll is dormant and deliveries are
-   replayed by the window-end device catch-up, so no clip is needed.
-   Always clipped to the run budget and, when a [~stop] predicate is
-   installed, to the next multiple-of-128 polling cycle. *)
+   - [Ph_async] and [Ph_rdv]: exactly up to the timeout deadline — the
+     first cycle at which [advance_phase] declares the timeout. No
+     window opens in an async round ([run]'s [windowable]); the bound
+     serves the skip.
+   With a NIC attached, also no further than the device's next
+   spontaneous event. In [Ph_idle] that includes an already-raised
+   interrupt line: [advance_phase] polls the line only in that phase, so
+   the step must end exactly at the cycle where the per-cycle loop's
+   poll would fire. In every phase it includes the next frame delivery,
+   which the [on_rx] observer stamps with its cycle: the device catch-up
+   at a step's end would deliver it late. Always clipped to the run
+   budget and, when a [~stop] predicate is installed, to the next
+   multiple-of-128 polling cycle. *)
 let horizon t ~s ~start ~max_cycles ~has_stop =
-  let cap =
+  let timeout started = started + t.cfg.Config.barrier_timeout + 1 in
+  let cap, next_event =
     match t.phase with
-    | Ph_async _ -> s
     | Ph_idle ->
-        let cap =
-          if t.cfg.Config.mode = Config.Base then t.next_tick
-          else min t.next_tick (s + 1 + t.cfg.Config.barrier_timeout)
-        in
-        (match t.net with
-        | Some nd -> (
-            match Netdev.next_event nd ~after:s with
-            | Some e -> min cap e
-            | None -> cap)
-        | None -> cap)
-    | Ph_rdv { rdv_started } ->
-        rdv_started + t.cfg.Config.barrier_timeout + 1
+        ( (if t.cfg.Config.mode = Config.Base then t.next_tick
+           else min t.next_tick (s + 1 + t.cfg.Config.barrier_timeout)),
+          Netdev.next_event )
+    | Ph_async round -> (timeout round.round_started, Netdev.next_delivery)
+    | Ph_rdv { rdv_started } -> (timeout rdv_started, Netdev.next_delivery)
+  in
+  let cap =
+    match t.net with
+    | Some nd -> (
+        match next_event nd ~after:s with Some e -> min cap e | None -> cap)
+    | None -> cap
   in
   let cap = min cap (start + max_cycles) in
   if has_stop then min cap (((s lsr 7) + 1) lsl 7) else cap
@@ -220,6 +227,59 @@ let burst t ~s ~start ~max_cycles ~has_stop =
       Option.iter (on_event t r) ev;
       true
   | _ -> false
+
+(* The quiet-cycle skip, tried on [Blocks] where the run loop would
+   otherwise fall back to [classic_cycle]. A quiet cycle is one in which
+   the classic cycle executes no instruction and decides nothing: every
+   replica [step_replica] would step is stalled, every other one is
+   idle, halted, removed or spinning at a barrier ([Sched.quiet]), the
+   round is not ready to complete ([Sched.round_ready]), and no tick,
+   IRQ, frame delivery or timeout is due before the [horizon]. The skip
+   takes the next [k] quiet cycles at once: a stalled replica runs
+   [Blockc.run ~fuel:k] on its own lane, which takes the whole stall in
+   one step; a barrier spinner's stall decays in closed form
+   ([Sched.spin]); every other lane is topped up; and the machine clock
+   moves by [k], followed by one device tick, as after a window. The
+   horizon cycle itself, and any cycle with work, runs through
+   [classic_cycle]. Returns false, having done nothing, when no cycle
+   is quiet. *)
+let skip t ~s ~start ~max_cycles ~has_stop =
+  t.cfg.Config.exec_backend = Config.Blocks
+  &&
+  let n = Array.length t.replicas in
+  let rec bound i k =
+    if i = n then k
+    else
+      match quiet t t.replicas.(i) ~s with
+      | Q_acts -> 0
+      | Q_spins -> bound (i + 1) k
+      | Q_stalled m | Q_still m -> bound (i + 1) (min k m)
+  in
+  let k = bound 0 max_int in
+  k > 0
+  && (not (round_ready t))
+  &&
+  let k = min k (horizon t ~s ~start ~max_cycles ~has_stop - s - 1) in
+  k > 0
+  && begin
+       Array.iter
+         (fun r ->
+           let lane = Machine.bus_lane t.mach ~core_id:r.rid in
+           match quiet t r ~s with
+           | Q_stalled _ ->
+               let bc = Option.get (Kernel.block_cache r.kern) in
+               ignore
+                 (Blockc.run bc ~buses:[| lane |] ~fuel:k
+                    ~at:(fun j -> t.mach.Machine.now <- s + j))
+           | Q_spins ->
+               spin r ~cycles:k;
+               Bus.advance lane ~cycles:k
+           | Q_still _ | Q_acts -> Bus.advance lane ~cycles:k)
+         t.replicas;
+       t.mach.Machine.now <- s + k;
+       Machine.tick_devices t.mach;
+       true
+     end
 
 (* Give every running replica a window context. Parked, halted and
    removed replicas have no private work — their bus lanes and
@@ -316,16 +376,13 @@ let retire t ~s ~cap =
      in closed form. *)
   Array.iter
     (fun r ->
-      if r.state = Rs_rendezvous then begin
+      if r.state = Rs_rendezvous then
         let since =
           match r.wctx with
           | Some { wpark = Some (ts, Pk_rendezvous); _ } -> ts
           | _ -> s
         in
-        let core = Kernel.core r.kern in
-        if core.Core.stall > 0 then
-          core.Core.stall <- max 0 (core.Core.stall - (w_actual - since))
-      end)
+        spin r ~cycles:(w_actual - since))
     t.replicas;
   (* Top every bus lane up to the window end: the per-cycle loop's
      Machine.tick runs all lanes every cycle, including those of parked,
@@ -339,12 +396,11 @@ let retire t ~s ~cap =
         ~cycles:(max 0 (span - ticked)))
     t.replicas;
   t.mach.Machine.now <- w_actual;
-  (* Device catch-up: one bulk tick at the window-end cycle drains
-     everything the per-cycle ticks would have delivered by now
-     (delivery order, slot assignment and timestamps depend only on the
-     host queue and [now], so the result is identical), before
-     [advance_phase] polls the interrupt line or a completed rendezvous
-     consumes device state. *)
+  (* Device catch-up: the [horizon] keeps every frame delivery at or
+     after the window cap, so one tick at the window-end cycle delivers
+     exactly what the per-cycle ticks would have by now, stamped with
+     the same cycle, before [advance_phase] polls the interrupt line or
+     a completed rendezvous consumes device state. *)
   Machine.tick_devices t.mach;
   (* Commit per-replica trace buffers into the shared ring in
      deterministic order, then settle deferred metrics. *)
@@ -412,35 +468,38 @@ let run ?before ?jobs ?stop t ~max_cycles =
     in
     if live then begin
       let s = now t in
-      (match jobs with
-      | Some jobs ->
-          (* A window is possible only between sync points with no IPI
-             in flight; async rounds and IPI delivery interleave
-             replicas at cycle granularity and take the classic path. *)
-          let windowable =
-            match t.phase with
-            | Ph_async _ -> false
-            | Ph_idle | Ph_rdv _ ->
-                not
-                  (Array.exists
-                     (fun r ->
-                       r.state = Rs_run
-                       && t.mach.Machine.ipi_pending.(r.rid) <> max_int)
-                     t.replicas)
-          in
-          let cap =
-            if windowable then horizon t ~s ~start ~max_cycles ~has_stop
-            else s
-          in
-          if cap <= s then classic_cycle t
-          else begin
-            open_window t ~s;
-            jobs ~s ~cap;
-            retire t ~s ~cap
-          end
-      | None ->
-          if not (burst t ~s ~start ~max_cycles ~has_stop) then
-            classic_cycle t);
+      let fast =
+        match jobs with
+        | Some jobs ->
+            (* A window is possible only between sync points with no IPI
+               in flight; async rounds and IPI delivery interleave
+               replicas at cycle granularity. *)
+            let windowable =
+              match t.phase with
+              | Ph_async _ -> false
+              | Ph_idle | Ph_rdv _ ->
+                  not
+                    (Array.exists
+                       (fun r ->
+                         r.state = Rs_run
+                         && t.mach.Machine.ipi_pending.(r.rid) <> max_int)
+                       t.replicas)
+            in
+            let cap =
+              if windowable then horizon t ~s ~start ~max_cycles ~has_stop
+              else s
+            in
+            cap > s
+            && begin
+                 open_window t ~s;
+                 jobs ~s ~cap;
+                 retire t ~s ~cap;
+                 true
+               end
+        | None -> burst t ~s ~start ~max_cycles ~has_stop
+      in
+      if not (fast || skip t ~s ~start ~max_cycles ~has_stop) then
+        classic_cycle t;
       match stop with
       | Some f when now t land 127 = 0 -> if f t then continue_ := false
       | _ -> ()
