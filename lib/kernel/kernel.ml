@@ -71,12 +71,19 @@ let env t = t.kenv
 let block_cache t = t.kbc
 
 (* One architectural cycle through whichever backend this kernel was
-   created with. The interpreter is the oracle; the block compiler is
-   observably identical to it (enforced by test/test_exec_blocks.ml). *)
+   created with: the interpreter, which is the oracle, or a one-cycle
+   [Blockc.run], observably identical to it (enforced by
+   test/test_exec_blocks.ml). The caller ticks the machine, bus lanes
+   included, and owns the trace clock. *)
+let clock_unmoved (_ : int) = ()
+
 let step t =
   match t.kbc with
   | None -> Core.step t.kcore t.kenv
-  | Some bc -> Blockc.step bc
+  | Some bc -> (
+      match Blockc.run bc ~buses:[||] ~fuel:1 ~at:clock_unmoved with
+      | None -> Core.Ran
+      | Some ev -> Core.Event ev)
 
 (* Overwrite one instruction in this kernel's private code image and
    drop any compiled block for its page. The only legal way code

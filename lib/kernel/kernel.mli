@@ -80,8 +80,9 @@ val create :
 
 val step : t -> Rcoe_machine.Core.step_result
 (** Advance this kernel's core by one architectural cycle through the
-    configured execution backend. Engines must call this instead of
-    [Core.step] directly so backend selection applies uniformly
+    configured execution backend: {!Rcoe_machine.Core.step}, or a
+    one-cycle {!Rcoe_machine.Blockc.run}. Engines must call this instead
+    of [Core.step] directly so backend selection applies uniformly
     (including catch-up replay). *)
 
 val block_cache : t -> Rcoe_machine.Blockc.t option

@@ -8,11 +8,11 @@
     a pre-decoded closure (register indices, immediates, branch targets
     and ALU/condition functions resolved at decode time), the page's
     basic blocks are discovered and summarised with pre-summed minimum
-    cycle charges, and subsequent steps dispatch through a flat closure
+    cycle charges, and subsequent cycles dispatch through a flat closure
     array indexed by the instruction pointer.
 
     {b The contract with the oracle is cycle identity}, not mere
-    semantic equivalence. {!step} mirrors the {!Core.step} shell
+    semantic equivalence. {!run} loops the {!Core.step} shell
     decision for decision — halted / stall / breakpoint / bad-ip
     ordering, the [bp_suppress] re-arm, bus-wait accounting and its
     trace flush, and the jitter RNG draw on exactly the cycles the
@@ -48,8 +48,8 @@ type t
     [b_first], ending at a control transfer (or page edge), with the
     minimum cycle charge — one cycle per instruction plus the profile's
     guaranteed memory-access stalls — pre-summed in [b_min_cycles].
-    Blocks are decode/caching metadata: execution still proceeds one
-    architectural cycle per {!step} so that bus arbitration, IRQ/IPI
+    Blocks are decode/caching metadata: {!run} still proceeds one
+    architectural cycle at a time so that bus arbitration, IRQ/IPI
     delivery points and sync phases interleave exactly as under the
     interpreter. *)
 type block = { b_first : int; b_len : int; b_min_cycles : int }
@@ -61,60 +61,52 @@ type stats = {
   mutable ops_compiled : int;  (** instruction slots compiled *)
   mutable invalidations : int;  (** pages thrown away *)
   mutable burst_cycles : int;
-      (** cycles run inside {!run}; the rest of this core's cycles went
-          through {!step}. Kept outside the metrics registry, so the
-          [Interp]/[Blocks] metric identity does not see it. *)
+      (** cycles the run loop's fast steps (execution windows and the
+          quiet-cycle skip) ran inside {!run}; the caller adds them, so
+          the one-cycle runs of [Kernel.step] do not count. Kept outside
+          the metrics registry, so the [Interp]/[Blocks] metric identity
+          does not see it. *)
 }
 
 val create : Core.t -> Core.env -> t
 (** [create core env] builds an empty cache over [env.code]. Nothing is
     compiled until execution first enters a page. *)
 
-val step : t -> Core.step_result
-(** One architectural cycle, observably identical to
-    [Core.step core env] on the same state: same cycle charge, same
-    stall/breakpoint/fault/event outcomes, same trace emissions, same
-    RNG consumption. Lazily compiles the current page on first entry. *)
-
 val run :
-  t -> buses:Bus.t array -> fuel:int -> at:(int -> unit) ->
-  int * Core.event option
+  t -> buses:Bus.t array -> fuel:int -> at:(int -> unit) -> Core.event option
 (** [run t ~buses ~fuel ~at] executes up to [fuel] architectural cycles
-    in one call, for the engines' burst fast paths: each cycle refills
-    every lane in [buses] and then performs one {!step}, absorbing
-    [Ran]/[Stalled] results and returning at the first event. A run of
-    stalled cycles is taken in one step ({!Bus.advance}). Returns the
-    number of cycles consumed — including the cycle of a terminating
-    event — and that event, if any. [buses] are the bus lanes the
-    caller owns for this stretch: every lane of a machine whose only
-    running core is this one (the unreplicated burst of
-    [Window.burst], which then adds the consumed count to
-    [Machine.now]), or just this core's own lane inside an execution
-    window or a quiet-cycle skip, where each replica ticks its own lane
+    in one call and returns at the first event, or [None] when the fuel
+    runs out. Each cycle refills every lane in [buses] and then does
+    what {!Core.step} does on the same state: same cycle charge, same
+    stall/breakpoint/fault/event outcomes, same trace emissions, same
+    RNG consumption. A run of stalled cycles is taken in one step
+    ({!Bus.advance}). The cycles consumed, the cycle of a terminating
+    event included, are added to the core's [cycles], where the caller
+    reads them. A halted core consumes nothing and returns [Ev_halt].
+    Lazily compiles each page on first entry.
+
+    [buses] are the bus lanes the caller owns for this stretch: none
+    for a single cycle of [Kernel.step], whose caller ticks the machine
+    itself, or the core's own lane inside an execution window or the
+    run loop's quiet-cycle skip, where each replica ticks its own lane
     and the caller tops the others up.
 
-    The only trace event a burst emits is the bus-stall span of
-    {!Core.flush_bus_wait}. Its stamp reads the trace clock, which the
-    burst does not advance, so [at k] is called just before each such
-    flush with the flushing cycle's offset [k] ([1] is the burst's
+    The trace events a run emits are a breakpoint fire and the
+    bus-stall span of {!Core.flush_bus_wait}. Their stamps read the
+    trace clock, which the run does not advance, so [at k] is called
+    just before each with the cycle's offset [k] ([1] is the run's
     first cycle); the caller sets its trace clock to that cycle.
 
-    Preconditions, checked by the caller: the core is not halted, no
-    breakpoint is armed ([bp = None], [bp_suppress] clear) unless
-    [fuel <= stall] (the burst then only takes stalled cycles, which
-    never test the breakpoint — the run loop's quiet-cycle skip steps a
-    catch-up replica paying a debug exception this way), and no
-    device-visible activity (frame delivery, raised IRQ line), IPI
-    delivery or preemption tick can fall within [fuel] cycles. Devices
-    may exist: a per-cycle [dev_tick] over a quiescent stretch only
-    refreshes the device's cycle cache, so the caller clips [fuel]
-    strictly short of [Netdev.next_event] (a window ends there
-    instead) and runs [Machine.tick_devices] once after accounting the
-    consumed cycles, before dispatching a terminating event whose
-    handler may touch device registers. Under those conditions a burst
-    of [n] cycles is bit-identical to [n] successive lane refills +
-    {!step} pairs, trace stamps included — the per-cycle checks it
-    hoists are all loop-invariant. *)
+    Precondition, checked by the caller: no device-visible activity
+    (frame delivery, raised IRQ line), IPI delivery or preemption tick
+    can fall within [fuel] cycles. Devices may exist: a per-cycle
+    [dev_tick] over a quiescent stretch only refreshes the device's
+    cycle cache, so the caller clips [fuel] strictly short of
+    [Netdev.next_event] and runs [Machine.tick_devices] once after
+    accounting the consumed cycles, before dispatching a terminating
+    event whose handler may touch device registers. Under that
+    condition a run of [n] cycles is bit-identical to [n] successive
+    lane refills + {!Core.step} calls, trace stamps included. *)
 
 val invalidate_addr : t -> int -> unit
 (** Drop the compiled page containing the given code address (no-op if

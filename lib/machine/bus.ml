@@ -15,11 +15,15 @@ let try_acquire t n =
   else false
 
 let advance t ~cycles =
-  (* Exactly [cycles] applications of [tick]: floating-point addition
-     is not associative, so no closed form is bit-identical to the
-     per-cycle refills. *)
-  for _ = 1 to cycles do
-    tick t
+  (* [cycles] applications of [tick], which stop once the lane is full:
+     a full lane stays full ([min max (max + rate) = max] for a
+     non-negative rate), so the rest would change nothing. The refill
+     is a running floating-point sum, so its credit after [k] ticks is
+     not [k * rate] rounded: a closed form would round differently. *)
+  let i = ref 0 in
+  while !i < cycles && t.credit <> t.max_credit do
+    tick t;
+    incr i
   done
 
 let rate t = t.bus_rate

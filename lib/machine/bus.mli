@@ -18,11 +18,13 @@ val tick : t -> unit
     {!try_acquire} allocates. *)
 
 val advance : t -> cycles:int -> unit
-(** [advance t ~cycles] applies {!tick} exactly [cycles] times, with
-    credit state bit-identical to [cycles] per-cycle refills (the
-    refill is floating-point, so a closed form would diverge). A burst
-    takes a run of stalled cycles with it, and a window's retirement
-    tops every lane up to the window end. *)
+(** [advance t ~cycles] leaves the credit bit-identical to [cycles]
+    applications of {!tick}. It ticks until the lane is full, which it
+    then stays, so its cost is bounded by the refill time, not by
+    [cycles]; the refill is a running floating-point sum, which a
+    closed form would round differently. A burst takes a run of stalled
+    cycles with it, the quiet-cycle skip and a window's retirement top
+    lanes up to their end. *)
 
 val try_acquire : t -> int -> bool
 (** [try_acquire t n] takes [n] credits if available. *)

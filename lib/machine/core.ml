@@ -43,7 +43,7 @@ type env = {
   trace : Rcoe_obs.Trace.t;
 }
 
-type step_result = Ran | Stalled | Event of event
+type step_result = Ran | Event of event
 
 let create ~id ~jitter_seed =
   {
@@ -380,7 +380,7 @@ let step t env =
     t.cycles <- t.cycles + 1;
     if t.stall > 0 then begin
       t.stall <- t.stall - 1;
-      Stalled
+      Ran
     end
     else begin
       (* Re-arm the resume flag once execution has left the breakpointed
@@ -403,7 +403,7 @@ let step t env =
                 Event (Ev_fault f)
             | exception Bus_busy ->
                 t.bus_wait <- t.bus_wait + 1;
-                Stalled
+                Ran
             | Some ev ->
                 flush_bus_wait t env;
                 Event ev

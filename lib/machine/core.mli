@@ -81,7 +81,8 @@ type env = {
 
 type step_result =
   | Ran
-  | Stalled  (** Stall cycle or bus contention; retry next cycle. *)
+      (** An instruction executed, or the cycle stalled (a stall cycle or
+          bus contention, retried next cycle). *)
   | Event of event
 
 val create : id:int -> jitter_seed:int -> t
@@ -120,8 +121,8 @@ exception Take_fault of fault
 
 exception Bus_busy
 (** Raised when a bus token cannot be acquired this cycle — before any
-    stall or memory effect; {!step} turns it into a [Stalled] cycle and
-    extends the bus-wait run. *)
+    stall or memory effect; {!step} turns it into a stalled [Ran] cycle
+    and extends the bus-wait run. *)
 
 val exec : t -> env -> Rcoe_isa.Instr.t -> event option
 (** Execute exactly one instruction (or one word of a rep-string) with

@@ -48,14 +48,16 @@ type exec_backend =
       (** Pre-decode each code page once into closures with operands
           resolved; invalidated on self-modifying patches. A run, traced
           or not, also bursts through stretches of cycles without the
-          per-cycle engine shell: an unreplicated run between ticks, a
-          replicated run eligible for [Parallel] between core events
-          inside execution windows, on either engine. Outside those,
-          any run takes a stretch of quiet cycles — every replica
-          stalled, idle or spinning at a barrier, and no tick, IPI,
-          frame delivery, timeout or round completion due — in one
-          step; replicated runs without exception barriers, which open
-          no windows, gain most from it. *)
+          per-cycle engine shell: a replicated run eligible for
+          [Parallel] between core events inside execution windows, on
+          either engine. Outside those, any run takes a stretch of
+          quiet cycles in one step: at most one replica executes, up to
+          its first core event, while every other one is stalled, idle
+          or spinning at a barrier, and no tick, IPI, frame delivery,
+          timeout or round completion is due. An unreplicated run
+          bursts this way from event to event, a catch-up or chase
+          while its leader waits. Cycles in which two replicas execute
+          without exception barriers stay per cycle. *)
 
 (** How divergence is detected (the two ends of the paper's sync-cost
     trade-off curve, the second populated by RepTFD-style replay). *)

@@ -2,7 +2,7 @@
    [Config.detection]).
 
    The primary runs *unreplicated*, at near-Base speed, through
-   [Window.run] (quiescent bursts included), whose [before] hook cuts
+   [Window.run] (quiet-cycle skips included), whose [before] hook cuts
    the chunks. Every [replay_chunk_ticks] preemption ticks it cuts a
    chunk: one image of the cut ([cut_state]: a standalone full
    snapshot plus the outside-SoR state), its capture stall priced as a

@@ -10,8 +10,9 @@
    is a public surface with no documentation at all. A code reference
    `{!M.x}` or `[M.x]` in any comment, where [M] is a compilation unit
    of the tree, must also name something defined in [M]'s `.ml` or
-   `.mli`: a value, type, record field, constructor or submodule. Exits
-   non-zero listing every offence as file:line. *)
+   `.mli`: a value, type, record field, constructor or submodule; so
+   must an unqualified lowercase `{!x}` in the unit whose file holds
+   it. Exits non-zero listing every offence as file:line. *)
 
 let wrappers =
   [
@@ -39,12 +40,14 @@ let err path line fmt =
       Printf.eprintf "%s:%d: %s\n" path line s)
     fmt
 
-(* A reference payload without its `kind:` annotation (e.g.
-   {!type:...}, {!val:...}) or a leading quiet-reference `:`. *)
+(* A reference payload without its kind annotation, `kind:` or odoc's
+   `kind-` (e.g. {!type:...}, {!val:...}, {!field-...}), or a leading
+   quiet-reference `:`. No OCaml name holds either character. *)
 let strip_kind payload =
-  match String.index_opt payload ':' with
-  | Some i -> String.sub payload (i + 1) (String.length payload - i - 1)
-  | None -> payload
+  let after i = String.sub payload (i + 1) (String.length payload - i - 1) in
+  match (String.index_opt payload ':', String.rindex_opt payload '-') with
+  | Some i, _ | None, Some i -> after i
+  | None, None -> payload
 
 (* Its first path component. *)
 let root_of payload =
@@ -195,7 +198,11 @@ let defines unit_ name =
   in
   Hashtbl.mem defs name
 
-(* [path] is a dotted reference [M.x...]; report it when [M] is a
+let unit_of_path path =
+  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
+
+(* [ref_] is a dotted reference [M.x...], or an unqualified [x] of the
+   unit whose file [path] holds it; report it when that unit is a
    compilation unit of the tree that does not define [x]. *)
 let check_member path line_no ref_ =
   match String.split_on_char '.' ref_ with
@@ -203,6 +210,10 @@ let check_member path line_no ref_ =
       if not (defines m x) then
         err path line_no
           "%s: %s defines no %s (stale or misqualified reference?)" ref_ m x
+  | [ x ] when x <> "" && not (is_upper x.[0]) ->
+      let m = unit_of_path path in
+      if not (defines m x) then
+        err path line_no "{!%s}: %s defines no %s (stale reference?)" ref_ m x
   | _ -> ()
 
 (* Every [[M.x...]] inside a comment of [content]. *)
@@ -316,8 +327,7 @@ let () =
   walk root (fun path ->
       if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
       then begin
-        let base = Filename.remove_extension (Filename.basename path) in
-        let unit_ = String.capitalize_ascii base in
+        let unit_ = unit_of_path path in
         if not (List.mem unit_ !units) then units := unit_ :: !units;
         Hashtbl.replace unit_files unit_
           (path :: Option.value ~default:[] (Hashtbl.find_opt unit_files unit_))

@@ -64,6 +64,30 @@ let test_bus_no_alloc () =
   Alcotest.(check (float 0.0)) "minor words for 10k tick + try_acquire" 0.0
     words
 
+let test_bus_advance_equals_ticks () =
+  (* [advance] stops once the lane is full; from a drained lane it must
+     land on the credit [k] ticks reach, bit for bit, whether the lane
+     fills on the way or not. The rates are the x86 TMR, a starved and
+     the Arm TMR lane. *)
+  let drained rate =
+    let b = Bus.create ~rate in
+    ignore (Bus.try_acquire b 4 : bool);
+    b
+  in
+  List.iter
+    (fun rate ->
+      List.iter
+        (fun k ->
+          let a = drained rate and b = drained rate in
+          Bus.advance a ~cycles:k;
+          for _ = 1 to k do
+            Bus.tick b
+          done;
+          if Bus.state a <> Bus.state b then
+            Alcotest.failf "rate %g: advance %d differs from %d ticks" rate k k)
+        (List.init 51 Fun.id @ [ 100_000 ]))
+    [ 2.0 /. 3.0; 0.1; 1.6 /. 3.0 ]
+
 (* --- Page tables -------------------------------------------------------- *)
 
 let test_pte_roundtrip () =
@@ -166,7 +190,7 @@ let run_until_event core env ~fuel =
     else
       match step core env with
       | Core.Event e -> Some e
-      | Core.Ran | Core.Stalled -> go (fuel - 1)
+      | Core.Ran -> go (fuel - 1)
   in
   go fuel
 
@@ -527,6 +551,8 @@ let suite =
     Alcotest.test_case "mem blit" `Quick test_mem_blit;
     Alcotest.test_case "bus tokens" `Quick test_bus_tokens;
     Alcotest.test_case "bus rate caps throughput" `Quick test_bus_rate_caps_throughput;
+    Alcotest.test_case "bus advance by k equals k ticks" `Quick
+      test_bus_advance_equals_ticks;
     Alcotest.test_case "bus tick + acquire allocate nothing" `Quick
       test_bus_no_alloc;
     Alcotest.test_case "pte roundtrip" `Quick test_pte_roundtrip;

@@ -242,15 +242,13 @@ let test_detection_lag_bound () =
 (* --- netted burst eligibility: cycle identity vs the classic path -------- *)
 
 let test_netted_burst_cycle_identity () =
-  (* The replay primary is the one configuration that is both netted and
-     burst-eligible (Base mode, no tracing): [Window.burst] stops
-     short of the [Window.horizon], which is clipped to
-     [Netdev.next_event], and refreshes the device clock after
-     accounting. Identity check: a Blocks run with tracing off
-     (bursts engaged) must land on exactly the cycles of the classic
-     per-cycle paths — the same run under Interp, and under Blocks with
-     a trace ring (which disables bursts but, per the Trace contract,
-     never perturbs simulated time). *)
+  (* The replay primary is an unreplicated netted run: on Blocks, the
+     quiet-cycle skip runs its lone replica up to the [Window.horizon],
+     which is clipped to [Netdev.next_event], and refreshes the device
+     clock after accounting. Identity check: a Blocks run with tracing
+     off must land on exactly the cycles of the per-cycle [Interp] run,
+     and on those of a Blocks run with a trace ring, which bursts as
+     well and, per the Trace contract, never perturbs simulated time. *)
   let kv ~backend ~traced =
     let config =
       {
