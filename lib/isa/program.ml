@@ -32,9 +32,13 @@ let data_image t =
     t.data;
   img
 
-let float_to_word f = Int32.to_int (Int32.bits_of_float f) land 0xFFFFFFFF
+let[@inline] float_to_word f = Int32.to_int (Int32.bits_of_float f) land 0xFFFFFFFF
 
-let word_to_float w = Int32.float_of_bits (Int32.of_int (w land 0xFFFFFFFF))
+let[@inline] word_to_float w =
+  Int32.float_of_bits (Int32.of_int (w land 0xFFFFFFFF))
+
+let get_float_word (regs : float array) i = float_to_word regs.(i)
+let set_float_word (regs : float array) i w = regs.(i) <- word_to_float w
 
 let disassemble t =
   let buf = Buffer.create 1024 in

@@ -44,6 +44,14 @@ val data_image : t -> int array
 val float_to_word : float -> int
 val word_to_float : int -> float
 
+val get_float_word : float array -> int -> int
+(** [get_float_word regs i] is [float_to_word regs.(i)], and
+    {!set_float_word} [regs i w] is [regs.(i) <- word_to_float w]: the
+    FP load and store conversions with no float crossing a module
+    boundary, where it would be boxed. *)
+
+val set_float_word : float array -> int -> int -> unit
+
 val disassemble : t -> string
 (** Multi-line listing with addresses and label annotations. *)
 

@@ -123,7 +123,7 @@ let create ?trace ?(backend = Blockc.Interp) ~machine ~rid:krid ~core_id
     {
       Core.code = kcode;
       mem;
-      translate = (fun ~vaddr ~write -> Page_table.translate mem pt ~vaddr ~write);
+      pt;
       dev_read = Machine.dev_read machine;
       dev_write = Machine.dev_write machine;
       bus = Machine.bus_lane machine ~core_id;

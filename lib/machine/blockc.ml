@@ -24,6 +24,20 @@
    test_exec_blocks.ml and the `bench exec` baseline rows enforce this
    bit for bit.
 
+   An executed cycle allocates nothing: the jitter draw is
+   [Rng.below] against a threshold cached at creation, loads and stores
+   take [Core.load]/[Core.store]'s allocation-free RAM walk, and the
+   float closures do their own arithmetic and comparisons. The dev build
+   compiles every module with -opaque, so nothing is inlined across
+   modules, and a float or int64 passed to or returned from another
+   module's function (or from any function value) is boxed. That is why
+   the float arms match on the operation inside the closure instead of
+   calling [Core]'s or a per-operation function, why the FP load and
+   store convert through [Program.set_float_word]/[get_float_word], which
+   take the register array, and why [Rng.below] does the whole SplitMix64
+   step in one body. test/test_exec_blocks.ml pins zero minor words over
+   a burst that runs every compiled instruction kind.
+
    Invalidation: the only mutable input of the compiler is the kernel's
    private code array. Translations, operand values and memory contents
    are read live at execution time, so data writes, dirty pages and
@@ -62,7 +76,7 @@ type t = {
   page_ok : bool array;
   page_blocks : block list array;
   jitter_on : bool;
-  jitter_p : float;
+  jitter_thr : int;  (** [Rng.threshold] of the profile's [jitter_p]. *)
   jitter_cycles : int;
   hw_count : bool;
   st : stats;
@@ -110,28 +124,6 @@ let cond_fn (c : Rcoe_isa.Instr.cond) : int -> int -> bool =
   | Le -> ( <= )
   | Gt -> ( > )
   | Ge -> ( >= )
-
-let fcond_fn (c : Rcoe_isa.Instr.cond) : float -> float -> bool =
-  let open Rcoe_isa.Instr in
-  match c with
-  | Eq -> ( = )
-  | Ne -> ( <> )
-  | Lt -> ( < )
-  | Le -> ( <= )
-  | Gt -> ( > )
-  | Ge -> ( >= )
-
-let falu_fn (op : Rcoe_isa.Instr.falu) : float -> float -> float =
-  let open Rcoe_isa.Instr in
-  match op with Fadd -> ( +. ) | Fsub -> ( -. ) | Fmul -> ( *. ) | Fdiv -> ( /. )
-
-let funop_fn (op : Rcoe_isa.Instr.funop) : float -> float =
-  let open Rcoe_isa.Instr in
-  match op with
-  | Fmov -> fun a -> a
-  | Fneg -> ( ~-. )
-  | Fabs -> Float.abs
-  | Fsqrt -> sqrt
 
 (* Compile the instruction at [ip] into a closure that reproduces the
    matching [Core.exec] arm exactly. The closure is only ever invoked
@@ -292,16 +284,30 @@ let compile1 bc ip (instr : Rcoe_isa.Instr.t) : dop =
         c.Core.instret <- c.Core.instret + 1;
         c.Core.last_was_cntinc <- true;
         None
+  (* The float arms match on the operation inside the closure: a float
+     passed to or returned from a function value is boxed. *)
   | Falu (op, fd, fa, fb) ->
-      let f = falu_fn op and d = fidx fd and a = fidx fa and b = fidx fb in
+      let d = fidx fd and a = fidx fa and b = fidx fb in
       fun () ->
-        fregs.(d) <- f fregs.(a) fregs.(b);
+        let x = fregs.(a) and y = fregs.(b) in
+        fregs.(d) <-
+          (match op with
+          | Fadd -> x +. y
+          | Fsub -> x -. y
+          | Fmul -> x *. y
+          | Fdiv -> x /. y);
         retire ();
         None
   | Funop (op, fd, fs) ->
-      let f = funop_fn op and d = fidx fd and s = fidx fs in
+      let d = fidx fd and s = fidx fs in
       fun () ->
-        fregs.(d) <- f fregs.(s);
+        let x = fregs.(s) in
+        fregs.(d) <-
+          (match op with
+          | Fmov -> x
+          | Fneg -> -.x
+          | Fabs -> Float.abs x
+          | Fsqrt -> sqrt x);
         retire ();
         None
   | Fldi (fd, x) ->
@@ -313,8 +319,8 @@ let compile1 bc ip (instr : Rcoe_isa.Instr.t) : dop =
   | Fld (fd, rs, off) ->
       let d = fidx fd and s = ridx rs in
       fun () ->
-        let w = Core.load c env (regs.(s) + off) in
-        fregs.(d) <- Rcoe_isa.Program.word_to_float w;
+        Rcoe_isa.Program.set_float_word fregs d
+          (Core.load c env (regs.(s) + off));
         retire ();
         None
   | Fst (fs, rbase, off) ->
@@ -322,14 +328,24 @@ let compile1 bc ip (instr : Rcoe_isa.Instr.t) : dop =
       fun () ->
         Core.store c env
           (regs.(b) + off)
-          (Rcoe_isa.Program.float_to_word fregs.(s));
+          (Rcoe_isa.Program.get_float_word fregs s);
         retire ();
         None
   | Fb (cnd, fa, fb, Abs a) ->
-      let test = fcond_fn cnd and x = fidx fa and y = fidx fb in
+      let x = fidx fa and y = fidx fb in
       fun () ->
         branch ();
-        if test fregs.(x) fregs.(y) then jump a else retire ();
+        let x = fregs.(x) and y = fregs.(y) in
+        if
+          match cnd with
+          | Eq -> x = y
+          | Ne -> x <> y
+          | Lt -> x < y
+          | Le -> x <= y
+          | Gt -> x > y
+          | Ge -> x >= y
+        then jump a
+        else retire ();
         None
   | Fb (_, _, _, Lbl _) -> oracle
   | Itof (fd, rs) ->
@@ -413,7 +429,7 @@ let create core env =
     page_ok = Array.make npages false;
     page_blocks = Array.make npages [];
     jitter_on = env.Core.profile.Arch.jitter_p > 0.0;
-    jitter_p = env.Core.profile.Arch.jitter_p;
+    jitter_thr = Rng.threshold env.Core.profile.Arch.jitter_p;
     jitter_cycles = env.Core.profile.Arch.jitter_cycles;
     hw_count = env.Core.profile.Arch.count_mode = Arch.Hardware;
     st =
@@ -470,6 +486,8 @@ let flush_at c env ~at k =
    run of [k] stalled cycles is taken in one step: [Bus.advance] by [k]
    and [stall - k]. Lanes are independent, so refilling each one [k]
    times in turn equals [k] rounds over all of them.
+
+   A cycle allocates nothing unless it ends the run with an event.
 
    The trace events a run can emit are a breakpoint fire and the
    bus-stall span of [Core.flush_bus_wait], both stamped by the trace
@@ -535,7 +553,7 @@ let run t ~buses ~fuel ~at =
               running := false
           | None ->
               flush_at c env ~at !consumed;
-              if t.jitter_on && Rng.float c.Core.jitter 1.0 < t.jitter_p then
+              if t.jitter_on && Rng.below c.Core.jitter t.jitter_thr then
                 c.Core.stall <- c.Core.stall + t.jitter_cycles
         end
       end

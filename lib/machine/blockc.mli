@@ -6,7 +6,7 @@
     second execution backend that pays those costs once per code page:
     on first entry into a page every instruction on it is compiled into
     a pre-decoded closure (register indices, immediates, branch targets
-    and ALU/condition functions resolved at decode time), the page's
+    and integer ALU/condition functions resolved at decode time), the page's
     basic blocks are discovered and summarised with pre-summed minimum
     cycle charges, and subsequent cycles dispatch through a flat closure
     array indexed by the instruction pointer.
@@ -83,7 +83,10 @@ val run :
     ({!Bus.advance}). The cycles consumed, the cycle of a terminating
     event included, are added to the core's [cycles], where the caller
     reads them. A halted core consumes nothing and returns [Ev_halt].
-    Lazily compiles each page on first entry.
+    Lazily compiles each page on first entry. On a decoded page a cycle
+    allocates nothing unless it ends the run with an event: the jitter
+    draw is [Rng.below], loads and stores walk the page table
+    with {!Page_table.ram_addr}, and no float is boxed.
 
     [buses] are the bus lanes the caller owns for this stretch: none
     for a single cycle of [Kernel.step], whose caller ticks the machine

@@ -35,7 +35,7 @@ type t = {
 type env = {
   code : Rcoe_isa.Instr.t array;
   mem : Mem.t;
-  translate : vaddr:int -> write:bool -> Page_table.resolution;
+  pt : Page_table.table;
   dev_read : int -> int -> int;
   dev_write : int -> int -> int -> unit;
   bus : Bus.t;
@@ -84,30 +84,46 @@ let rep_in_progress t env =
 exception Take_fault of fault
 exception Bus_busy
 
-let resolve env ~vaddr ~write =
-  match env.translate ~vaddr ~write with
-  | Page_table.Phys p -> `Phys p
-  | Page_table.Device (d, off) -> `Dev (d, off)
+let acquire_bus env n = if not (Bus.try_acquire env.bus n) then raise Bus_busy
+
+let ram_read t env ~bus p =
+  acquire_bus env bus;
+  t.stall <- t.stall + env.profile.mem_extra_cycles;
+  try Mem.read env.mem p with Mem.Abort a -> raise (Take_fault (Phys_abort a))
+
+let ram_write env p v =
+  try Mem.write env.mem p v with Mem.Abort a -> raise (Take_fault (Phys_abort a))
+
+let ram_store t env p v =
+  acquire_bus env 1;
+  t.stall <- t.stall + env.profile.mem_extra_cycles;
+  ram_write env p v
+
+(* Every data access that [Page_table.ram_addr] does not resolve to
+   RAM: a device page, a fault, or a garbage frame whose address
+   overflows (which [ram] then aborts on). Rare, so the resolution and
+   the partial applications the callers pass may allocate. *)
+let resolve env ~vaddr ~write ~ram ~dev =
+  match Page_table.translate env.mem env.pt ~vaddr ~write with
+  | Page_table.Phys p -> ram p
+  | Page_table.Device (d, off) -> dev d off
   | Page_table.No_mapping -> raise (Take_fault (Unmapped { vaddr; write }))
   | Page_table.Not_writable -> raise (Take_fault (Write_protect vaddr))
 
-let acquire_bus env n = if not (Bus.try_acquire env.bus n) then raise Bus_busy
+let read t env ~bus vaddr =
+  let p = Page_table.ram_addr env.mem env.pt ~vaddr ~write:false in
+  if p >= 0 then ram_read t env ~bus p
+  else resolve env ~vaddr ~write:false ~ram:(ram_read t env ~bus) ~dev:env.dev_read
 
-let load t env vaddr =
-  match resolve env ~vaddr ~write:false with
-  | `Phys p -> (
-      acquire_bus env 1;
-      t.stall <- t.stall + env.profile.mem_extra_cycles;
-      try Mem.read env.mem p with Mem.Abort a -> raise (Take_fault (Phys_abort a)))
-  | `Dev (d, off) -> env.dev_read d off
+let load t env vaddr = read t env ~bus:1 vaddr
 
 let store t env vaddr v =
-  match resolve env ~vaddr ~write:true with
-  | `Phys p -> (
-      acquire_bus env 1;
-      t.stall <- t.stall + env.profile.mem_extra_cycles;
-      try Mem.write env.mem p v with Mem.Abort a -> raise (Take_fault (Phys_abort a)))
-  | `Dev (d, off) -> env.dev_write d off v
+  let p = Page_table.ram_addr env.mem env.pt ~vaddr ~write:true in
+  if p >= 0 then ram_store t env p v
+  else
+    resolve env ~vaddr ~write:true
+      ~ram:(fun p -> ram_store t env p v)
+      ~dev:(fun d off -> env.dev_write d off v)
 
 (* --- ALU -------------------------------------------------------------- *)
 
@@ -268,20 +284,14 @@ let exec t env instr : event option =
       end
       else begin
         let src = regs.(reg R1) and dst = regs.(reg R0) in
-        let v =
-          match resolve env ~vaddr:src ~write:false with
-          | `Phys p -> (
-              acquire_bus env 2;
-              t.stall <- t.stall + env.profile.mem_extra_cycles;
-              try Mem.read env.mem p
-              with Mem.Abort a -> raise (Take_fault (Phys_abort a)))
-          | `Dev (d, off) -> env.dev_read d off
-        in
-        (match resolve env ~vaddr:dst ~write:true with
-        | `Phys p -> (
-            try Mem.write env.mem p v
-            with Mem.Abort a -> raise (Take_fault (Phys_abort a)))
-        | `Dev (d, off) -> env.dev_write d off v);
+        let v = read t env ~bus:2 src in
+        (* The copy's bus token and memory stall were charged with its
+           read. *)
+        let p = Page_table.ram_addr env.mem env.pt ~vaddr:dst ~write:true in
+        if p >= 0 then ram_write env p v
+        else
+          resolve env ~vaddr:dst ~write:true ~ram:(fun p -> ram_write env p v)
+            ~dev:(fun d off -> env.dev_write d off v);
         regs.(reg R0) <- dst + 1;
         regs.(reg R1) <- src + 1;
         regs.(reg R2) <- regs.(reg R2) - 1;
@@ -338,14 +348,14 @@ let exec t env instr : event option =
       retire ();
       None
   | Fld (fd, rs, off) ->
-      let w = load t env (regs.(reg rs) + off) in
-      fregs.(fidx fd) <- Rcoe_isa.Program.word_to_float w;
+      Rcoe_isa.Program.set_float_word fregs (fidx fd)
+        (load t env (regs.(reg rs) + off));
       retire ();
       None
   | Fst (fs, rbase, off) ->
       store t env
         (regs.(reg rbase) + off)
-        (Rcoe_isa.Program.float_to_word fregs.(fidx fs));
+        (Rcoe_isa.Program.get_float_word fregs (fidx fs));
       retire ();
       None
   | Fb (c, fa, fb, tg) ->
@@ -409,10 +419,9 @@ let step t env =
                 Event ev
             | None ->
                 flush_bus_wait t env;
-                if
-                  env.profile.jitter_p > 0.0
-                  && Rng.float t.jitter 1.0 < env.profile.jitter_p
-                then t.stall <- t.stall + env.profile.jitter_cycles;
+                let p = env.profile.jitter_p in
+                if p > 0.0 && Rng.below t.jitter (Rng.threshold p) then
+                  t.stall <- t.stall + env.profile.jitter_cycles;
                 Ran
           end
     end

@@ -69,7 +69,11 @@ type t = {
 type env = {
   code : Rcoe_isa.Instr.t array;
   mem : Mem.t;
-  translate : vaddr:int -> write:bool -> Page_table.resolution;
+  pt : Page_table.table;
+      (** The address space's page table in [mem]. Loads and stores walk
+          it with {!Page_table.ram_addr}, which allocates nothing, and
+          take {!Page_table.translate} only for device pages and
+          faults. *)
   dev_read : int -> int -> int;  (** device page id, word offset *)
   dev_write : int -> int -> int -> unit;
   bus : Bus.t;
@@ -133,7 +137,7 @@ val exec : t -> env -> Rcoe_isa.Instr.t -> event option
 val load : t -> env -> int -> int
 (** One data-memory read at a virtual address: translation, bus
     acquisition, memory-stall charge, then the access. Raises
-    {!Take_fault} / {!Bus_busy}. *)
+    {!Take_fault} / {!Bus_busy}. A RAM access allocates nothing. *)
 
 val store : t -> env -> int -> int -> unit
 (** One data-memory write at a virtual address; same contract as

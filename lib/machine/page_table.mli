@@ -66,5 +66,13 @@ val translate : Mem.t -> table -> vaddr:int -> write:bool -> resolution
     as-is in [Phys]; the subsequent physical access will abort, which the
     kernel reports as a kernel data abort. *)
 
+val ram_addr : Mem.t -> table -> vaddr:int -> write:bool -> int
+(** The RAM path of {!translate}, allocation-free: the same walk, with
+    the entry's bits tested in place and no {!pte} or {!resolution}
+    built. It is [p] when {!translate} is [Phys p] with [p >= 0], and
+    negative otherwise — a device page, an unmapped or write-protected
+    access, or a garbage frame whose address overflows; the caller then
+    takes {!translate}. Every executed load and store goes through it. *)
+
 val vpn_of : int -> int
 val offset_of : int -> int

@@ -113,6 +113,14 @@ let parallel_ineligibility ?(net_ok = false) t =
        exception_barriers to confine aborts to the faulting replica)"
   else None
 
+let ckpt_quiesce_cycles = 2_000
+
+(* The cycles each tick of a replay chunk spends entering the kernel:
+   the timer interrupt, plus a VM exit under [vm]. *)
+let replay_tick_cost t =
+  let p = Rcoe_machine.Arch.profile_of t.arch in
+  p.irq_cost + if t.vm then p.vm_exit_cost else 0
+
 let sync_level_to_string = function
   | Sync_none -> "N"
   | Sync_args -> "A"
@@ -170,6 +178,22 @@ let validate ?net_ok t =
        checkpoint_mode must be Incremental"
   else if t.detection = Replay && t.replay_chunk_ticks < 1 then
     err "replay_chunk_ticks must be >= 1"
+  else if
+    t.detection = Replay
+    && t.replay_chunk_ticks * t.tick_interval
+       <= ckpt_quiesce_cycles + (t.replay_chunk_ticks * replay_tick_cost t)
+  then
+    (* Its cut's quiesce and its ticks' kernel entries fill the chunk:
+       the run would cut chunk after chunk and never finish. *)
+    let per_tick = replay_tick_cost t in
+    let fixed = ckpt_quiesce_cycles + (t.replay_chunk_ticks * per_tick) in
+    err
+      "a replay chunk of %d cycles (%d ticks x %d) is no longer than its \
+       fixed costs of %d cycles (the cut's %d-cycle quiesce + %d per tick \
+       for the interrupt%s), so the primary would never run"
+      (t.replay_chunk_ticks * t.tick_interval)
+      t.replay_chunk_ticks t.tick_interval fixed ckpt_quiesce_cycles per_tick
+      (if t.vm then " and the VM exit" else "")
   else if t.detection = Replay && t.replay_queue_depth < 1 then
     err "replay_queue_depth must be >= 1"
   else if t.detection = Replay && t.replay_checkers < 1 then

@@ -190,11 +190,20 @@ type t = {
 val default : t
 (** Base mode, one replica, x86, [Sync_args], no VM, sane intervals. *)
 
+val ckpt_quiesce_cycles : int
+(** 2,000: the fixed quiesce stall of every checkpoint capture and
+    restore, replay chunk cuts included, on top of the per-word copy
+    cost. *)
+
 val validate : ?net_ok:bool -> t -> (unit, string) result
 (** Reject inconsistent configurations: [Base] with replicas <> 1, LC/CC
     with fewer than 2, masking with fewer than 3, VM on Arm (the paper's
     seL4 version lacks Arm hypervisor mode), CC masking on Arm (no spare
-    page-table bit — Section IV-A). [net_ok] is forwarded to
+    page-table bit — Section IV-A), and replay chunks whose fixed costs
+    fill them: [replay_chunk_ticks * tick_interval <=]
+    {!ckpt_quiesce_cycles} [+ replay_chunk_ticks * (irq_cost +
+    vm_exit_cost)] (the VM exit only under [vm]), where the primary
+    would make no progress. [net_ok] is forwarded to
     {!parallel_ineligibility}. *)
 
 val parallel_ineligibility : ?net_ok:bool -> t -> string option

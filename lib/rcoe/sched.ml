@@ -395,8 +395,11 @@ let live_replicas t =
   Array.to_list t.replicas
   |> List.filter (fun r -> r.state <> Rs_removed)
 
+(* The run loop's guard, read every iteration: over the array, so it
+   builds no list. *)
 let finished t =
-  t.halt = None && List.for_all (fun r -> r.finished) (live_replicas t)
+  t.halt = None
+  && Array.for_all (fun r -> r.state = Rs_removed || r.finished) t.replicas
 
 let log_event t k =
   t.event_log <- (now t, k) :: t.event_log;
@@ -1081,7 +1084,7 @@ let publish_signatures t =
    and restore. Cheaper per word than re-integration's partition blit
    (p_words / 8): checkpoints copy far more state far more often, so
    they model a wide DMA/bulk-copy engine, plus a fixed quiesce cost. *)
-let ckpt_copy_cost words = (words / 32) + 2_000
+let ckpt_copy_cost words = (words / 32) + Config.ckpt_quiesce_cycles
 
 let capture t ~kind =
   Checkpoint.capture (mem t) t.lay ~kind ~cycle:(now t)

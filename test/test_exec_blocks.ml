@@ -894,6 +894,128 @@ let qcheck_generated_differential =
               (gen_run c ~backend:Config.Blocks ~engine:Config.Parallel);
           true)
 
+(* --- allocation pins ---------------------------------------------------- *)
+
+(* An endless loop over the compiled closures of the hot path: ALU
+   operations with immediate and register operands, loads, stores, push
+   and pop, every float operation and float condition, the float loads,
+   stores and conversions, a call and its return, and the loop's branch.
+   Every [Fb] lands on the next instruction, taken or not. *)
+let alloc_program =
+  let open Instr in
+  let a = Asm.create "alloc-pin" in
+  Asm.space a "buf" 16;
+  Asm.data_floats a "fbuf" [| 1.5; 0.0 |];
+  Asm.label a "main";
+  Asm.movi a Reg.R4 0;
+  Asm.la a Reg.R5 "buf";
+  Asm.la a Reg.R11 "fbuf";
+  Asm.label a "loop";
+  Asm.addi a Reg.R4 Reg.R4 3;
+  Asm.add a Reg.R6 Reg.R4 Reg.R4;
+  Asm.xori a Reg.R6 Reg.R6 0x11;
+  Asm.and_ a Reg.R7 Reg.R6 Reg.R4;
+  Asm.andi a Reg.R8 Reg.R4 15;
+  Asm.add a Reg.R8 Reg.R8 Reg.R5;
+  Asm.st a Reg.R8 Reg.R4 0;
+  Asm.ld a Reg.R6 Reg.R8 0;
+  Asm.push a Reg.R6;
+  Asm.pop a Reg.R6;
+  Asm.andi a Reg.R7 Reg.R4 255;
+  Asm.emit a (Itof (Reg.F0, Reg.R7));
+  Asm.emit a (Fld (Reg.F1, Reg.R11, 0));
+  List.iter
+    (fun op -> Asm.emit a (Falu (op, Reg.F2, Reg.F0, Reg.F1)))
+    [ Fadd; Fsub; Fmul; Fdiv ];
+  List.iter
+    (fun op -> Asm.emit a (Funop (op, Reg.F3, Reg.F2)))
+    [ Fmov; Fneg; Fabs; Fsqrt ];
+  Asm.emit a (Fst (Reg.F3, Reg.R11, 1));
+  Asm.emit a (Ftoi (Reg.R10, Reg.F3));
+  List.iteri
+    (fun i c ->
+      let next = Printf.sprintf "fb%d" i in
+      Asm.emit a (Fb (c, Reg.F0, Reg.F1, Lbl next));
+      Asm.label a next)
+    [ Eq; Ne; Lt; Le; Gt; Ge ];
+  Asm.jal a "sub";
+  Asm.b a Eq Reg.R0 (Reg Reg.R0) "loop";
+  Asm.label a "sub";
+  Asm.addi a Reg.R12 Reg.R12 1;
+  Asm.ret a;
+  Asm.assemble ~entry:"main" a
+
+let no_clock (_ : int) = ()
+
+(* The per-instruction cycle of [Blockc.run] allocates nothing: after a
+   warm-up burst has decoded the loop's page, a 200,000-cycle burst
+   with the x86 profile's jitter on takes no minor words. *)
+let test_burst_allocates_nothing () =
+  let lay = Layout.compute ~nreplicas:1 ~user_words:16384 in
+  let machine =
+    Machine.create ~profile:Arch.x86 ~mem_words:lay.Layout.total_words
+      ~ncores:1 ~seed:5 ()
+  in
+  let k =
+    Kernel.create ~backend:Blockc.Blocks ~machine ~rid:0 ~core_id:0
+      ~layout:lay ~program:alloc_program ~callbacks:null_callbacks ()
+  in
+  Kernel.setup_address_space k;
+  ignore (Kernel.spawn k ~entry:alloc_program.Program.entry ~arg:0);
+  Kernel.start k;
+  let bc = Option.get (Kernel.block_cache k) and c = Kernel.core k in
+  let burst fuel =
+    match Blockc.run bc ~buses:machine.Machine.buses ~fuel ~at:no_clock with
+    | None -> ()
+    | Some _ -> Alcotest.fail "the endless loop raised a core event"
+  in
+  burst 10_000;
+  let cycles = c.Core.cycles and instret = c.Core.instret in
+  let calls = c.Core.regs.(Reg.index Reg.R12) in
+  let before = Gc.minor_words () in
+  burst 200_000;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "cycles run" 200_000 (c.Core.cycles - cycles);
+  let retired = c.Core.instret - instret in
+  Alcotest.(check bool)
+    (Printf.sprintf "jitter stalls taken (%d retired)" retired)
+    true
+    (retired > 100_000 && retired < 200_000);
+  Alcotest.(check bool) "calls returned" true
+    (c.Core.regs.(Reg.index Reg.R12) - calls > 1_000);
+  Alcotest.(check (float 0.0)) "minor words over the burst" 0.0 words
+
+(* Whole unreplicated runs on [Blocks] stay under 0.05 minor words per
+   simulated cycle: what remains is per-event and per-tick work (system
+   calls, timer ticks, the run loop's steps between events), not per
+   instruction. *)
+let test_base_runs_allocate_little () =
+  List.iter
+    (fun (name, program) ->
+      let cfg =
+        {
+          (Runner.config_for ~mode:Config.Base ~nreplicas:1 ~arch:x86 ~seed:7 ())
+          with
+          Config.exec_backend = Config.Blocks;
+        }
+      in
+      let sys = System.create ~config:cfg ~program in
+      let before = Gc.minor_words () in
+      System.run sys ~max_cycles:max_int;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool) (name ^ " finished") true (System.finished sys);
+      let per_cycle = words /. float_of_int (System.now sys) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.4f minor words per cycle over %d cycles" name
+           per_cycle (System.now sys))
+        true (per_cycle < 0.05))
+    [
+      ("Base whetstone", Whetstone.program ~loops:200 ~branch_count:false ());
+      ( "Base md5sum",
+        Md5sum.program ~message_words:128 ~iters:40 ~seed:3 ~branch_count:false
+          () );
+    ]
+
 let suite =
   [
     Alcotest.test_case
@@ -930,4 +1052,8 @@ let suite =
     QCheck_alcotest.to_alcotest ~speed_level:`Slow
       ~rand:(Random.State.make [| generated_seed |])
       qcheck_generated_differential;
+    Alcotest.test_case "a burst allocates nothing per executed instruction"
+      `Quick test_burst_allocates_nothing;
+    Alcotest.test_case "Base runs on Blocks allocate < 0.05 words per cycle"
+      `Quick test_base_runs_allocate_little;
   ]

@@ -158,17 +158,21 @@ let test_corrupt_pte_reaches_bad_frame () =
 
 (* --- Core execution ----------------------------------------------------- *)
 
+(* Virtual addresses 0-4095 map one to one onto RAM; the page table
+   sits above them. *)
 let mk_env ?(profile = Arch.x86) code_list =
-  let mem = Mem.create 4096 in
+  let pt = { Page_table.base = 4096; npages = 4096 / Page_table.page_size } in
+  let mem = Mem.create (4096 + pt.Page_table.npages) in
+  for vpn = 0 to pt.Page_table.npages - 1 do
+    Page_table.set mem pt ~vpn
+      { Page_table.valid = true; writable = true; dma = false; device = false;
+        ppn = vpn }
+  done;
   let env =
     {
       Core.code = Array.of_list code_list;
       mem;
-      translate =
-        (fun ~vaddr ~write ->
-          ignore write;
-          if vaddr >= 0 && vaddr < 4096 then Page_table.Phys vaddr
-          else Page_table.No_mapping);
+      pt;
       dev_read = (fun _ _ -> 0);
       dev_write = (fun _ _ _ -> ());
       bus = Bus.create ~rate:100.0;

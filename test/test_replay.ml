@@ -57,6 +57,61 @@ let test_config_validation () =
   expect_err "zero checkers"
     { (replay_config ()) with Config.replay_checkers = 0 }
 
+(* A one-tick chunk no longer than its fixed costs (the cut's 2,000-cycle
+   quiesce, the tick's interrupt entry and, under [vm], its VM exit)
+   leaves the primary no cycle to run: Base Whetstone (9 loops, seed
+   900, [Blocks]) cut chunk after chunk for 3M cycles without finishing
+   at each rejected span here, and finished at each accepted one (x86
+   at cycle 614,343, Arm 1,609,986, x86 with [vm] 972,735). The x86
+   row runs its accepted span to that cycle. *)
+let test_replay_span_floor () =
+  let cfg ~arch ~vm ~tick =
+    {
+      (Runner.config_for ~mode:Config.Base ~nreplicas:1 ~arch ~vm ~seed:900
+         ~tick_interval:tick ())
+      with
+      Config.detection = Config.Replay;
+      replay_chunk_ticks = 1;
+      exec_backend = Config.Blocks;
+    }
+  in
+  let contains hay needle =
+    let k = String.length needle in
+    let rec at i =
+      i + k <= String.length hay && (String.sub hay i k = needle || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun (label, arch, vm, stuck, ok) ->
+      (match Config.validate (cfg ~arch ~vm ~tick:stuck) with
+      | Ok () -> Alcotest.failf "%s: a %d-cycle span must be rejected" label stuck
+      | Error reason ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: the reason names the span and the costs: %s"
+               label reason)
+            true
+            (contains reason (string_of_int stuck)
+            && contains reason (string_of_int Config.ckpt_quiesce_cycles)));
+      match Config.validate (cfg ~arch ~vm ~tick:ok) with
+      | Ok () -> ()
+      | Error reason ->
+          Alcotest.failf "%s: a %d-cycle span must be accepted: %s" label ok
+            reason)
+    [
+      ("x86", x86, false, 2_300, 2_400);
+      ("Arm", Arch.Arm, false, 2_400, 2_500);
+      ("x86 vm", x86, true, 3_500, 3_800);
+    ];
+  let sys =
+    System.create
+      ~config:(cfg ~arch:x86 ~vm:false ~tick:2_400)
+      ~program:(Whetstone.program ~loops:9 ~branch_count:false ())
+  in
+  System.run sys ~max_cycles:3_000_000;
+  Alcotest.(check bool) "x86 at 2,400: finished" true (System.finished sys);
+  Alcotest.(check int) "x86 at 2,400: final cycle" 614_343 (System.now sys)
+
 let md5 () =
   Md5sum.program ~message_words:96 ~iters:8 ~seed:6 ~branch_count:false ()
 
@@ -301,6 +356,8 @@ let test_replay_gauges () =
 let suite =
   [
     Alcotest.test_case "config validation" `Quick test_config_validation;
+    Alcotest.test_case "spans filled by their fixed costs are rejected"
+      `Quick test_replay_span_floor;
     Alcotest.test_case "healthy run verifies every chunk" `Quick
       test_healthy_run_verifies;
     Alcotest.test_case "deterministic across runs and backends" `Quick

@@ -46,12 +46,43 @@ let test_int_rejects_bad_bound () =
     (Invalid_argument "Rng.int: bound must be positive") (fun () ->
       ignore (Rng.int r 0))
 
-let test_float_bounds () =
-  let r = Rng.create 4 in
-  for _ = 1 to 1000 do
-    let x = Rng.float r 2.5 in
-    Alcotest.(check bool) "in range" true (x >= 0.0 && x < 2.5)
-  done
+(* [below] is the jitter draw of both execution backends. It must equal
+   the float comparison it replaced, draw for draw: the profiles' jitter
+   probabilities, round and exact binary values (0.25 and 0.5 give an
+   integer threshold), certainty and a tiny probability. It must
+   advance the stream as one [bits64] step does, and allocate nothing. *)
+let test_below_equals_float_draw () =
+  let two53 = 9007199254740992.0 in
+  List.iter
+    (fun p ->
+      let t = Rng.create 11 in
+      let u = Rng.copy t in
+      let thr = Rng.threshold p in
+      let mismatches = ref 0 in
+      for _ = 1 to 1_000_000 do
+        let f =
+          Int64.to_float (Int64.shift_right_logical (Rng.bits64 u) 11)
+          /. two53
+          < p
+        in
+        if Rng.below t thr <> f then incr mismatches
+      done;
+      Alcotest.(check int) (Printf.sprintf "mismatches at p=%h" p) 0 !mismatches;
+      Alcotest.(check int)
+        (Printf.sprintf "same stream position at p=%h" p)
+        (Rng.next u) (Rng.next t))
+    [ 0.012; 0.013; 0.1; 0.25; 0.5; 1.0; Float.ldexp 1.0 (-40) ];
+  let t = Rng.create 12 and thr = Rng.threshold 0.012 in
+  let draws () =
+    for _ = 1 to 10_000 do
+      ignore (Rng.below t thr : bool)
+    done
+  in
+  draws ();
+  let before = Gc.minor_words () in
+  draws ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words for 10k draws" 0.0 words
 
 let test_next_nonnegative () =
   let r = Rng.create 5 in
@@ -84,7 +115,8 @@ let suite =
     Alcotest.test_case "int bounds" `Quick test_int_bounds;
     Alcotest.test_case "int rejects non-positive bound" `Quick
       test_int_rejects_bad_bound;
-    Alcotest.test_case "float bounds" `Quick test_float_bounds;
+    Alcotest.test_case "below equals the float draw" `Quick
+      test_below_equals_float_draw;
     Alcotest.test_case "next non-negative" `Quick test_next_nonnegative;
     Alcotest.test_case "bool mixes" `Quick test_bool_mixes;
     QCheck_alcotest.to_alcotest qcheck_int_in_range;
