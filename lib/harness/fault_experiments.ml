@@ -516,7 +516,6 @@ let replay_recovery_trial ?(exec_backend = Config.Interp) ~fault ~seed () =
       with
       Config.detection = Config.Replay;
       replay_chunk_ticks = 2;
-      checkpoint_depth = 3;
       max_rollbacks = 8;
       exec_backend;
     }

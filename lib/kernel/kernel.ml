@@ -73,17 +73,20 @@ let block_cache t = t.kbc
 (* One architectural cycle through whichever backend this kernel was
    created with: the interpreter, which is the oracle, or a one-cycle
    [Blockc.run], observably identical to it (enforced by
-   test/test_exec_blocks.ml). The caller ticks the machine, bus lanes
-   included, and owns the trace clock. *)
+   test/test_exec_blocks.ml). Either way the core's own bus lane ticks
+   first; [Blockc.run] ticks none for a halted core, which therefore
+   takes the interpreter's path. The caller owns the trace clock. *)
 let clock_unmoved (_ : int) = ()
 
 let step t =
   match t.kbc with
-  | None -> Core.step t.kcore t.kenv
-  | Some bc -> (
-      match Blockc.run bc ~buses:[||] ~fuel:1 ~at:clock_unmoved with
+  | Some bc when not t.kcore.Core.halted -> (
+      match Blockc.run bc ~fuel:1 ~at:clock_unmoved with
       | None -> Core.Ran
       | Some ev -> Core.Event ev)
+  | Some _ | None ->
+      Bus.tick t.kenv.Core.bus;
+      Core.step t.kcore t.kenv
 
 (* Overwrite one instruction in this kernel's private code image and
    drop any compiled block for its page. The only legal way code

@@ -81,9 +81,11 @@ val create :
 val step : t -> Rcoe_machine.Core.step_result
 (** Advance this kernel's core by one architectural cycle through the
     configured execution backend: {!Rcoe_machine.Core.step}, or a
-    one-cycle {!Rcoe_machine.Blockc.run}. Engines must call this instead
-    of [Core.step] directly so backend selection applies uniformly
-    (including catch-up replay). *)
+    one-cycle {!Rcoe_machine.Blockc.run}. Either way the core's own bus
+    lane ({!Rcoe_machine.Machine.bus_lane}) ticks once for the cycle,
+    also when the core is halted, so callers never tick it themselves.
+    Engines must call this instead of [Core.step] directly so backend
+    selection applies uniformly (including catch-up replay). *)
 
 val block_cache : t -> Rcoe_machine.Blockc.t option
 (** The block-compiler cache, when the [Blocks] backend is active —

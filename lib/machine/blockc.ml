@@ -71,7 +71,8 @@ type stats = {
 
 type t = {
   bcore : Core.t;
-  benv : Core.env;
+  benv : Core.env;  (** [ienv] whose device accessors raise [Device_access]. *)
+  ienv : Core.env;  (** The kernel's environment, the interpreter's. *)
   ops : dop array;
   page_ok : bool array;
   page_blocks : block list array;
@@ -81,6 +82,14 @@ type t = {
   hw_count : bool;
   st : stats;
 }
+
+(* A device register access from compiled code, raised before the access
+   and before any other effect of its instruction. Devices are machine
+   state a run does not own: [run] moves the caller's clock to the cycle,
+   lets the interpreter run the instruction, and ends the run, so the
+   access sees the devices as per-cycle stepping would, and their next
+   tick follows at once. *)
+exception Device_access
 
 let stats t = t.st
 let blocks t = List.concat (Array.to_list t.page_blocks)
@@ -276,7 +285,17 @@ let compile1 bc ip (instr : Rcoe_isa.Instr.t) : dop =
       fun () ->
         retire ();
         ev
-  | Rep_movs | Ldex _ | Stex _ | Atomic_add _ | Cas _ -> oracle
+  | Rep_movs ->
+      (* Its write follows its read's bus and stall charges, so a device
+         (or any non-RAM) destination is refused before the read. *)
+      let dst = ridx Rcoe_isa.Reg.R0 and left = ridx Rcoe_isa.Reg.R2 in
+      let ram a =
+        Page_table.ram_addr env.Core.mem env.Core.pt ~vaddr:a ~write:true
+      in
+      fun () ->
+        if regs.(left) > 0 && ram regs.(dst) < 0 then raise Device_access
+        else oracle ()
+  | Ldex _ | Stex _ | Atomic_add _ | Cas _ -> oracle
   | Cntinc ->
       fun () ->
         regs.(cnt) <- regs.(cnt) + 1;
@@ -424,7 +443,13 @@ let create core env =
   let npages = (len + page_size - 1) / page_size in
   {
     bcore = core;
-    benv = env;
+    benv =
+      {
+        env with
+        Core.dev_read = (fun _ _ -> raise Device_access);
+        dev_write = (fun _ _ _ -> raise Device_access);
+      };
+    ienv = env;
     ops = Array.make len unreachable_dop;
     page_ok = Array.make npages false;
     page_blocks = Array.make npages [];
@@ -473,19 +498,18 @@ let flush_at c env ~at k =
     Core.flush_bus_wait c env
   end
 
-(* [Core.step]'s shell, up to [fuel] cycles in one tight loop, with the
-   decode replaced by the closure dispatch: any observable difference
-   from the oracle here is a bug, so compare side by side when touching
-   either. Returns at the first event, or when the fuel runs out; the
-   caller reads the consumed cycles off [Core.cycles]. Each cycle first
-   refills every lane in [buses] — exactly the bus work [Machine.tick]
-   performs on a device-free machine — so bus-credit state interleaves
-   with memory accesses precisely as it would under per-cycle stepping.
+(* [Kernel.step] — a lane tick, then [Core.step]'s shell — up to [fuel]
+   cycles in one tight loop, with the decode replaced by the closure
+   dispatch: any observable difference from the oracle here is a bug,
+   so compare side by side when touching either. Returns at the first
+   event, or when the fuel runs out; the caller reads the consumed
+   cycles off [Core.cycles]. Each cycle first refills the core's own
+   bus lane, so bus-credit state interleaves with memory accesses
+   precisely as it would under per-cycle stepping.
 
-   A stalled cycle only refills the lanes and decrements [stall], so a
+   A stalled cycle only refills the lane and decrements [stall], so a
    run of [k] stalled cycles is taken in one step: [Bus.advance] by [k]
-   and [stall - k]. Lanes are independent, so refilling each one [k]
-   times in turn equals [k] rounds over all of them.
+   and [stall - k].
 
    A cycle allocates nothing unless it ends the run with an event.
 
@@ -494,28 +518,24 @@ let flush_at c env ~at k =
    clock the caller owns. [at k] runs just before each with the cycle's
    offset [k] (1 = the run's first cycle), so the caller can move that
    clock to the cycle per-cycle stepping would stamp. *)
-let run t ~buses ~fuel ~at =
+let run t ~fuel ~at =
   let c = t.bcore and env = t.benv in
   if c.Core.halted then Some Core.Ev_halt
   else begin
     let code_len = Array.length t.ops in
-    let nbus = Array.length buses in
+    let bus = env.Core.bus in
     let consumed = ref 0 in
     let ev = ref None in
     let running = ref true in
     while !running && !consumed < fuel do
       if c.Core.stall > 0 then begin
         let k = Int.min c.Core.stall (fuel - !consumed) in
-        for i = 0 to nbus - 1 do
-          Bus.advance (Array.unsafe_get buses i) ~cycles:k
-        done;
+        Bus.advance bus ~cycles:k;
         consumed := !consumed + k;
         c.Core.stall <- c.Core.stall - k
       end
       else begin
-        for i = 0 to nbus - 1 do
-          Bus.tick (Array.unsafe_get buses i)
-        done;
+        Bus.tick bus;
         incr consumed;
         (* The resume flag re-arms once execution has left the
            breakpointed address. *)
@@ -547,6 +567,12 @@ let run t ~buses ~fuel ~at =
               ev := Some (Core.Ev_fault f);
               running := false
           | exception Core.Bus_busy -> c.Core.bus_wait <- c.Core.bus_wait + 1
+          | exception Device_access -> (
+              at !consumed;
+              running := false;
+              match Core.exec_step c t.ienv with
+              | Core.Ran -> ()
+              | Core.Event e -> ev := Some e)
           | Some _ as e ->
               flush_at c env ~at !consumed;
               ev := e;

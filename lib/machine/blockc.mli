@@ -72,27 +72,22 @@ val create : Core.t -> Core.env -> t
 (** [create core env] builds an empty cache over [env.code]. Nothing is
     compiled until execution first enters a page. *)
 
-val run :
-  t -> buses:Bus.t array -> fuel:int -> at:(int -> unit) -> Core.event option
-(** [run t ~buses ~fuel ~at] executes up to [fuel] architectural cycles
-    in one call and returns at the first event, or [None] when the fuel
-    runs out. Each cycle refills every lane in [buses] and then does
-    what {!Core.step} does on the same state: same cycle charge, same
-    stall/breakpoint/fault/event outcomes, same trace emissions, same
-    RNG consumption. A run of stalled cycles is taken in one step
-    ({!Bus.advance}). The cycles consumed, the cycle of a terminating
-    event included, are added to the core's [cycles], where the caller
-    reads them. A halted core consumes nothing and returns [Ev_halt].
-    Lazily compiles each page on first entry. On a decoded page a cycle
-    allocates nothing unless it ends the run with an event: the jitter
-    draw is [Rng.below], loads and stores walk the page table
-    with {!Page_table.ram_addr}, and no float is boxed.
-
-    [buses] are the bus lanes the caller owns for this stretch: none
-    for a single cycle of [Kernel.step], whose caller ticks the machine
-    itself, or the core's own lane inside an execution window or the
-    run loop's quiet-cycle skip, where each replica ticks its own lane
-    and the caller tops the others up.
+val run : t -> fuel:int -> at:(int -> unit) -> Core.event option
+(** [run t ~fuel ~at] executes up to [fuel] architectural cycles in one
+    call and returns at the first event, or [None] when the fuel runs
+    out. Each cycle ticks the core's own bus lane (the environment's
+    [bus]) and then does what {!Core.step} does on the same state: same
+    cycle charge, same stall/breakpoint/fault/event outcomes, same trace
+    emissions, same RNG consumption. A run of [n] cycles is therefore
+    [n] calls of [Kernel.step] on the interpreter. A run of stalled
+    cycles is taken in one step ({!Bus.advance}). The cycles consumed,
+    the cycle of a terminating event included, are added to the core's
+    [cycles], where the caller reads them; the lane ticks once for each
+    of them. A halted core consumes nothing, ticks nothing and returns
+    [Ev_halt]. Lazily compiles each page on first entry. On a decoded
+    page a cycle allocates nothing unless it ends the run with an
+    event: the jitter draw is [Rng.below], loads and stores walk the
+    page table with {!Page_table.ram_addr}, and no float is boxed.
 
     The trace events a run emits are a breakpoint fire and the
     bus-stall span of {!Core.flush_bus_wait}. Their stamps read the
@@ -100,16 +95,14 @@ val run :
     just before each with the cycle's offset [k] ([1] is the run's
     first cycle); the caller sets its trace clock to that cycle.
 
-    Precondition, checked by the caller: no device-visible activity
-    (frame delivery, raised IRQ line), IPI delivery or preemption tick
-    can fall within [fuel] cycles. Devices may exist: a per-cycle
-    [dev_tick] over a quiescent stretch only refreshes the device's
-    cycle cache, so the caller clips [fuel] strictly short of
-    [Netdev.next_event] and runs [Machine.tick_devices] once after
-    accounting the consumed cycles, before dispatching a terminating
-    event whose handler may touch device registers. Under that
-    condition a run of [n] cycles is bit-identical to [n] successive
-    lane refills + {!Core.step} calls, trace stamps included. *)
+    Precondition, checked by the caller ([Sched.advance]): no device
+    event (frame delivery, raised IRQ line), IPI delivery or preemption
+    tick falls within [fuel] cycles; the caller ticks the devices at the
+    cycle the run reached before it handles a terminating event. A
+    device register access ends the run at its cycle: [at] runs first,
+    so the caller can tick the devices there, and the interpreter
+    performs the instruction. A run of [n] cycles is then bit-identical
+    to [n] calls of [Kernel.step], trace stamps included. *)
 
 val invalidate_addr : t -> int -> unit
 (** Drop the compiled page containing the given code address (no-op if

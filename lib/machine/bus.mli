@@ -15,16 +15,16 @@ val create : rate:float -> t
 
 val tick : t -> unit
 (** Advance one global cycle (refill credits). Neither [tick] nor
-    {!try_acquire} allocates. *)
+    {!try_acquire} allocates. A lane ticks once per simulated cycle,
+    whatever its core does: [Kernel.step] and {!Blockc.run} tick it for
+    the cycles they step, [Sched.advance] for the others. *)
 
 val advance : t -> cycles:int -> unit
 (** [advance t ~cycles] leaves the credit bit-identical to [cycles]
     applications of {!tick}. It ticks until the lane is full, which it
     then stays, so its cost is bounded by the refill time, not by
     [cycles]; the refill is a running floating-point sum, which a
-    closed form would round differently. A burst takes a run of stalled
-    cycles with it, the quiet-cycle skip and a window's retirement top
-    lanes up to their end. *)
+    closed form would round differently. *)
 
 val try_acquire : t -> int -> bool
 (** [try_acquire t n] takes [n] credits if available. *)

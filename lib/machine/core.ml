@@ -189,54 +189,55 @@ let count_hw_branch t env =
   | Arch.Hardware -> t.hw_branches <- t.hw_branches + 1
   | Arch.Compiler_assisted -> ()
 
+(* Top-level, so that [exec] closes over nothing per instruction. *)
+let retire t =
+  t.ip <- t.ip + 1;
+  t.instret <- t.instret + 1;
+  t.last_was_cntinc <- false
+
 (* Execute exactly one instruction (or one word of a rep-string).
    Raises Take_fault/Bus_busy. Returns an event for traps. *)
 let exec t env instr : event option =
   let open Rcoe_isa.Instr in
   let fregs = t.fregs and regs = t.regs in
   let fidx = Rcoe_isa.Reg.findex in
-  let retire () =
-    t.ip <- t.ip + 1;
-    t.instret <- t.instret + 1;
-    t.last_was_cntinc <- false
-  in
   match instr with
   | Nop ->
-      retire ();
+      retire t;
       None
   | Halt -> Some Ev_halt
   | Mov (rd, o) ->
       regs.(reg rd) <- operand t o;
-      retire ();
+      retire t;
       None
   | La (rd, l) -> invalid_arg ("Core: unresolved data label " ^ l ^ " for " ^ Rcoe_isa.Reg.to_string rd)
   | Alu (op, rd, rs, o) ->
       regs.(reg rd) <- alu op regs.(reg rs) (operand t o);
-      retire ();
+      retire t;
       None
   | Not (rd, rs) ->
       regs.(reg rd) <- lnot regs.(reg rs);
-      retire ();
+      retire t;
       None
   | Ld (rd, rs, off) ->
       regs.(reg rd) <- load t env (regs.(reg rs) + off);
-      retire ();
+      retire t;
       None
   | St (rbase, rs, off) ->
       store t env (regs.(reg rbase) + off) regs.(reg rs);
-      retire ();
+      retire t;
       None
   | Push r ->
       let nsp = regs.(sp_idx) - 1 in
       store t env nsp regs.(reg r);
       regs.(sp_idx) <- nsp;
-      retire ();
+      retire t;
       None
   | Pop r ->
       let v = load t env regs.(sp_idx) in
       regs.(reg r) <- v;
       regs.(sp_idx) <- regs.(sp_idx) + 1;
-      retire ();
+      retire t;
       None
   | B (c, r, o, tg) ->
       count_hw_branch t env;
@@ -245,7 +246,7 @@ let exec t env instr : event option =
         t.instret <- t.instret + 1;
         t.last_was_cntinc <- false
       end
-      else retire ();
+      else retire t;
       None
   | Jmp tg ->
       count_hw_branch t env;
@@ -273,13 +274,13 @@ let exec t env instr : event option =
       t.last_was_cntinc <- false;
       None
   | Syscall n ->
-      retire ();
+      retire t;
       Some (Ev_syscall n)
   | Rep_movs ->
       (* One word per cycle; registers stay architecturally consistent so
          the copy can be preempted and resumed. *)
       if regs.(reg R2) <= 0 then begin
-        retire ();
+        retire t;
         None
       end
       else begin
@@ -295,7 +296,7 @@ let exec t env instr : event option =
         regs.(reg R0) <- dst + 1;
         regs.(reg R1) <- src + 1;
         regs.(reg R2) <- regs.(reg R2) - 1;
-        if regs.(reg R2) = 0 then retire ();
+        if regs.(reg R2) = 0 then retire t;
         None
       end
   | Ldex (rd, rs) ->
@@ -303,7 +304,7 @@ let exec t env instr : event option =
       regs.(reg rd) <- load t env a;
       t.excl_armed <- true;
       t.excl_addr <- a;
-      retire ();
+      retire t;
       None
   | Stex (rres, rval, raddr) ->
       let a = regs.(reg raddr) in
@@ -313,21 +314,21 @@ let exec t env instr : event option =
       end
       else regs.(reg rres) <- 1;
       t.excl_armed <- false;
-      retire ();
+      retire t;
       None
   | Atomic_add (rd, raddr, o) ->
       let a = regs.(reg raddr) in
       let old = load t env a in
       store t env a (old + operand t o);
       regs.(reg rd) <- old;
-      retire ();
+      retire t;
       None
   | Cas (rd, raddr, rexp, rnew) ->
       let a = regs.(reg raddr) in
       let old = load t env a in
       if old = regs.(reg rexp) then store t env a regs.(reg rnew);
       regs.(reg rd) <- old;
-      retire ();
+      retire t;
       None
   | Cntinc ->
       regs.(cnt_idx) <- regs.(cnt_idx) + 1;
@@ -337,26 +338,26 @@ let exec t env instr : event option =
       None
   | Falu (op, fd, fa, fb) ->
       fregs.(fidx fd) <- falu op fregs.(fidx fa) fregs.(fidx fb);
-      retire ();
+      retire t;
       None
   | Funop (op, fd, fs) ->
       fregs.(fidx fd) <- funop op fregs.(fidx fs);
-      retire ();
+      retire t;
       None
   | Fldi (fd, x) ->
       fregs.(fidx fd) <- x;
-      retire ();
+      retire t;
       None
   | Fld (fd, rs, off) ->
       Rcoe_isa.Program.set_float_word fregs (fidx fd)
         (load t env (regs.(reg rs) + off));
-      retire ();
+      retire t;
       None
   | Fst (fs, rbase, off) ->
       store t env
         (regs.(reg rbase) + off)
         (Rcoe_isa.Program.get_float_word fregs (fidx fs));
-      retire ();
+      retire t;
       None
   | Fb (c, fa, fb, tg) ->
       count_hw_branch t env;
@@ -365,15 +366,15 @@ let exec t env instr : event option =
         t.instret <- t.instret + 1;
         t.last_was_cntinc <- false
       end
-      else retire ();
+      else retire t;
       None
   | Itof (fd, rs) ->
       fregs.(fidx fd) <- float_of_int regs.(reg rs);
-      retire ();
+      retire t;
       None
   | Ftoi (rd, fs) ->
       regs.(reg rd) <- int_of_float fregs.(fidx fs);
-      retire ();
+      retire t;
       None
 
 (* Flush a completed run of bus-contention stalls as one trace span
@@ -383,6 +384,24 @@ let flush_bus_wait t env =
     Rcoe_obs.Trace.bus_stall env.trace ~rid:t.id ~cycles:t.bus_wait;
     t.bus_wait <- 0
   end
+
+let exec_step t env =
+  match exec t env env.code.(t.ip) with
+  | exception Take_fault f ->
+      t.bus_wait <- 0;
+      Event (Ev_fault f)
+  | exception Bus_busy ->
+      t.bus_wait <- t.bus_wait + 1;
+      Ran
+  | Some ev ->
+      flush_bus_wait t env;
+      Event ev
+  | None ->
+      flush_bus_wait t env;
+      let p = env.profile.jitter_p in
+      if p > 0.0 && Rng.below t.jitter (Rng.threshold p) then
+        t.stall <- t.stall + env.profile.jitter_cycles;
+      Ran
 
 let step t env =
   if t.halted then Event Ev_halt
@@ -405,24 +424,6 @@ let step t env =
       | _ ->
           if t.ip < 0 || t.ip >= Array.length env.code then
             Event (Ev_fault (Bad_ip t.ip))
-          else begin
-            let instr = env.code.(t.ip) in
-            match exec t env instr with
-            | exception Take_fault f ->
-                t.bus_wait <- 0;
-                Event (Ev_fault f)
-            | exception Bus_busy ->
-                t.bus_wait <- t.bus_wait + 1;
-                Ran
-            | Some ev ->
-                flush_bus_wait t env;
-                Event ev
-            | None ->
-                flush_bus_wait t env;
-                let p = env.profile.jitter_p in
-                if p > 0.0 && Rng.below t.jitter (Rng.threshold p) then
-                  t.stall <- t.stall + env.profile.jitter_cycles;
-                Ran
-          end
+          else exec_step t env
     end
   end

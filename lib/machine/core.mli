@@ -134,6 +134,11 @@ val exec : t -> env -> Rcoe_isa.Instr.t -> event option
     Backends call this directly for stateful instructions they do not
     specialise. *)
 
+val exec_step : t -> env -> step_result
+(** The end of {!step}'s cycle once the instruction at [ip] is due: run
+    it with {!exec}, then clear or extend the bus-wait run, flush it, and
+    draw the jitter stall, as {!step} does. *)
+
 val load : t -> env -> int -> int
 (** One data-memory read at a virtual address: translation, bus
     acquisition, memory-stall charge, then the access. Raises

@@ -48,13 +48,16 @@ let add_device t dev =
   t.devices <- Array.append t.devices [| dev |];
   Array.length t.devices - 1
 
+(* A loop: an [Array.iter] closure would be allocated every cycle. *)
+let tick_devices t =
+  let devs = t.devices in
+  for i = 0 to Array.length devs - 1 do
+    (Array.unsafe_get devs i).Device.dev_tick ~now:t.now
+  done
+
 let tick t =
   t.now <- t.now + 1;
-  Array.iter Bus.tick t.buses;
-  Array.iter (fun d -> d.Device.dev_tick ~now:t.now) t.devices
-
-let tick_devices t =
-  Array.iter (fun d -> d.Device.dev_tick ~now:t.now) t.devices
+  tick_devices t
 
 let bus_lane t ~core_id = t.buses.(core_id)
 
@@ -70,13 +73,13 @@ let dev_write t dpn off v =
 let pending_irq t ~core_id =
   if core_id <> t.irq_route then None
   else
-    let n = Array.length t.devices in
-    let rec find i =
-      if i >= n then None
-      else if t.devices.(i).Device.irq_pending () then Some i
-      else find (i + 1)
-    in
-    find 0
+    let devs = t.devices in
+    let n = Array.length devs in
+    let i = ref 0 in
+    while !i < n && not (devs.(!i).Device.irq_pending ()) do
+      incr i
+    done;
+    if !i < n then Some !i else None
 
 let ack_irq t dpn =
   if dpn >= 0 && dpn < Array.length t.devices then begin
@@ -90,8 +93,6 @@ let send_ipi t ~target =
     t.ipi_pending.(target) <-
       min t.ipi_pending.(target) (t.now + t.profile.Arch.ipi_latency)
   end
-
-let ipi_visible t ~core_id = t.ipi_pending.(core_id) <= t.now
 
 let clear_ipi t ~core_id = t.ipi_pending.(core_id) <- max_int
 

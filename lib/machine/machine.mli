@@ -15,7 +15,10 @@ type t = {
           [bus_rate / ncores] and is touched only by core [i], so a
           replica's memory timing is independent of the order replicas
           are stepped in — a prerequisite for stepping them on separate
-          domains. A single-core machine keeps the full rate. *)
+          domains. A single-core machine keeps the full rate. The
+          machine does not tick the lanes: each moves with its core,
+          through [Kernel.step], {!Blockc.run} and the replica
+          scheduler's step (see {!Bus.tick}). *)
   cores : Core.t array;
   mutable devices : Device.t array;  (** Index = device page id. *)
   mutable now : int;  (** Global cycle counter. *)
@@ -41,8 +44,9 @@ val add_device : t -> Device.t -> int
 (** Register a device; returns its device page id. *)
 
 val tick : t -> unit
-(** Advance global time one cycle: bus refill, device ticks. Core
-    stepping is driven by the replica scheduler, not here. *)
+(** Advance global time one cycle and tick the devices. Core stepping
+    and bus-lane refill are driven by the replica scheduler, not here.
+    Allocates nothing. *)
 
 val tick_devices : t -> unit
 (** Run the device ticks for the current [now] without advancing time —
@@ -69,7 +73,6 @@ val send_ipi : t -> target:int -> unit
 (** Raise an IPI to core [target]; it becomes visible after the
     profile's IPI latency. *)
 
-val ipi_visible : t -> core_id:int -> bool
 val clear_ipi : t -> core_id:int -> unit
 
 val route_irqs_to : t -> int -> unit

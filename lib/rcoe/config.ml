@@ -198,8 +198,6 @@ let validate ?net_ok t =
     err "replay_queue_depth must be >= 1"
   else if t.detection = Replay && t.replay_checkers < 1 then
     err "replay_checkers must be >= 1"
-  else if t.detection = Replay && t.checkpoint_depth < 1 then
-    err "checkpoint_depth must be >= 1"
   else if t.detection = Replay && t.max_rollbacks < 1 then
     err "max_rollbacks must be >= 1"
   else

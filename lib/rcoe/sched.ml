@@ -1,7 +1,8 @@
 (* The replication scheduler: system state, round lifecycle, voting,
-   masking, checkpointing, and per-replica stepping. The one run loop
-   over simulated cycles, with the classic cycle and the quiet-cycle
-   skip it takes, lives in [Window]; [Engine_par]
+   masking, checkpointing, and the one replica step, [advance]. The one
+   run loop over simulated cycles, with the classic cycle, execution
+   windows and the quiet-cycle skip, each a way of calling [advance],
+   lives in [Window]; [Engine_par]
    runs its window jobs on worker domains, [Engine_replay] adds chunk
    cuts and owns the replay pipeline's set-up and cut state, and
    [System] is the public facade that dispatches on the configuration.
@@ -124,15 +125,11 @@ type rstate =
   | Rs_halted
   | Rs_removed
 
-(* Why a window job stopped before its window cap ([Window]). Only
-   [Pk_rendezvous] carries a deferred effect; the others just record
-   that the replica can make no further progress on its own inside this
-   window. *)
+(* Why a window job stopped before its cap, which [Window] decides the
+   window's end on. Only [Pk_rendezvous] carries a deferred effect. *)
 type park_kind =
   | Pk_rendezvous  (* reached a sync-point rendezvous *)
   | Pk_inert  (* all threads exited *)
-  | Pk_idle  (* every thread blocked; only a round event can wake it *)
-  | Pk_dead  (* core halted (crash / exception-barrier fail-stop) *)
 
 (* Per-window job context ([Window], on either engine). [None] outside
    a window — every dispatch site below treats [None] as the classic
@@ -145,7 +142,6 @@ type wctx = {
   mutable wv_vm_exits : int;  (* deferred Metrics.incr on the shared set *)
   mutable wv_events : (int * event_kind) list;  (* newest first *)
   mutable wpark : (int * park_kind) option;
-  mutable w_ticked : int;  (* bus-lane cycles ticked by this job *)
 }
 
 type replica = {
@@ -167,6 +163,8 @@ type replica = {
   mutable tr_phase : Trace.sync_phase option;
   mutable arrived_at : int;  (* cycle of final-barrier arrival, -1 = n/a *)
   mutable move_started : int;  (* cycle catch-up began, -1 = n/a *)
+  mutable at_base : int;  (* the cycle [advance]'s [Blockc.run] starts after *)
+  at : int -> unit;  (* its [~at], built once: [move_clock] to [at_base + k] *)
 }
 
 type phase =
@@ -395,11 +393,18 @@ let live_replicas t =
   Array.to_list t.replicas
   |> List.filter (fun r -> r.state <> Rs_removed)
 
-(* The run loop's guard, read every iteration: over the array, so it
-   builds no list. *)
+(* The run loop's guard, read every iteration: a loop over the array,
+   so it allocates nothing ([Array.for_all] allocates its closure). *)
 let finished t =
   t.halt = None
-  && Array.for_all (fun r -> r.state = Rs_removed || r.finished) t.replicas
+  &&
+  let rs = t.replicas and i = ref 0 in
+  while
+    !i < Array.length rs && (rs.(!i).state = Rs_removed || rs.(!i).finished)
+  do
+    incr i
+  done;
+  !i = Array.length rs
 
 let log_event t k =
   t.event_log <- (now t, k) :: t.event_log;
@@ -476,6 +481,19 @@ let tp_begin t r ph =
     Trace.phase_begin r.rtrace ~rid:r.rid ph;
     r.tr_phase <- Some ph
   end
+
+(* Move [r]'s clock to cycle [c]: inside a window its job clock; else
+   the machine clock, whose devices tick at each cycle it moves on to,
+   so an event, act or device access at [c] sees them as per cycle (a
+   tick between a step's events only refreshes their cycle cache). *)
+let move_clock mach r c =
+  match r.wctx with
+  | Some w -> w.wv_now <- c
+  | None ->
+      if c > mach.Machine.now then begin
+        mach.Machine.now <- c;
+        Machine.tick_devices mach
+      end
 
 (* ---------------------------------------------------------------------- *)
 (* Construction                                                            *)
@@ -653,20 +671,25 @@ let build cfg program ~elig ~lint =
           Kernel.create ~trace:rtrace ~backend ~machine:mach ~rid
             ~core_id:rid ~layout:lay ~program ~callbacks ()
         in
-        {
-          rid;
-          kern;
-          rtrace;
-          state = Rs_run;
-          finished = false;
-          pending_ft = None;
-          joined = false;
-          defer_publish = false;
-          wctx = None;
-          tr_phase = None;
-          arrived_at = -1;
-          move_started = -1;
-        })
+        let rec r =
+          {
+            rid;
+            kern;
+            rtrace;
+            state = Rs_run;
+            finished = false;
+            pending_ft = None;
+            joined = false;
+            defer_publish = false;
+            wctx = None;
+            tr_phase = None;
+            arrived_at = -1;
+            move_started = -1;
+            at_base = 0;
+            at = (fun k -> move_clock mach r (r.at_base + k));
+          }
+        in
+        r)
   in
   (* Device-window mapping plans (primary role). *)
   let page = Layout.page_size in
@@ -1567,7 +1590,7 @@ let start_move t round =
       round.stage <- `Move
 
 (* ---------------------------------------------------------------------- *)
-(* Per-cycle replica stepping                                              *)
+(* Replica stepping                                                        *)
 (* ---------------------------------------------------------------------- *)
 
 let enter_rendezvous t r =
@@ -1663,28 +1686,6 @@ let on_event t r = function
       (* Stale breakpoint outside a catch-up: clear and continue. *)
       (Kernel.core r.kern).Core.bp <- None
 
-(* Execute one core cycle of user code for a running/chasing replica. *)
-let run_user t r =
-  (* An externally halted core (crashed/overclocked/hung) freezes: it
-     neither executes nor reaches kernel entries, so the others' barrier
-     times out — do not mistake it for a clean thread exit. *)
-  if (Kernel.core r.kern).Core.halted then ()
-  else if Kernel.current_tid r.kern < 0 then ()
-  else
-    match Kernel.step r.kern with
-    | Core.Ran -> (
-        (* Deferred publication: a replica IPI'd at a rep-string first
-           steps past it (Section III-D). *)
-        if r.defer_publish then
-          match t.phase with
-          | Ph_async { stage = `Gather; _ }
-            when not (Core.rep_in_progress (Kernel.core r.kern) (Kernel.env r.kern))
-            ->
-              r.defer_publish <- false;
-              join_gather t r
-          | _ -> ())
-    | Core.Event ev -> on_event t r ev
-
 let on_ipi t r =
   Machine.clear_ipi t.mach ~core_id:r.rid;
   Metrics.incr t.ms.m_ipis;
@@ -1733,117 +1734,26 @@ let on_armed_event t r cu = function
       end
   | ev -> on_catchup_event t r cu ev
 
-let step_catchup t r cu =
-  let core = Kernel.core r.kern in
-  let p = profile t in
-  let leader = cu.leader_clock in
-  let count = event_count t r in
-  if count < leader.Clock.count then run_user t r
-  else begin
-    match leader.Clock.pos with
-    | Clock.In_kernel ->
-        (* Arrival for kernel-parked leaders happens in post_syscall; a
-           replica still running here with the full count has diverged and
-           will time the round out. *)
-        run_user t r
-    | Clock.At_user { branches_adj = leader_adj; ip } ->
-        let adj_now () =
-          let raw = Core.branch_count core p in
-          if core.Core.last_was_cntinc then raw - 1 else raw
-        in
-        if t.cfg.Config.fast_catchup && (not cu.pmu_done) && not cu.bp_set
-        then begin
-          (* Paper Section VI: cover most of the branch deficit with a
-             PMU-overflow interrupt instead of a debug exception per pass
-             over the leader's address; arm the breakpoint only for the
-             final stretch. *)
-          if cu.pmu_active then begin
-            (match Kernel.step r.kern with
-            | Core.Ran -> ()
-            | Core.Event ev -> on_catchup_event t r cu ev);
-            if adj_now () >= leader_adj - 8 then begin
-              cu.pmu_active <- false;
-              cu.pmu_done <- true;
-              (* The overflow interrupt that ends the fast phase. *)
-              charge r p.Arch.irq_cost;
-              vm_charge t r;
-              tp_begin t r Trace.Catchup
-            end
-          end
-          else if leader_adj - adj_now () > 32 then begin
-            cu.pmu_active <- true;
-            tp_begin t r Trace.Pmu_catchup;
-            charge r p.Arch.breakpoint_set_cost
-            (* programming the counter *)
-          end
-          else cu.pmu_done <- true
-        end
-        else if not cu.bp_set then begin
-          cu.bp_set <- true;
-          charge r p.Arch.breakpoint_set_cost;
-          core.Core.bp <- Some ip;
-          (* Already exactly at the leader's position? *)
-          let here = Clock.capture p ~count core in
-          if Clock.equal_position here leader then arrive t r
-        end
-        else
-          match Kernel.step r.kern with
-          | Core.Ran -> ()
-          | Core.Event ev -> on_armed_event t r cu ev
-  end
+(* What replica [r] does on the cycles after [s], as long as no round
+   event intervenes: the one decision [advance] dispatches on, by which
+   the quiet-cycle skip ([Window]) also classifies every replica. An act
+   takes one cycle and changes replica or round state; the last three
+   can take many cycles at once, and [D_user] and [D_still] hold for at
+   most [ipi_bound] cycles. Constant, so deciding allocates nothing. *)
+type decision =
+  | D_ipi  (* take the visible IPI *)
+  | D_join  (* an idle or finished replica joins the gather stage *)
+  | D_arrive  (* a chase reached its target event count *)
+  | D_arm  (* arm the catch-up breakpoint at the leader's position *)
+  | D_pmu  (* a fast catch-up's PMU phase: program, step or give it up *)
+  | D_publish  (* step on towards a publication deferred past a rep-string *)
+  | D_halt  (* step a halted core under an armed breakpoint: an event *)
+  | D_user  (* run user code, or burn stall, up to the next core event *)
+  | D_spin  (* spin at a barrier, which only decays the stall *)
+  | D_still  (* nothing *)
 
-(* [cycles] cycles of spinning at a barrier: charged kernel work
-   (publishing, voting, VM crossings) overlaps the wait instead of
-   deferring resume, so the residual stall decays by one per cycle. *)
-let spin r ~cycles =
-  let core = Kernel.core r.kern in
-  if core.Core.stall > 0 then
-    core.Core.stall <- Int.max 0 (core.Core.stall - cycles)
-
-let step_replica t r =
-  match r.state with
-  | Rs_removed | Rs_halted -> ()
-  | Rs_gather_wait | Rs_vote_wait | Rs_rendezvous -> spin r ~cycles:1
-  | Rs_chase target ->
-      if event_count t r >= target then arrive t r else run_user t r
-  | Rs_catchup cu -> step_catchup t r cu
-  | Rs_run ->
-      if (Kernel.core r.kern).Core.halted then ()
-      (* A hung core answers neither IPIs nor its own work. *)
-      else if Machine.ipi_visible t.mach ~core_id:r.rid then on_ipi t r
-      else if r.finished then begin
-        match t.phase with
-        | Ph_async { stage = `Gather; _ } -> join_gather t r
-        | _ -> ()
-      end
-      else if Kernel.current_tid r.kern < 0 then begin
-        (* Idle: all threads blocked. *)
-        match t.phase with
-        | Ph_async { stage = `Gather; _ } -> join_gather t r
-        | _ -> ()
-      end
-      else run_user t r
-
-(* What [step_replica] does with [r] on the cycles after [s], as long as
-   no round event intervenes — the per-replica classification of the
-   run loop's quiet-cycle skip ([Window.skip]):
-   - [Q_acts]: the next cycle takes an IPI or changes replica or round
-     state (arrives, joins, arms a breakpoint, runs the PMU phase of a
-     fast catch-up, publishes a deferred clock);
-   - [Q_user]: each cycle runs [r]'s user code in [Kernel.step] — it
-     executes an instruction or burns a stall cycle — up to the core
-     event that ends the run, which goes to [on_user_event];
-   - [Q_spins]: a barrier spin, whose cycles only decay the stall
-     ([spin]);
-   - [Q_still]: the cycles do nothing.
-   [Q_user] and [Q_still] hold for at most [ipi_bound] cycles. Mirrors
-   [step_replica] and [step_catchup] branch for branch. The variant is
-   constant, so the skip's refusal allocates nothing. *)
-type quiet = Q_acts | Q_user | Q_spins | Q_still
-
-(* The cycles after [s] before an IPI becomes visible to [r]:
-   [step_replica] answers one before anything else a live running
-   replica does, and no other state tests for it. *)
+(* The cycles after [s] before an IPI becomes visible to [r]: only a
+   live running replica answers one, before anything else it does. *)
 let ipi_bound t r ~s =
   match r.state with
   | Rs_run when not (Kernel.core r.kern).Core.halted ->
@@ -1851,47 +1761,185 @@ let ipi_bound t r ~s =
       if p = max_int then max_int else p - s - 1
   | _ -> max_int
 
-(* [run_user]'s next cycles. *)
-let quiet_user r =
+(* A replica about to run user code. A halted core (crashed, hung)
+   freezes, so the others' barrier times out; an idle one waits. *)
+let decide_user r =
   if (Kernel.core r.kern).Core.halted || Kernel.current_tid r.kern < 0 then
-    Q_still
-  else if r.defer_publish then Q_acts
-  else Q_user
+    D_still
+  else if r.defer_publish then D_publish
+  else D_user
 
-let quiet t r ~s =
+let decide t r ~s =
   match r.state with
-  | Rs_removed | Rs_halted -> Q_still
-  | Rs_gather_wait | Rs_vote_wait | Rs_rendezvous -> Q_spins
+  | Rs_removed | Rs_halted -> D_still
+  | Rs_gather_wait | Rs_vote_wait | Rs_rendezvous -> D_spin
   | Rs_chase target ->
-      if event_count t r >= target then Q_acts else quiet_user r
+      if event_count t r >= target then D_arrive else decide_user r
   | Rs_catchup cu -> (
       let leader = cu.leader_clock in
-      if event_count t r < leader.Clock.count then quiet_user r
+      if event_count t r < leader.Clock.count then decide_user r
       else
         match leader.Clock.pos with
-        | Clock.In_kernel -> quiet_user r
+        | Clock.In_kernel ->
+            (* Arrival for kernel-parked leaders happens in
+               [post_syscall]; a replica still running here with the
+               full count has diverged and will time the round out. *)
+            decide_user r
         | Clock.At_user _ ->
-            (* Unarmed, the next cycle runs the PMU phase or arms the
-               breakpoint; armed, it steps the core without [run_user]'s
-               checks, and a halted core's step is an event. *)
-            if cu.bp_set && not (Kernel.core r.kern).Core.halted then Q_user
-            else Q_acts)
-  | Rs_run ->
-      if (Kernel.core r.kern).Core.halted then Q_still
-      else if ipi_bound t r ~s <= 0 then Q_acts
+            (* Paper Section VI: a fast catch-up covers most of the
+               deficit with a PMU overflow, then arms the breakpoint. *)
+            if t.cfg.Config.fast_catchup && (not cu.pmu_done) && not cu.bp_set
+            then D_pmu
+            else if not cu.bp_set then D_arm
+            else if (Kernel.core r.kern).Core.halted then D_halt
+            else D_user)
+  | Rs_run -> (
+      (* A hung core answers neither IPIs nor its own work. *)
+      if (Kernel.core r.kern).Core.halted then D_still
+      else if ipi_bound t r ~s <= 0 then D_ipi
       else if r.finished || Kernel.current_tid r.kern < 0 then
         match t.phase with
-        | Ph_async { stage = `Gather; _ } -> Q_acts
-        | _ -> Q_still
-      else quiet_user r
+        | Ph_async { stage = `Gather; _ } -> D_join
+        | _ -> D_still
+      else decide_user r)
 
-(* The core event that ended a [Q_user] replica's run, handled as
-   [step_replica] would: an armed catch-up's by [on_armed_event], every
-   other one by [run_user]'s [on_event]. *)
-let on_user_event t r ev =
+(* The act [f] at cycle [c], which does not step the core. *)
+let act t r c f =
+  move_clock t.mach r c;
+  Bus.tick (Machine.bus_lane t.mach ~core_id:r.rid);
+  f t r;
+  c
+
+(* Inside a window, a replica that has finished parks at cycle [c],
+   where the per-cycle loop would notice it and the window's end may be
+   decided; a halted one does not. Whether it parked. *)
+let park_finished r c =
+  match r.wctx with
+  | Some ({ wpark = None; _ } as w)
+    when r.finished
+         && not ((Kernel.core r.kern).Core.halted || r.state = Rs_halted) ->
+      w.wpark <- Some (c, Pk_inert);
+      true
+  | _ -> false
+
+(* The core event that ended [r]'s step: an armed catch-up's goes to
+   [on_armed_event], any other to [on_event]. *)
+let dispatch t r ev =
   match r.state with
   | Rs_catchup cu when cu.bp_set -> on_armed_event t r cu ev
   | _ -> on_event t r ev
+
+(* One [Kernel.step] at cycle [c]. A replica whose publication waits for
+   its rep-string publishes once the string is done (Section III-D). *)
+let step1 t r c =
+  move_clock t.mach r c;
+  (match Kernel.step r.kern with
+  | Core.Event ev -> dispatch t r ev
+  | Core.Ran when r.defer_publish -> (
+      let core = Kernel.core r.kern in
+      match t.phase with
+      | Ph_async { stage = `Gather; _ }
+        when not (Core.rep_in_progress core (Kernel.env r.kern)) ->
+          r.defer_publish <- false;
+          join_gather t r
+      | _ -> ())
+  | Core.Ran -> ());
+  c
+
+(* Branches the core completed: a compiler-assisted count's [cntinc]
+   still in flight is left out. *)
+let completed_branches t core =
+  let raw = Core.branch_count core (profile t) in
+  if core.Core.last_was_cntinc then raw - 1 else raw
+
+(* The cycle [c] of a fast catch-up's PMU phase: program the counter
+   (or give up on a small deficit), then step up to the overflow. *)
+let pmu_step t r c =
+  (match r.state with
+  | Rs_catchup
+      ({ leader_clock = { Clock.pos = Clock.At_user { branches_adj; _ }; _ };
+         _;
+       } as cu) ->
+      let p = profile t and core = Kernel.core r.kern in
+      move_clock t.mach r c;
+      if not cu.pmu_active then begin
+        Bus.tick (Machine.bus_lane t.mach ~core_id:r.rid);
+        if branches_adj - completed_branches t core > 32 then begin
+          cu.pmu_active <- true;
+          tp_begin t r Trace.Pmu_catchup;
+          charge r p.Arch.breakpoint_set_cost (* programming the counter *)
+        end
+        else cu.pmu_done <- true
+      end
+      else begin
+        (match Kernel.step r.kern with
+        | Core.Ran -> ()
+        | Core.Event ev -> on_catchup_event t r cu ev);
+        if completed_branches t core >= branches_adj - 8 then begin
+          cu.pmu_active <- false;
+          cu.pmu_done <- true;
+          (* The overflow interrupt that ends the fast phase. *)
+          charge r p.Arch.irq_cost;
+          vm_charge t r;
+          tp_begin t r Trace.Catchup
+        end
+      end
+  | _ -> ());
+  c
+
+(* Arm the catch-up breakpoint at the leader's user position; a replica
+   already exactly there arrives. *)
+let arm_breakpoint t r =
+  match r.state with
+  | Rs_catchup
+      ({ leader_clock = { Clock.pos = Clock.At_user { ip; _ }; _ } as leader;
+         _;
+       } as cu) ->
+      let p = profile t and core = Kernel.core r.kern in
+      cu.bp_set <- true;
+      charge r p.Arch.breakpoint_set_cost;
+      core.Core.bp <- Some ip;
+      let here = Clock.capture p ~count:(event_count t r) core in
+      if Clock.equal_position here leader then arrive t r
+  | _ -> ()
+
+(* Move replica [r] — core, kernel, replica state and its own bus lane,
+   which ticks once per cycle — from cycle [from] through at most
+   [upto], as the per-cycle loop would, and return the cycle reached,
+   early after [r]'s first core event or act. An act, and a user step on
+   [Interp], take one cycle; on [Blocks] user code, a spin or a still
+   replica take the span at once, so the caller bounds [upto] short of
+   any IPI, round event or device activity. Inside a window shared
+   effects are deferred and a finished replica parks; outside, the
+   devices must have ticked at the machine clock's cycle. *)
+let advance t r ~from ~upto =
+  if park_finished r from || upto <= from then from
+  else
+    let c = from + 1 and k = upto - from in
+    let core = Kernel.core r.kern in
+    match (decide t r ~s:from, Kernel.block_cache r.kern) with
+    | D_user, Some bc -> (
+        let before = core.Core.cycles in
+        r.at_base <- from;
+        let ev = Blockc.run bc ~fuel:k ~at:r.at in
+        let c = from + core.Core.cycles - before in
+        move_clock t.mach r c;
+        (match ev with Some ev -> dispatch t r ev | None -> ());
+        c)
+    | (D_user | D_publish | D_halt), _ -> step1 t r c
+    | ((D_spin | D_still) as d), _ ->
+        (* A spin's charged kernel work (publishing, voting, VM
+           crossings) overlaps the wait instead of deferring resume, so
+           the residual stall decays by one per cycle. *)
+        if d = D_spin then core.Core.stall <- Int.max 0 (core.Core.stall - k);
+        Bus.advance (Machine.bus_lane t.mach ~core_id:r.rid) ~cycles:k;
+        move_clock t.mach r upto;
+        upto
+    | D_ipi, _ -> act t r c on_ipi
+    | D_join, _ -> act t r c join_gather
+    | D_arrive, _ -> act t r c arrive
+    | D_arm, _ -> act t r c arm_breakpoint
+    | D_pmu, _ -> pmu_step t r c
 
 (* ---------------------------------------------------------------------- *)
 (* Phase advancement and round initiation                                  *)
@@ -1930,13 +1978,26 @@ let base_tick t =
    every replica at once, and the round then completes on the next
    cycle. *)
 let round_ready t =
-  let all p = Array.for_all (fun r -> r.state = Rs_removed || p r) t.replicas in
   match t.phase with
   | Ph_idle -> false
-  | Ph_async { stage = `Gather; _ } -> all (fun r -> r.joined)
-  | Ph_async { stage = `Move; _ } ->
-      all (fun r -> r.state = Rs_vote_wait && arrived_bar t r.rid)
-  | Ph_rdv _ -> all (fun r -> r.state = Rs_rendezvous && arrived_bar t r.rid)
+  | Ph_async _ | Ph_rdv _ ->
+      (* A loop, so that the skip's refusal allocates nothing. *)
+      let rs = t.replicas and i = ref 0 in
+      while
+        !i < Array.length rs
+        &&
+        let r = rs.(!i) in
+        match (r.state, t.phase) with
+        | Rs_removed, _ -> true
+        | _, Ph_async { stage = `Gather; _ } -> r.joined
+        | Rs_vote_wait, Ph_async { stage = `Move; _ } | Rs_rendezvous, Ph_rdv _
+          ->
+            arrived_bar t r.rid
+        | _ -> false
+      do
+        incr i
+      done;
+      !i = Array.length rs
 
 let advance_phase t =
   match t.phase with

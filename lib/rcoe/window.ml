@@ -1,9 +1,11 @@
 (* The run loop: the only code in the library that steps simulated
-   cycles. Each iteration of [run] first runs an optional [before] hook
-   (replay detection cuts its chunks there), then takes one of three
-   steps:
+   cycles. Every step it takes moves each replica through
+   [Sched.advance], the one replica step, and differs only in how far.
+   Each iteration of [run] first runs an optional [before] hook (replay
+   detection cuts its chunks there), then takes one of three steps:
 
-   - one execution window, when the caller passed [jobs];
+   - one execution window, when the caller passed [jobs]: each running
+     replica's [job] advances it up to the window cap;
    - else, on [Blocks], the next run of quiet cycles at once ([skip]):
      cycles in which at most one replica, the lone runner, executes
      instructions and the round decides nothing before the runner's
@@ -11,9 +13,10 @@
      and chases while the leader waits, and the stalled, idle and
      barrier-spinning replicas of async rounds and of runs without
      exception barriers, which open no windows;
-   - else one [classic_cycle]: tick the machine, step every replica in
-     rid order, and advance the round state machine. On [Interp] this
-     is the reference all faster steps are held bit-identical to.
+   - else one [classic_cycle]: tick the machine, advance every replica
+     one cycle in rid order, and advance the round state machine. On
+     [Interp] this is the reference all faster steps are held
+     bit-identical to.
 
    One [horizon] bounds both fast steps, so that no round-lifecycle
    decision the classic loop would take falls strictly inside them.
@@ -22,7 +25,7 @@
    touches private state: its own memory partition, its own core and
    kernel, its own per-core bus lane, and its own child trace buffer. A
    *window* is a span of simulated cycles [s+1 .. cap] in which each
-   running replica is stepped by a [job] that touches nothing else.
+   running replica is advanced by a [job] that touches nothing else.
    [Engine_par] runs the jobs of one window concurrently, one per
    [Domain.t]; [inline_jobs] runs them on the calling domain, replica
    after replica. Only replicated runs open windows. Everything that
@@ -45,21 +48,21 @@
    - Deferred effects (rendezvous entries, notable events, trace events)
      are replayed by [retire] in (cycle, replica-id) order — exactly the
      order the per-cycle loop's rid-ordered stepping produces.
-   - Between core events a job runs its replica through [Blockc.run] on
-     the replica's own bus lane, when the backend is [Blocks]: the
-     per-cycle checks of [job] are loop-invariant between events, so
-     one burst of [n] cycles is the same as [n] per-cycle iterations.
-     The trace events a burst can emit, a breakpoint fire and a
-     bus-stall span, read the job's clock, which [Blockc.run]'s [~at]
-     moves to their cycle first.
+   - On [Blocks], [Sched.advance] runs a replica from one core event to
+     the next in one [Blockc.run] on its own bus lane: the per-cycle
+     decision is loop-invariant between events, so one burst of [n]
+     cycles is the same as [n] per-cycle iterations. The trace events a
+     burst can emit, a breakpoint fire and a bus-stall span, read the
+     job's clock, which [Blockc.run]'s [~at] moves to their cycle first.
 
    The window then "actually" ends at [w_actual], the cycle at which the
    per-cycle loop would next have run round-lifecycle code: the
    completion cycle when every live replica reached the rendezvous, the
    last finish cycle when the workload completed, or the window cap.
-   The unmodified classic [Sched.advance_phase] runs once at that cycle
-   and arbitrates completion against timeouts just as it does every
-   cycle under per-cycle stepping. *)
+   Every replica then advances from the cycle it reached to [w_actual],
+   and the unmodified classic [Sched.advance_phase] runs once there and
+   arbitrates completion against timeouts just as it does every cycle
+   under per-cycle stepping. *)
 
 open Rcoe_machine
 open Rcoe_kernel
@@ -67,84 +70,39 @@ open Sched
 module Trace = Rcoe_obs.Trace
 module Metrics = Rcoe_obs.Metrics
 
-(* The classic cycle: advance the machine, step every replica in rid
-   order, then let the round-lifecycle state machine react. *)
-let classic_cycle t =
-  Machine.tick t.mach;
-  Array.iter (fun r -> step_replica t r) t.replicas;
-  advance_phase t
-
-(* Run [r]'s core through [Blockc.run] on its own bus lane for up to
-   [fuel] cycles, counted as burst cycles, which the caller reads off
-   the core's [cycles]. Returns the event that ended the run, if any. *)
-let run_lane t r ~fuel ~at =
-  let bc = Option.get (Kernel.block_cache r.kern) in
+(* [Sched.advance] in a fast step, counting the core cycles it ran, all
+   in [Blockc.run] on [Blocks], as burst cycles. *)
+let burst t r ~from ~upto =
   let core = Kernel.core r.kern in
   let before = core.Core.cycles in
-  let lane = Machine.bus_lane t.mach ~core_id:r.rid in
-  let ev = Blockc.run bc ~buses:[| lane |] ~fuel ~at in
-  let st = Blockc.stats bc in
-  st.Blockc.burst_cycles <- st.Blockc.burst_cycles + core.Core.cycles - before;
-  ev
+  let c = advance t r ~from ~upto in
+  (match Kernel.block_cache r.kern with
+  | Some bc ->
+      let st = Blockc.stats bc in
+      st.Blockc.burst_cycles <-
+        st.Blockc.burst_cycles + core.Core.cycles - before
+  | None -> ());
+  c
 
-(* Step one replica through cycles [s+1 .. cap], or fewer if it parks.
-   Mirrors the [Rs_run] arm of [Sched.step_replica] minus the cases that
-   cannot occur inside a window (IPIs are checked before the window
-   opens; gather-joins only exist during async rounds). The job ticks
-   its own bus lane each cycle it simulates — [retire] tops the lane up
-   to the window end afterwards. Safe to run concurrently with the jobs
-   of the other replicas of the same window. *)
-let job t r w ~s ~cap =
-  let lane = Machine.bus_lane t.mach ~core_id:r.rid in
-  let core = Kernel.core r.kern in
-  let bc = Kernel.block_cache r.kern in
-  (* A finish or fail-stop *during* cycle [c] ends the job's window at
-     [c] — the per-cycle loop would have noticed it in the same
-     iteration. *)
-  let settle c =
-    if w.wpark = None then
-      if core.Core.halted || r.state = Rs_halted then
-        w.wpark <- Some (c, Pk_dead)
-      else if r.finished then w.wpark <- Some (c, Pk_inert)
-  in
-  let tick c =
-    w.wv_now <- c;
-    Bus.tick lane;
-    w.w_ticked <- w.w_ticked + 1
-  in
-  let park c k =
-    tick c;
-    w.wpark <- Some (c, k)
-  in
-  let c = ref (s + 1) in
-  while !c <= cap && w.wpark = None do
-    if core.Core.halted || r.state = Rs_halted then park !c Pk_dead
-    else if r.finished then park !c Pk_inert
-    else if Kernel.current_tid r.kern < 0 then park !c Pk_idle
-    else
-      match bc with
-      | Some _ ->
-          let first = !c and before = core.Core.cycles in
-          let ev =
-            run_lane t r ~fuel:(cap - first + 1)
-              ~at:(fun k -> w.wv_now <- first + k - 1)
-          in
-          let consumed = core.Core.cycles - before in
-          let last = first + consumed - 1 in
-          w.wv_now <- last;
-          w.w_ticked <- w.w_ticked + consumed;
-          Option.iter
-            (fun ev ->
-              on_event t r ev;
-              settle last)
-            ev;
-          c := last + 1
-      | None ->
-          tick !c;
-          run_user t r;
-          settle !c;
-          incr c
-  done
+(* The classic cycle: tick the machine, advance every replica one cycle
+   in rid order, then let the round-lifecycle state machine react. A
+   loop, so that the cycle allocates nothing. *)
+let classic_cycle t =
+  Machine.tick t.mach;
+  let s = now t - 1 and rs = t.replicas in
+  for i = 0 to Array.length rs - 1 do
+    ignore (advance t rs.(i) ~from:s ~upto:(s + 1))
+  done;
+  advance_phase t
+
+(* Advance one replica from cycle [s] towards [cap] under its window
+   context until [Sched.advance] parks it, at a rendezvous or once it
+   finished. No IPI or gather join, hence no act, falls inside a window.
+   Safe to run concurrently with the other replicas' jobs. *)
+let rec job t r w ~s ~cap =
+  if w.wpark = None then
+    let c = burst t r ~from:s ~upto:cap in
+    if c > s then job t r w ~s:c ~cap
 
 (* Furthest cycle the next window may reach, and one past the last
    cycle a quiet-cycle skip may run. Chosen so that no
@@ -191,23 +149,22 @@ let horizon t ~s ~start ~max_cycles ~has_stop =
    otherwise fall back to [classic_cycle]. It takes the next cycles in
    which at most one replica, the runner, executes instructions: every
    other one only stalls, spins at a barrier, idles or is halted
-   ([Sched.quiet]), the round is not ready to complete
+   ([Sched.decide]), the round is not ready to complete
    ([Sched.round_ready]), and no tick, IRQ, frame delivery or timeout is
    due before the [horizon]. An unreplicated run always has a runner
-   when its thread is live. The runner is the [Q_user] replica whose
-   stall ends first, so [k] is bounded by every other [Q_user]
+   when its thread is live. The runner is the [D_user] replica whose
+   stall ends first, so [k] is bounded by every other [D_user]
    replica's stall, every replica's [ipi_bound] and the horizon. The
-   runner runs [Blockc.run ~fuel:k] on its own lane and stops at its
-   first event, after [c] cycles. Everyone else then takes those [c]
-   cycles: a stalled replica in one [Blockc.run] on its lane, a barrier
-   spinner's stall in closed form ([Sched.spin]), every other lane
-   topped up. The machine clock moves to [s + c], followed by one
-   device tick as after a window; the runner's event is handled, and
-   [advance_phase] runs there, as at the end of a classic cycle. Cycles
-   in which two replicas execute stay per cycle: without exception
-   barriers an uncontrolled kernel abort in one stops the others at
-   that very cycle. Returns false, having done nothing, when no cycle
-   is quiet. The scan that refuses allocates nothing. *)
+   runner advances up to [k] cycles and stops at its first event, at
+   cycle [c]; [Sched.advance] moves the machine clock there and ticks
+   the devices before it handles the event. Everyone else then advances
+   to [c] too: a stalled replica in one [Blockc.run], a barrier spinner
+   in closed form, a still one's lane at once. [advance_phase] runs at
+   [c], as at the end of a classic cycle. Cycles in which two replicas
+   execute stay per cycle: without exception barriers an uncontrolled
+   kernel abort in one stops the others at that very cycle. Returns
+   false, having done nothing, when no cycle is quiet. The scan that
+   refuses allocates nothing. *)
 let skip t ~s ~start ~max_cycles ~has_stop =
   t.cfg.Config.exec_backend = Config.Blocks
   &&
@@ -216,11 +173,11 @@ let skip t ~s ~start ~max_cycles ~has_stop =
   let k = ref max_int and i = ref 0 in
   while !k > 0 && !i < n do
     let r = t.replicas.(!i) in
-    (match quiet t r ~s with
-    | Q_acts -> k := 0
-    | Q_spins -> ()
-    | Q_still -> k := Int.min !k (ipi_bound t r ~s)
-    | Q_user ->
+    (match decide t r ~s with
+    | D_ipi | D_join | D_arrive | D_arm | D_pmu | D_publish | D_halt -> k := 0
+    | D_spin -> ()
+    | D_still -> k := Int.min !k (ipi_bound t r ~s)
+    | D_user ->
         let stall = (Kernel.core r.kern).Core.stall in
         (* Whoever does not run may only stall. *)
         if stall < !runner_stall then begin
@@ -239,47 +196,26 @@ let skip t ~s ~start ~max_cycles ~has_stop =
   let k = Int.min k (horizon t ~s ~start ~max_cycles ~has_stop - s - 1) in
   k > 0
   && begin
-       let at j = t.mach.Machine.now <- s + j in
-       let ev, c =
-         if runner < 0 then (None, k)
-         else
-           let r = t.replicas.(runner) in
-           let core = Kernel.core r.kern in
-           let before = core.Core.cycles in
-           let ev = run_lane t r ~fuel:k ~at in
-           (ev, core.Core.cycles - before)
+       let c =
+         if runner < 0 then s + k
+         else burst t t.replicas.(runner) ~from:s ~upto:(s + k)
        in
        for i = 0 to n - 1 do
-         if i <> runner then begin
-           let r = t.replicas.(i) in
-           let lane = Machine.bus_lane t.mach ~core_id:r.rid in
-           match quiet t r ~s with
-           | Q_user -> ignore (run_lane t r ~fuel:c ~at)
-           | Q_spins ->
-               spin r ~cycles:c;
-               Bus.advance lane ~cycles:c
-           | Q_still | Q_acts -> Bus.advance lane ~cycles:c
-         end
+         if i <> runner then ignore (burst t t.replicas.(i) ~from:s ~upto:c)
        done;
-       t.mach.Machine.now <- s + c;
-       Machine.tick_devices t.mach;
-       (match ev with
-       | Some ev -> on_user_event t t.replicas.(runner) ev
-       | None -> ());
        advance_phase t;
        true
      end
 
 (* Give every running replica a window context. Parked, halted and
-   removed replicas have no private work — their bus lanes and
-   barrier-stall decay are settled arithmetically by [retire]. *)
+   removed replicas have no private work: [retire] advances them to the
+   window end. *)
 let open_window t ~s =
   Array.iter
     (fun r ->
       if r.state = Rs_run then begin
         let w =
-          { wv_now = s; wv_vm_exits = 0; wv_events = []; wpark = None;
-            w_ticked = 0 }
+          { wv_now = s; wv_vm_exits = 0; wv_events = []; wpark = None }
         in
         r.wctx <- Some w;
         Trace.begin_buffering r.rtrace ~clock:(fun () -> w.wv_now)
@@ -287,69 +223,52 @@ let open_window t ~s =
     t.replicas
 
 (* Settle a window over cycles [s+1 .. cap] whose jobs have all
-   returned: replay their deferred effects, bring every lane, stall and
-   device to the window end, and run the round-lifecycle decision the
-   per-cycle loop would have run there. *)
+   returned: replay their deferred effects, bring every replica, its
+   stall and its lane, and the devices to the window end, and run the
+   round-lifecycle decision the per-cycle loop would have run there. *)
 let retire t ~s ~cap =
-  (* Where the per-cycle loop would next have made a decision. *)
-  let park r = match r.wctx with Some w -> w.wpark | None -> None in
-  let lv = live_replicas t in
-  let all_rdv =
-    lv <> []
-    && List.for_all
-         (fun r ->
-           match park r with
-           | Some (_, Pk_rendezvous) -> true
-           | Some _ -> false
-           | None -> r.state = Rs_rendezvous && arrived_bar t r.rid)
-         lv
-  in
-  let all_inert =
-    lv <> []
-    && List.for_all
-         (fun r ->
-           match park r with Some (_, Pk_inert) -> true | _ -> false)
-         lv
-  in
-  let max_park kind =
-    Array.fold_left
+  (* Where the per-cycle loop would next have made a decision: when every
+     live replica parked the same way (a rendezvous spinner with no job
+     counts as parked there), the last such park, else the cap. *)
+  let last_park kind =
+    let lv = live_replicas t in
+    List.fold_left
       (fun acc r ->
-        match park r with
-        | Some (ts, k) when k = kind -> max acc ts
-        | _ -> acc)
-      (s + 1) t.replicas
+        match (acc, r.wctx) with
+        | Some c, Some { wpark = Some (ts, k); _ } when k = kind ->
+            Some (max c ts)
+        | Some c, None
+          when kind = Pk_rendezvous
+               && r.state = Rs_rendezvous
+               && arrived_bar t r.rid ->
+            Some c
+        | _ -> None)
+      (if lv = [] then None else Some (s + 1))
+      lv
   in
   let w_actual =
-    if all_rdv then max_park Pk_rendezvous
-    else if all_inert then max_park Pk_inert
-    else cap
+    match (last_park Pk_rendezvous, last_park Pk_inert) with
+    | Some c, _ | None, Some c -> c
+    | None, None -> cap
   in
   (* Replay deferred shared-state effects in (cycle, rid) order — the
      per-cycle stepping order. The machine clock tracks each effect's
      cycle so logs, trace stamps and rendezvous bookkeeping match the
      per-cycle loop exactly; children are still buffering, so trace
      events emitted here land *after* the replica's in-window events. *)
-  let effects = ref [] in
-  Array.iter
-    (fun r ->
-      match r.wctx with
-      | None -> ()
-      | Some w ->
-          let evs =
-            List.rev_map (fun (ts, k) -> (ts, r.rid, `Event k)) w.wv_events
-          in
-          let parks =
-            match w.wpark with
-            | Some (ts, Pk_rendezvous) -> [ (ts, r.rid, `Rdv) ]
-            | _ -> []
-          in
-          effects := !effects @ evs @ parks)
-    t.replicas;
   let effects =
-    List.stable_sort
-      (fun (ts_a, rid_a, _) (ts_b, rid_b, _) ->
-        compare (ts_a, rid_a) (ts_b, rid_b))
-      !effects
+    Array.to_list t.replicas
+    |> List.concat_map (fun r ->
+           match r.wctx with
+           | None -> []
+           | Some w -> (
+               List.rev_map (fun (ts, k) -> (ts, r.rid, `Event k)) w.wv_events
+               @
+               match w.wpark with
+               | Some (ts, Pk_rendezvous) -> [ (ts, r.rid, `Rdv) ]
+               | _ -> []))
+    |> List.stable_sort (fun (ts_a, rid_a, _) (ts_b, rid_b, _) ->
+           compare (ts_a, rid_a) (ts_b, rid_b))
   in
   List.iter
     (fun (ts, rid, eff) ->
@@ -360,30 +279,6 @@ let retire t ~s ~cap =
       | `Event k -> log_event t k
       | `Rdv -> enter_rendezvous t r)
     effects;
-  (* Barrier-spin stall decay: the per-cycle loop decrements a parked
-     replica's residual stall by one per cycle; apply the window's worth
-     in closed form. *)
-  Array.iter
-    (fun r ->
-      if r.state = Rs_rendezvous then
-        let since =
-          match r.wctx with
-          | Some { wpark = Some (ts, Pk_rendezvous); _ } -> ts
-          | _ -> s
-        in
-        spin r ~cycles:(w_actual - since))
-    t.replicas;
-  (* Top every bus lane up to the window end: the per-cycle loop's
-     Machine.tick runs all lanes every cycle, including those of parked,
-     halted and removed cores. *)
-  let span = w_actual - s in
-  Array.iter
-    (fun r ->
-      let ticked = match r.wctx with Some w -> w.w_ticked | None -> 0 in
-      Bus.advance
-        (Machine.bus_lane t.mach ~core_id:r.rid)
-        ~cycles:(max 0 (span - ticked)))
-    t.replicas;
   t.mach.Machine.now <- w_actual;
   (* Device catch-up: the [horizon] keeps every frame delivery at or
      after the window cap, so one tick at the window-end cycle delivers
@@ -391,26 +286,34 @@ let retire t ~s ~cap =
      the same cycle, before [advance_phase] polls the interrupt line or
      a completed rendezvous consumes device state. *)
   Machine.tick_devices t.mach;
-  (* Commit per-replica trace buffers into the shared ring in
-     deterministic order, then settle deferred metrics. *)
+  (* Every replica advances from the cycle it reached (its park, the cap,
+     or without a job the window start) to the window end: a spinner's
+     stall decays, and every lane ticks the cycles it has not. *)
+  Array.iter
+    (fun r ->
+      let from =
+        match r.wctx with
+        | Some { wpark = Some (ts, _); _ } -> ts
+        | Some _ -> cap
+        | None -> s
+      in
+      ignore (advance t r ~from ~upto:w_actual))
+    t.replicas;
+  (* Settle deferred metrics, then commit per-replica trace buffers into
+     the shared ring in deterministic order. *)
   let bufs =
     Array.map
       (fun r ->
         match r.wctx with
-        | Some _ -> Trace.end_buffering r.rtrace
+        | Some w ->
+            if w.wv_vm_exits > 0 then
+              Metrics.incr ~by:w.wv_vm_exits t.ms.m_vm_exits;
+            r.wctx <- None;
+            Trace.end_buffering r.rtrace
         | None -> [])
       t.replicas
   in
   Trace.merge_buffered t.trace bufs;
-  Array.iter
-    (fun r ->
-      match r.wctx with
-      | Some w ->
-          if w.wv_vm_exits > 0 then
-            Metrics.incr ~by:w.wv_vm_exits t.ms.m_vm_exits;
-          r.wctx <- None
-      | None -> ())
-    t.replicas;
   (* The classic per-cycle decision point, run at the window-end cycle. *)
   advance_phase t
 
@@ -434,6 +337,23 @@ let inline_jobs t =
           (fun r -> match r.wctx with Some w -> job t r w ~s ~cap | None -> ())
           t.replicas)
   else None
+
+(* Whether a running replica has an IPI in flight. A loop, so that
+   it allocates nothing. *)
+let ipi_in_flight t =
+  let rs = t.replicas in
+  let i = ref 0 in
+  while
+    !i < Array.length rs
+    &&
+    let r = rs.(!i) in
+    match r.state with
+    | Rs_run -> t.mach.Machine.ipi_pending.(r.rid) = max_int
+    | _ -> true
+  do
+    incr i
+  done;
+  !i < Array.length rs
 
 (* The run loop. [jobs ~s ~cap] must run [job] for every replica
    [open_window] gave a context, and return once all of them have.
@@ -466,13 +386,7 @@ let run ?before ?jobs ?stop t ~max_cycles =
             let windowable =
               match t.phase with
               | Ph_async _ -> false
-              | Ph_idle | Ph_rdv _ ->
-                  not
-                    (Array.exists
-                       (fun r ->
-                         r.state = Rs_run
-                         && t.mach.Machine.ipi_pending.(r.rid) <> max_int)
-                       t.replicas)
+              | Ph_idle | Ph_rdv _ -> not (ipi_in_flight t)
             in
             let cap =
               if windowable then horizon t ~s ~start ~max_cycles ~has_stop

@@ -223,8 +223,7 @@ let test_burst_vs_steps () =
     let fuel = if s < plant_at then min 37 (plant_at - s) else 37 in
     let before = cb.Core.cycles in
     let ev =
-      Blockc.run bc ~buses:mb.Machine.buses ~fuel
-        ~at:(fun k -> mb.Machine.now <- s + k)
+      Blockc.run bc ~fuel ~at:(fun k -> mb.Machine.now <- s + k)
     in
     mb.Machine.now <- s + (cb.Core.cycles - before);
     Option.iter (fun ev -> exited := on_event kb fires_b ~now:mb.Machine.now ev) ev;
@@ -838,33 +837,112 @@ let gen_case =
         g_slice;
       })
 
-(* Run [c] on [backend] and [engine] to completion, a halt or the cycle
-   cap, in [g_slice]-cycle slices when drawn, flipping the drawn bit of
-   the drawn replica's signature once the clock reaches the drawn
-   cycle. *)
-let gen_run c ~backend ~engine =
-  let cfg = { c.g_cfg with Config.exec_backend = backend; engine } in
-  let sys = System.create ~config:cfg ~program:(gen_program c) in
+(* The components two systems are compared on after every slice, each
+   with a predicate that holds when the systems agree on it: clock, halt
+   and completion, then per replica its scheduler state, its core's
+   architectural state, its bus lane's credit, its signature words and
+   its output. *)
+let system_components =
+  [
+    ("clock", fun a b -> System.now a = System.now b);
+    ("halt", fun a b -> System.halted a = System.halted b);
+    ("finished", fun a b -> System.finished a = System.finished b);
+  ]
+
+let replica_components =
+  let core sys rid = Kernel.core (System.kernel sys rid) in
+  let on f a b rid = f (core a rid) = f (core b rid) in
+  let lane sys rid =
+    Bus.state (Machine.bus_lane (System.machine sys) ~core_id:rid)
+  in
+  let sign sys rid =
+    Signature.read (System.machine sys).Machine.mem
+      ~base:(System.sig_base sys rid)
+  in
+  [
+    ( "state",
+      fun a b rid ->
+        System.replica_state_name a rid = System.replica_state_name b rid );
+    ("ip", on (fun c -> c.Core.ip));
+    ("stall", on (fun c -> c.Core.stall));
+    ("cycles", on (fun c -> c.Core.cycles));
+    ("instret", on (fun c -> c.Core.instret));
+    ("regs", on (fun c -> c.Core.regs));
+    ( "fregs",
+      fun a b rid ->
+        compare (core a rid).Core.fregs (core b rid).Core.fregs = 0 );
+    ("bp", on (fun c -> c.Core.bp));
+    ("halted", on (fun c -> c.Core.halted));
+    ("bus lane credit", fun a b rid -> compare (lane a rid) (lane b rid) = 0);
+    ("signature", fun a b rid -> sign a rid = sign b rid);
+    ("output", fun a b rid -> System.output a rid = System.output b rid);
+  ]
+
+(* The first component in which [a] and [b] differ, if any. *)
+let first_difference a b =
+  match List.find_opt (fun (_, same) -> not (same a b)) system_components with
+  | Some (what, _) -> Some what
+  | None ->
+      let rec replica rid =
+        if rid >= (System.config a).Config.nreplicas then None
+        else
+          match
+            List.find_opt (fun (_, same) -> not (same a b rid))
+              replica_components
+          with
+          | Some (what, _) -> Some (Printf.sprintf "r%d %s" rid what)
+          | None -> replica (rid + 1)
+      in
+      replica 0
+
+(* Run [c] to completion, a halt or the cycle cap, flipping the drawn
+   bit of the drawn replica's signature once the clock reaches the
+   drawn cycle, on every system of [systems] at once: in [g_slice]-cycle
+   slices when drawn, else in one [System.run] per leg. After each slice
+   the systems are compared ([first_difference]), and the first
+   difference fails the test with the drawn case, the slice's cycle
+   range and the differing component. *)
+let gen_run_together c systems =
+  let lead = List.hd systems in
   let run_to limit =
     while
-      (not (System.finished sys))
-      && System.halted sys = None
-      && System.now sys < limit
+      (not (System.finished lead))
+      && System.halted lead = None
+      && System.now lead < limit
     do
-      let left = limit - System.now sys in
-      System.run sys
-        ~max_cycles:(match c.g_slice with Some n -> min n left | None -> left)
+      let from = System.now lead in
+      let left = limit - from in
+      let max_cycles =
+        match c.g_slice with Some n -> min n left | None -> left
+      in
+      List.iter (fun sys -> System.run sys ~max_cycles) systems;
+      List.iter
+        (fun sys ->
+          match first_difference lead sys with
+          | Some what ->
+              Alcotest.failf "%s: the runs differ after the slice of cycles \
+                              %d..%d: %s"
+                (gen_case_to_string c) (from + 1) (System.now lead) what
+          | None -> ())
+        (List.tl systems)
     done
   in
   (match c.g_flip with
   | Some (at, rid, bit) ->
       run_to at;
-      let addr = System.sig_base sys rid + 1 in
-      Mem.flip_bit (System.machine sys).Machine.mem ~addr ~bit;
-      Trace.injection (System.trace sys) ~addr ~bit
+      List.iter
+        (fun sys ->
+          let addr = System.sig_base sys rid + 1 in
+          Mem.flip_bit (System.machine sys).Machine.mem ~addr ~bit;
+          Trace.injection (System.trace sys) ~addr ~bit)
+        systems
   | None -> ());
-  run_to 2_000_000;
-  sys
+  run_to 2_000_000
+
+let gen_system c ~backend ~engine =
+  System.create
+    ~config:{ c.g_cfg with Config.exec_backend = backend; engine }
+    ~program:(gen_program c)
 
 let generated_seed = 20_261_019
 
@@ -880,18 +958,197 @@ let qcheck_generated_differential =
       | Error reason -> String.trim reason <> ""
       | Ok () ->
           let label = gen_case_to_string c in
-          let oracle =
-            gen_run c ~backend:Config.Interp ~engine:Config.Sequential
-          in
-          Test_engine_par.check_identical ~label oracle
-            (gen_run c ~backend:Config.Blocks ~engine:Config.Sequential);
+          let sys = gen_system c ~engine:Config.Sequential in
+          let oracle = sys ~backend:Config.Interp
+          and blocks = sys ~backend:Config.Blocks in
+          (* A sliced case runs both systems side by side and compares
+             them after every slice; an unsliced one compares the
+             finished runs. *)
+          (match c.g_slice with
+          | Some _ -> gen_run_together c [ oracle; blocks ]
+          | None ->
+              gen_run_together c [ oracle ];
+              gen_run_together c [ blocks ]);
+          Test_engine_par.check_identical ~label oracle blocks;
           if
             Config.validate { c.g_cfg with Config.engine = Config.Parallel }
             = Ok ()
             && c.g_slice = None
+          then begin
+            let par =
+              gen_system c ~backend:Config.Blocks ~engine:Config.Parallel
+            in
+            gen_run_together c [ par ];
+            Test_engine_par.check_identical ~label oracle par
+          end;
+          true)
+
+(* --- generated served runs ------------------------------------------------ *)
+
+(* A seeded random walk over served runs, the NIC's paths the generated
+   configurations above do not reach: mode and replica count, platform,
+   exception barriers, the ingress check, closed or open pacing, a fault
+   (none, a signature flip under checkpoints, or a flipped RX-ring
+   frame), replay detection on Base, and the sizes of the load and the
+   [Loadgen] chunk. The runs cross the NIC horizon, the device tick
+   before an event is handled, and the ingress path. A drawn
+   configuration [Config.validate] rejects must say why; every other one
+   serves on [Interp] and on [Blocks], and on [Parallel] when the
+   configuration admits it, and the report, the outcome digest, the end
+   signatures and the final cycle must be identical. *)
+
+type serve_case = {
+  sv_cfg : Config.t;
+  sv_pacing : Loadgen.pacing;
+  sv_fault : Loadgen.fault_spec option;
+  sv_records : int;
+  sv_requests : int;
+  sv_chunk : int;
+}
+
+let serve_case_to_string c =
+  let cfg = c.sv_cfg in
+  let b = function true -> "y" | false -> "n" in
+  Printf.sprintf
+    "%s-%d %s seed=%d barriers=%s ingress=%s detection=%s ckpt_every=%d \
+     pacing=%s fault=%s records=%d requests=%d chunk=%d"
+    (Config.mode_to_string cfg.Config.mode)
+    cfg.Config.nreplicas
+    (Arch.to_string cfg.Config.arch)
+    cfg.Config.seed (b cfg.Config.exception_barriers)
+    (b cfg.Config.ingress_check)
+    (match cfg.Config.detection with
+    | Config.Lockstep -> "lockstep"
+    | Config.Replay -> "replay")
+    cfg.Config.checkpoint_every
+    (match c.sv_pacing with
+    | Loadgen.Closed { window } -> Printf.sprintf "closed(%d)" window
+    | Loadgen.Open { interval; max_queue } ->
+        Printf.sprintf "open(%d, queue %d)" interval max_queue)
+    (match c.sv_fault with
+    | None -> "none"
+    | Some f ->
+        Printf.sprintf "%s bit %d after %d"
+          (match f.Loadgen.fault_target with
+          | Loadgen.Sig_word -> "sig-word"
+          | Loadgen.Dma_frame -> "dma-frame")
+          f.Loadgen.fault_bit f.Loadgen.fault_after)
+    c.sv_records c.sv_requests c.sv_chunk
+
+let serve_case =
+  QCheck.Gen.(
+    let* mode = frequency [ (1, return Config.Base); (2, return Config.LC);
+                            (3, return Config.CC) ] in
+    let* nreplicas = if mode = Config.Base then return 1 else int_range 2 3 in
+    let* arch = oneofl [ Arch.X86; Arch.Arm ] in
+    let* seed = int_range 1 999 in
+    let* exception_barriers = bool in
+    let* ingress_check = bool in
+    let* sv_pacing =
+      oneof
+        [
+          map (fun window -> Loadgen.Closed { window }) (int_range 1 8);
+          map
+            (fun interval -> Loadgen.Open { interval; max_queue = 16 })
+            (oneofl [ 4_000; 15_000; 40_000 ]);
+        ]
+    in
+    let* replay = bool in
+    let* sv_records = int_range 8 32 in
+    let* sv_requests = int_range 32 160 in
+    let* sv_chunk = oneofl [ 400; 4_000 ] in
+    let* fault_target =
+      frequency
+        [ (2, return None); (1, return (Some Loadgen.Sig_word));
+          (1, return (Some Loadgen.Dma_frame)) ]
+    in
+    let* fault_after = int_range 0 (sv_requests / 2) in
+    let* fault_bit = int_range 0 29 in
+    let detection =
+      if replay && mode = Config.Base then Config.Replay else Config.Lockstep
+    in
+    let base =
+      Runner.config_for ~mode ~nreplicas ~arch ~with_net:true ~seed ()
+    in
+    return
+      {
+        sv_cfg =
+          {
+            base with
+            Config.exception_barriers;
+            ingress_check;
+            detection;
+            checkpoint_every =
+              (if
+                 fault_target = Some Loadgen.Sig_word
+                 && detection = Config.Lockstep
+               then 2
+               else 0);
+            max_rollbacks = 3;
+          };
+        sv_pacing;
+        sv_fault =
+          Option.map
+            (fun fault_target ->
+              { Loadgen.fault_after; fault_bit; fault_target })
+            fault_target;
+        sv_records;
+        sv_requests;
+        sv_chunk;
+      })
+
+let serve_run c ~backend ~engine =
+  Loadgen.run
+    ~config:{ c.sv_cfg with Config.exec_backend = backend; engine }
+    ~workload:Ycsb.A ~records:c.sv_records ~requests:c.sv_requests
+    ~pacing:c.sv_pacing ~chunk:c.sv_chunk ?fault:c.sv_fault ()
+
+let serve_seed = 20_261_020
+
+let qcheck_generated_serves =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf
+         "generated served runs: Interp = Blocks = Parallel (seed %d)"
+         serve_seed)
+    ~count:30
+    (QCheck.make ~print:serve_case_to_string serve_case)
+    (fun c ->
+      match Config.validate c.sv_cfg with
+      | Error reason -> String.trim reason <> ""
+      | Ok () ->
+          let label = serve_case_to_string c in
+          let oracle =
+            serve_run c ~backend:Config.Interp ~engine:Config.Sequential
+          in
+          let check tag r =
+            let tag = label ^ " " ^ tag in
+            let report r = Json.to_string (Loadgen.report_json r ~engine:"") in
+            Alcotest.(check string) (tag ^ ": report") (report oracle)
+              (report r);
+            Alcotest.(check int) (tag ^ ": outcome digest")
+              oracle.Loadgen.outcome_digest r.Loadgen.outcome_digest;
+            Alcotest.(check bool) (tag ^ ": end signatures") true
+              (oracle.Loadgen.end_sigs = r.Loadgen.end_sigs);
+            Alcotest.(check int) (tag ^ ": final cycle")
+              (System.now oracle.Loadgen.sys) (System.now r.Loadgen.sys)
+          in
+          check "blocks"
+            (serve_run c ~backend:Config.Blocks ~engine:Config.Sequential);
+          let program =
+            Loadgen.program_for ~config:c.sv_cfg ~workload:Ycsb.A
+              ~records:c.sv_records ~requests:c.sv_requests
+          in
+          let net_ok =
+            Eligibility.eligible (Eligibility.check ~config:c.sv_cfg ~program)
+          in
+          if
+            Config.validate ~net_ok
+              { c.sv_cfg with Config.engine = Config.Parallel }
+            = Ok ()
           then
-            Test_engine_par.check_identical ~label oracle
-              (gen_run c ~backend:Config.Blocks ~engine:Config.Parallel);
+            check "parallel"
+              (serve_run c ~backend:Config.Blocks ~engine:Config.Parallel);
           true)
 
 (* --- allocation pins ---------------------------------------------------- *)
@@ -965,7 +1222,7 @@ let test_burst_allocates_nothing () =
   Kernel.start k;
   let bc = Option.get (Kernel.block_cache k) and c = Kernel.core k in
   let burst fuel =
-    match Blockc.run bc ~buses:machine.Machine.buses ~fuel ~at:no_clock with
+    match Blockc.run bc ~fuel ~at:no_clock with
     | None -> ()
     | Some _ -> Alcotest.fail "the endless loop raised a core event"
   in
@@ -1016,6 +1273,37 @@ let test_base_runs_allocate_little () =
           () );
     ]
 
+(* Replicated runs without exception barriers, the CLI's default, on
+   [Blocks]: the classic cycles that remain, in which two replicas
+   execute, allocate nothing, so whole runs stay under one minor word per
+   simulated cycle. *)
+let test_no_barrier_runs_allocate_little () =
+  List.iter
+    (fun (name, mode, nreplicas, program) ->
+      let cfg =
+        {
+          (Runner.config_for ~mode ~nreplicas ~arch:x86 ()) with
+          Config.exec_backend = Config.Blocks;
+        }
+      in
+      let sys = System.create ~config:cfg ~program in
+      let before = Gc.minor_words () in
+      System.run sys ~max_cycles:max_int;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool) (name ^ " finished") true (System.finished sys);
+      let per_cycle = words /. float_of_int (System.now sys) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.4f minor words per cycle over %d cycles" name
+           per_cycle (System.now sys))
+        true (per_cycle < 1.0))
+    [
+      ( "CC-DMR whetstone",
+        Config.CC,
+        2,
+        Whetstone.program ~branch_count:false () );
+      ("LC-TMR md5sum", Config.LC, 3, Md5sum.program ~branch_count:false ());
+    ]
+
 let suite =
   [
     Alcotest.test_case
@@ -1056,4 +1344,10 @@ let suite =
       `Quick test_burst_allocates_nothing;
     Alcotest.test_case "Base runs on Blocks allocate < 0.05 words per cycle"
       `Quick test_base_runs_allocate_little;
+    Alcotest.test_case
+      "no-barrier replicated runs on Blocks allocate < 1 word per cycle" `Quick
+      test_no_barrier_runs_allocate_little;
+    QCheck_alcotest.to_alcotest ~speed_level:`Slow
+      ~rand:(Random.State.make [| serve_seed |])
+      qcheck_generated_serves;
   ]

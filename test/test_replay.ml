@@ -18,7 +18,7 @@ let x86 = Arch.X86
 (* --- configuration ------------------------------------------------------- *)
 
 let replay_config ?(chunk_ticks = 2) ?(queue_depth = 2) ?(checkers = 2)
-    ?(backend = Config.Interp) ?(depth = 4) ?(seed = 7) ?trace () =
+    ?(backend = Config.Interp) ?(seed = 7) ?trace () =
   {
     (Runner.config_for ~mode:Config.Base ~nreplicas:1 ~arch:x86 ~seed
        ~tick_interval:10_000 ())
@@ -27,16 +27,21 @@ let replay_config ?(chunk_ticks = 2) ?(queue_depth = 2) ?(checkers = 2)
     replay_chunk_ticks = chunk_ticks;
     replay_queue_depth = queue_depth;
     replay_checkers = checkers;
-    checkpoint_depth = depth;
     max_rollbacks = 6;
     exec_backend = backend;
     trace;
   }
 
 let test_config_validation () =
-  (match Config.validate (replay_config ()) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "valid replay config rejected: %s" e);
+  let expect_ok label cfg =
+    match Config.validate cfg with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s rejected: %s" label e
+  in
+  expect_ok "valid replay config" (replay_config ());
+  (* Replay keeps no checkpoint ring, so the ring's depth is not read. *)
+  expect_ok "replay config with checkpoint depth 0"
+    { (replay_config ()) with Config.checkpoint_depth = 0 };
   let expect_err label cfg =
     match Config.validate cfg with
     | Error _ -> ()
