@@ -24,12 +24,13 @@ let add_word t w =
    so k = 4096 stays under 2^57. *)
 let reduce_block = 4096
 
-let add_words t ws =
-  let n = Array.length ws in
+(* Feed words [pos, pos + len) of [ws]; the caller checks the range. *)
+let add_range t ws pos len =
+  let last = pos + len in
   let c0 = ref t.c0 and c1 = ref t.c1 in
-  let i = ref 0 in
-  while !i < n do
-    let stop = min n (!i + reduce_block) in
+  let i = ref pos in
+  while !i < last do
+    let stop = min last (!i + reduce_block) in
     let a0 = ref !c0 and a1 = ref !c1 in
     for j = !i to stop - 1 do
       a0 := !a0 + (Array.unsafe_get ws j land 0xFFFFFFFF);
@@ -41,6 +42,28 @@ let add_words t ws =
   done;
   t.c0 <- !c0;
   t.c1 <- !c1
+
+let add_words t ws = add_range t ws 0 (Array.length ws)
+
+let block_sums ws ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Array.length ws then
+    invalid_arg "Fletcher.block_sums: range outside the array";
+  let t = create () in
+  add_range t ws pos len;
+  (t.c0, t.c1)
+
+(* Feeding [len] words from (c0, c1) adds the block's own sums to both,
+   and to c1 also [len] times the incoming c0 (each word's running c0
+   carries it). Both sums are linear mod (2^32-1), so the composition is
+   exact; [max_block_len] keeps [len * c0] inside a 63-bit int. *)
+let max_block_len = 1 lsl 24
+
+let add_block t ~len (s0, s1) =
+  if len < 0 || len > max_block_len then
+    invalid_arg "Fletcher.add_block: block length out of range";
+  let c0 = t.c0 in
+  t.c0 <- (c0 + s0) mod modulus;
+  t.c1 <- (t.c1 + (len * c0) + s1) mod modulus
 
 let add_string t s =
   let n = String.length s in

@@ -22,6 +22,17 @@ val add_word : t -> int -> unit
 
 val add_words : t -> int array -> unit
 
+val block_sums : int array -> pos:int -> len:int -> int * int
+(** The sums of words [\[pos, pos + len)]: the [value] a fresh
+    accumulator reaches by adding them. Raises [Invalid_argument] if
+    the range leaves the array. *)
+
+val add_block : t -> len:int -> int * int -> unit
+(** [add_block t ~len (block_sums ws ~pos ~len)] leaves [t] exactly as
+    adding those [len] words one by one would, in O(1): a digest over
+    many blocks composes from sums kept per block. Raises
+    [Invalid_argument] unless [0 <= len <= 2^24]. *)
+
 val add_string : t -> string -> unit
 (** Feed a byte string (packed little-endian into words). *)
 

@@ -24,6 +24,20 @@ let mark_dirty_range t addr len =
       Array.unsafe_set t.dirty p true
     done
 
+(* Word copies through an [int]-typed loop, which stores without the
+   write barrier that polymorphic [Array.blit] runs on every word of a
+   major-heap destination. Copies downward when the ranges may overlap
+   with [dst] above [src]. *)
+let copy_words (src : int array) spos (dst : int array) dpos len =
+  if dpos <= spos then
+    for i = 0 to len - 1 do
+      Array.unsafe_set dst (dpos + i) (Array.unsafe_get src (spos + i))
+    done
+  else
+    for i = len - 1 downto 0 do
+      Array.unsafe_set dst (dpos + i) (Array.unsafe_get src (spos + i))
+    done
+
 let read t addr =
   if addr < 0 || addr >= Array.length t.words then raise (Abort addr);
   Array.unsafe_get t.words addr
@@ -40,7 +54,7 @@ let blit t ~src ~dst ~len =
   if src + len > n then raise (Abort (first_oob t src));
   if dst < 0 then raise (Abort dst);
   if dst + len > n then raise (Abort (first_oob t dst));
-  Array.blit t.words src t.words dst len;
+  copy_words t.words src t.words dst len;
   mark_dirty_range t dst len
 
 let read_block t addr len =
@@ -52,8 +66,22 @@ let write_block t addr block =
   let len = Array.length block in
   if addr < 0 then raise (Abort addr);
   if addr + len > Array.length t.words then raise (Abort (first_oob t addr));
-  Array.blit block 0 t.words addr len;
+  copy_words block 0 t.words addr len;
   mark_dirty_range t addr len
+
+let sums t ~addr ~len =
+  if addr < 0 || len < 0 then raise (Abort addr);
+  if addr + len > Array.length t.words then raise (Abort (first_oob t addr));
+  Rcoe_checksum.Fletcher.block_sums t.words ~pos:addr ~len
+
+let all_zero t ~addr ~len =
+  if addr < 0 || len < 0 then raise (Abort addr);
+  if addr + len > Array.length t.words then raise (Abort (first_oob t addr));
+  let i = ref addr in
+  while !i < addr + len && Array.unsafe_get t.words !i = 0 do
+    incr i
+  done;
+  !i = addr + len
 
 let flip_bit t ~addr ~bit =
   if bit < 0 || bit > 61 then invalid_arg "Mem.flip_bit: bit out of range";

@@ -54,6 +54,13 @@ val blit : t -> src:int -> dst:int -> len:int -> unit
 val read_block : t -> int -> int -> int array
 val write_block : t -> int -> int array -> unit
 
+val sums : t -> addr:int -> len:int -> int * int
+(** {!Rcoe_checksum.Fletcher.block_sums} of the words at
+    [\[addr, addr + len)], read in place. Raises {!Abort}. *)
+
+val all_zero : t -> addr:int -> len:int -> bool
+(** Do the words at [\[addr, addr + len)] all hold 0? Raises {!Abort}. *)
+
 val flip_bit : t -> addr:int -> bit:int -> unit
 (** Fault injection: XOR bit [bit] (0–61) of the word at [addr].
     Raises {!Abort} if out of range, [Invalid_argument] on a bad bit.

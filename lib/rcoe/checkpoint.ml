@@ -1,9 +1,17 @@
 open Rcoe_machine
 open Rcoe_kernel
 
+module Fletcher = Rcoe_checksum.Fletcher
+
+(* A captured page: its words, never written once captured, so
+   snapshots share it, and their Fletcher block sums, computed on first
+   use. The sums sit in an [Atomic] because a checker domain may compute
+   or read them while the primary does too. *)
+type page = { pg_words : int array; pg_sums : (int * int) Atomic.t }
+
 type region =
-  | R_full of int array
-  | R_delta of { r_len : int; r_pages : (int * int array) list }
+  | R_full of page array
+  | R_delta of { r_len : int; r_pages : (int * page) list }
 
 type kind = Full | Delta
 
@@ -42,41 +50,64 @@ let count t = List.length t.snaps
 let taken t = t.taken
 let to_list t = t.snaps
 
-let region_len = function R_full a -> Array.length a | R_delta d -> d.r_len
+let unsummed = (-1, -1)
+let page_of words = { pg_words = words; pg_sums = Atomic.make unsummed }
+
+let page_sums pg =
+  let s = Atomic.get pg.pg_sums in
+  if s != unsummed then s
+  else begin
+    let words = pg.pg_words in
+    let s = Fletcher.block_sums words ~pos:0 ~len:(Array.length words) in
+    Atomic.set pg.pg_sums s;
+    s
+  end
+
+(* Most of a partition is never written: a capture without a base
+   copies only the pages that hold a non-zero word and shares this one
+   (its sums are those of zeros) for the rest. *)
+let zero_page =
+  { pg_words = Array.make Mem.page_size 0; pg_sums = Atomic.make (0, 0) }
+
+let region_len = function
+  | R_full [||] -> 0
+  | R_full pages ->
+      let n = Array.length pages in
+      ((n - 1) lsl Mem.page_shift) + Array.length pages.(n - 1).pg_words
+  | R_delta d -> d.r_len
 
 let pages_words pages =
-  List.fold_left (fun n (_, b) -> n + Array.length b) 0 pages
+  List.fold_left (fun n (_, pg) -> n + Array.length pg.pg_words) 0 pages
 
+(* The cost basis: a full region counts whole, whatever pages the host
+   shared with an older image. *)
 let region_copied = function
-  | R_full a -> Array.length a
+  | R_full _ as r -> region_len r
   | R_delta d -> pages_words d.r_pages
 
 (* A delta whose pages cover the whole region (pages are disjoint by
-   construction, so coverage is just the word count). Such a delta is
-   self-contained: applying it over any base yields the same image. *)
-let delta_complete ~r_len ~r_pages = pages_words r_pages = r_len
+   construction, so coverage is just the word count) holds every page,
+   in order: it is self-contained. *)
+let complete_pages ~r_len r_pages =
+  if pages_words r_pages <> r_len then
+    invalid_arg "Checkpoint: unresolvable delta (no base)";
+  Array.of_list (List.map snd r_pages)
 
-let apply_pages arr pages =
-  List.iter (fun (off, block) -> Array.blit block 0 arr off (Array.length block)) pages
+let apply_pages pages r_pages = List.iter (fun (i, pg) -> pages.(i) <- pg) r_pages
 
 (* Fold an evicted, fully-resolved base region under a newer region,
-   producing the newer snapshot's self-contained image. Reuses (and
-   mutates) the base's arrays, so each eviction costs O(delta), not
-   O(partition). *)
+   producing the newer snapshot's self-contained image. The delta's
+   pages move into the base's page array, so each eviction costs
+   O(dirty pages) and copies no word. *)
 let fold_region ~base region =
   match (region, base) with
   | R_full _, _ -> region
-  | R_delta d, Some (R_full arr) ->
-      apply_pages arr d.r_pages;
-      R_full arr
+  | R_delta d, Some (R_full pages) ->
+      apply_pages pages d.r_pages;
+      R_full pages
   | R_delta _, Some (R_delta _) ->
       invalid_arg "Checkpoint: folding onto an unresolved base"
-  | R_delta d, None ->
-      if not (delta_complete ~r_len:d.r_len ~r_pages:d.r_pages) then
-        invalid_arg "Checkpoint: unresolvable delta (no base)";
-      let arr = Array.make d.r_len 0 in
-      apply_pages arr d.r_pages;
-      R_full arr
+  | R_delta d, None -> R_full (complete_pages ~r_len:d.r_len d.r_pages)
 
 (* Rewrite [snap] as a self-contained (all-[R_full]) snapshot using the
    evicted base directly below it. Replicas present only in the base
@@ -102,7 +133,7 @@ let fold_into ~evicted snap =
         snap.s_replicas;
   }
 
-(* Eviction folds the oldest snapshot's arrays into its successor,
+(* Eviction folds the oldest snapshot's page arrays into its successor,
    mutating the one and replacing the other. *)
 let push t snap =
   t.snaps <- snap :: t.snaps;
@@ -137,16 +168,33 @@ let dirty_spans mem ~base ~len =
       (off, min Mem.page_size (len - off)))
     (Mem.snapshot_dirty mem ~addr:base ~len)
 
-let capture_region mem ~kind ~base ~len =
-  match kind with
-  | Full -> R_full (Mem.read_block mem base len)
-  | Delta ->
-      let r_pages =
-        List.map
-          (fun (off, blen) -> (off, Mem.read_block mem (base + off) blen))
-          (dirty_spans mem ~base ~len)
-      in
-      R_delta { r_len = len; r_pages }
+(* Capture one region. [Full] shares every clean page with [prev], the
+   region's image memory was last synced to, and copies the dirty
+   ones; without [prev] it copies every page that is not all zeros. *)
+let capture_region mem ~kind ~prev ~base ~len =
+  let copy (off, blen) =
+    (off lsr Mem.page_shift, page_of (Mem.read_block mem (base + off) blen))
+  in
+  match (kind, prev) with
+  | Delta, _ -> R_delta { r_len = len; r_pages = List.map copy (dirty_spans mem ~base ~len) }
+  | Full, Some (R_full old as r) when region_len r = len ->
+      let pages = Array.copy old in
+      apply_pages pages (List.map copy (dirty_spans mem ~base ~len));
+      R_full pages
+  | Full, _ ->
+      let pages = Array.make ((len + Mem.page_size - 1) lsr Mem.page_shift) zero_page in
+      for i = 0 to Array.length pages - 1 do
+        let off = i lsl Mem.page_shift in
+        let blen = min Mem.page_size (len - off) in
+        if blen < Mem.page_size || not (Mem.all_zero mem ~addr:(base + off) ~len:blen)
+        then pages.(i) <- snd (copy (off, blen))
+      done;
+      R_full pages
+
+let partition_of rid s =
+  Option.map
+    (fun i -> i.i_partition)
+    (List.find_opt (fun i -> i.i_rid = rid) s.s_replicas)
 
 let delta_words mem (lay : Layout.t) ~rids =
   let dirty ~base ~len =
@@ -161,8 +209,8 @@ let delta_words mem (lay : Layout.t) ~rids =
     + dirty ~base:lay.Layout.dma_base ~len:lay.Layout.dma_words)
     rids
 
-let capture ?(clear_dirty = true) mem (lay : Layout.t) ~kind ~cycle ~round_seq
-    ~ticks ~prim ~replicas =
+let capture ?(clear_dirty = true) ?base mem (lay : Layout.t) ~kind ~cycle
+    ~round_seq ~ticks ~prim ~replicas =
   let sh = lay.Layout.shared in
   let images =
     List.map
@@ -171,14 +219,25 @@ let capture ?(clear_dirty = true) mem (lay : Layout.t) ~kind ~cycle ~round_seq
         {
           i_rid = rid;
           i_partition =
-            capture_region mem ~kind ~base:p.Layout.p_base ~len:p.Layout.p_words;
+            capture_region mem ~kind
+              ~prev:(Option.bind base (partition_of rid))
+              ~base:p.Layout.p_base ~len:p.Layout.p_words;
           i_kernel = Kernel.snapshot kern;
           i_finished = finished;
         })
       replicas
   in
-  let shared = capture_region mem ~kind ~base:sh.Layout.s_base ~len:sh.Layout.s_words in
-  let dma = capture_region mem ~kind ~base:lay.Layout.dma_base ~len:lay.Layout.dma_words in
+  let shared, dma =
+    let prev_shared, prev_dma =
+      match base with
+      | Some b -> (Some b.s_shared, Some b.s_dma)
+      | None -> (None, None)
+    in
+    ( capture_region mem ~kind ~prev:prev_shared ~base:sh.Layout.s_base
+        ~len:sh.Layout.s_words,
+      capture_region mem ~kind ~prev:prev_dma ~base:lay.Layout.dma_base
+        ~len:lay.Layout.dma_words )
+  in
   let copied =
     List.fold_left
       (fun n img -> n + region_copied img.i_partition)
@@ -220,21 +279,19 @@ let regions_for_slot chain slot =
   in
   go chain
 
-(* Resolve a newest-first region chain into a fresh full image. *)
+(* Resolve a newest-first region chain into a complete page array
+   (fresh; the pages are shared). *)
 let rec resolve_chain = function
   | [] -> invalid_arg "Checkpoint: unresolvable delta chain"
-  | R_full arr :: _ -> Array.copy arr
+  | R_full pages :: _ -> Array.copy pages
   | R_delta d :: older ->
-      let base =
+      let pages =
         match older with
-        | [] ->
-            if not (delta_complete ~r_len:d.r_len ~r_pages:d.r_pages) then
-              invalid_arg "Checkpoint: unresolvable delta chain";
-            Array.make d.r_len 0
+        | [] -> complete_pages ~r_len:d.r_len d.r_pages
         | _ -> resolve_chain older
       in
-      apply_pages base d.r_pages;
-      base
+      apply_pages pages d.r_pages;
+      pages
 
 (* [snap] and the ring entries below it, newest first: the chain its
    deltas resolve through ([snap] alone when it is not, or no longer,
@@ -247,22 +304,35 @@ let chain_from t snap =
   in
   go t.snaps
 
-let partition_of rid s =
-  Option.map
-    (fun i -> i.i_partition)
-    (List.find_opt (fun i -> i.i_rid = rid) s.s_replicas)
-
 let resolve_partition t snap ~rid =
-  resolve_chain (regions_for_slot (chain_from t snap) (partition_of rid))
+  let pages =
+    resolve_chain (regions_for_slot (chain_from t snap) (partition_of rid))
+  in
+  Array.concat (Array.to_list (Array.map (fun pg -> pg.pg_words) pages))
 
 (* Write [snap]'s regions back: a region it holds in full straight from
-   its array, a delta resolved down [chain]. *)
-let write_back mem (lay : Layout.t) chain snap =
+   its pages, a delta resolved down [chain]. With [synced], the snapshot
+   memory was last synced to, a page that is clean and the same page
+   there already holds its words and is skipped. *)
+let write_back mem (lay : Layout.t) ?synced chain snap =
   let put base slot =
-    Mem.write_block mem base
-      (match regions_for_slot chain slot with
-      | [ R_full arr ] -> arr
-      | regions -> resolve_chain regions)
+    let pages =
+      match regions_for_slot chain slot with
+      | [ R_full pages ] -> pages
+      | regions -> resolve_chain regions
+    in
+    let held =
+      match Option.bind synced slot with Some (R_full old) -> old | _ -> [||]
+    in
+    for i = 0 to Array.length pages - 1 do
+      let addr = base + (i lsl Mem.page_shift) and pg = pages.(i) in
+      if
+        not
+          (i < Array.length held
+          && held.(i) == pg
+          && not (Mem.page_is_dirty mem ~addr))
+      then Mem.write_block mem addr pg.pg_words
+    done
   in
   List.iter
     (fun img ->
@@ -272,4 +342,17 @@ let write_back mem (lay : Layout.t) chain snap =
   put lay.Layout.dma_base (fun s -> Some s.s_dma)
 
 let restore_memory mem lay t snap = write_back mem lay (chain_from t snap) snap
-let restore_image mem lay snap = write_back mem lay [ snap ] snap
+
+let restore_image ?synced mem lay snap = write_back mem lay ?synced [ snap ] snap
+
+let add_sums ?mem ~base f = function
+  | R_full pages ->
+      for i = 0 to Array.length pages - 1 do
+        let pg = pages.(i) and addr = base + (i lsl Mem.page_shift) in
+        let len = Array.length pg.pg_words in
+        Fletcher.add_block f ~len
+          (match mem with
+          | Some m when Mem.page_is_dirty m ~addr -> Mem.sums m ~addr ~len
+          | _ -> page_sums pg)
+      done
+  | R_delta _ -> invalid_arg "Checkpoint.add_sums: a delta region"

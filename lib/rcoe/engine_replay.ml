@@ -13,6 +13,17 @@
    recorded cycles — and compare the end-of-chunk Fletcher signature
    over the replicated memory.
 
+   A chunk's host cost outside the re-execution grows with the pages
+   the chunk wrote, not with the partition. A cut copies only the pages
+   dirtied since the previous image and shares the rest with it
+   ([Sched.capture_image]); its signature composes the pages' Fletcher block
+   sums, of which only the new pages' are computed. A checker's restore
+   writes only the pages its shadow dirtied or that differ between the
+   image it restored last and this chunk's start ([Sched.restore_snap]).
+   Its verdict sums only the shadow's dirty pages, in place, and takes
+   the start image's sums for the rest ([region_sig]). What remains per
+   chunk is O(pages) pointer and flag work, plus one [Domain.spawn].
+
    Detection is therefore asynchronous: a fault inside chunk [j] is
    discovered when [j]'s verdict is processed, at most
    [replay_queue_depth] chunks after it executed — the paper's
@@ -40,22 +51,29 @@ open Sched
 module Rng = Rcoe_util.Rng
 
 (* Fletcher digest over the replicated memory a replayed chunk must
-   reproduce: the primary partition plus the shared region. The DMA
-   window is deliberately excluded — the device writes it outside the
-   sphere of replication, so the paper's residual DMA vulnerability is
-   preserved under replay detection exactly as under lockstep. *)
-let digest part shared =
-  let f = Rcoe_checksum.Fletcher.create () in
-  Rcoe_checksum.Fletcher.add_words f part;
-  Rcoe_checksum.Fletcher.add_words f shared;
-  Rcoe_checksum.Fletcher.digest f
+   reproduce: the primary partition plus the shared region of image
+   [snap], composed from its pages' sums; with [mem], of the words [mem]
+   holds there, [snap] being the image memory was last synced to (only
+   its dirty pages are summed). The DMA window is deliberately excluded
+   — the device writes it outside the sphere of replication, so the
+   paper's residual DMA vulnerability is preserved under replay
+   detection exactly as under lockstep. *)
+let digest ?mem (lay : Layout.t) (snap : Checkpoint.snap) =
+  match snap.Checkpoint.s_replicas with
+  | [ img ] ->
+      let f = Rcoe_checksum.Fletcher.create () in
+      Checkpoint.add_sums ?mem ~base:lay.Layout.partitions.(0).Layout.p_base f
+        img.Checkpoint.i_partition;
+      Checkpoint.add_sums ?mem ~base:lay.Layout.shared.Layout.s_base f
+        snap.Checkpoint.s_shared;
+      Rcoe_checksum.Fletcher.digest f
+  | _ -> invalid_arg "Engine_replay: an image holds one partition"
 
 (* The live memory's digest, to compare a replay against its cut's. *)
 let region_sig t =
-  let p = t.lay.Layout.partitions.(0) and sh = t.lay.Layout.shared in
-  digest
-    (Mem.read_block (mem t) p.Layout.p_base p.Layout.p_words)
-    (Mem.read_block (mem t) sh.Layout.s_base sh.Layout.s_words)
+  match t.synced with
+  | Some snap -> digest ~mem:(mem t) t.lay snap
+  | None -> invalid_arg "Engine_replay: no restored image to digest against"
 
 (* Freeze the complete execution point as one image around [snap], a
    full snapshot of the primary just taken. Runs on the primary's domain
@@ -73,15 +91,9 @@ let cut_state t ~stall (snap : Checkpoint.snap) =
     cs_jitter = Rng.copy core.Core.jitter;
     cs_bus = Bus.state t.mach.Machine.buses.(0);
     cs_net = Option.map Netdev.snapshot t.net;
-    cs_sig =
-      (match (snap.Checkpoint.s_replicas, snap.Checkpoint.s_shared) with
-      | [ { Checkpoint.i_partition = Checkpoint.R_full part; _ } ],
-        Checkpoint.R_full shared ->
-          digest part shared
-      | _ -> invalid_arg "Engine_replay: an image is one full partition");
   }
 
-let image t = cut_state t ~stall:0 (capture t ~kind:Checkpoint.Full)
+let image t = cut_state t ~stall:0 (capture_image t)
 let cut_cycle cs = cs.cs_snap.Checkpoint.s_cycle
 
 (* Rewind the state outside the sphere of replication ("outside-SoR")
@@ -192,7 +204,7 @@ let verify_chunk sys (ch : chunk) =
     | _ -> step_to target
   in
   drive ch.ch_log;
-  region_sig sys = ch.ch_end.cs_sig
+  region_sig sys = ch.ch_sig
 
 (* Hand every queued-but-unassigned chunk to a checker, oldest first,
    while shadows are available. *)
@@ -231,7 +243,7 @@ let rec do_cut t rp =
      primary's timeline, while a rollback restores the image without
      it. *)
   let words = Checkpoint.delta_words (mem t) t.lay ~rids:(live t) in
-  let snap = capture t ~kind:Checkpoint.Full in
+  let snap = capture_image t in
   let stall =
     charge_checkpoint t ~words ~skipped:(Checkpoint.total_words snap - words)
   in
@@ -242,6 +254,7 @@ let rec do_cut t rp =
       ch_start = rp.rp_cut;
       ch_log = Inputlog.cut rp.rp_log;
       ch_end = cut;
+      ch_sig = digest t.lay snap;
     }
   in
   rp.rp_cut <- cut;

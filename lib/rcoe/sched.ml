@@ -201,17 +201,18 @@ type cut_state = {
   cs_jitter : Rcoe_util.Rng.t;  (* private copy of the core's jitter RNG *)
   cs_bus : Bus.state;
   cs_net : Netdev.snapshot option;
-  cs_sig : int;  (* Fletcher digest over partition ++ shared *)
 }
 
 (* A closed chunk: start state, the host inputs absorbed while it ran,
-   and the end state to compare a replay against. Immutable once built,
-   so it can be handed to a checker domain without synchronisation. *)
+   and the end state with its signature to compare a replay against.
+   Immutable once built, so it can be handed to a checker domain without
+   synchronisation. *)
 type chunk = {
   ch_seq : int;
   ch_start : cut_state;
   ch_log : Inputlog.event list;
   ch_end : cut_state;
+  ch_sig : int;  (* Fletcher digest over [ch_end]'s partition ++ shared *)
 }
 
 type t = {
@@ -244,6 +245,11 @@ type t = {
      is configured; replay detection rolls back to its chunk images and
      uses only the counters. *)
   ckpts : Checkpoint.t option;
+  mutable synced : Checkpoint.snap option;
+      (* The standalone image memory was last synced to by
+         [capture_image] or [restore_snap]: every page clean in the write
+         tracking still holds its words, so the next image shares them
+         and a standalone restore skips them. Replay only. *)
   mutable rounds_since_ckpt : int;
   mutable rollbacks_done : int;
   mutable retries_at_newest : int;
@@ -746,6 +752,7 @@ let build cfg program ~elig ~lint =
         (if cfg.Config.checkpoint_every > 0 then
            Some (Checkpoint.create ~depth:cfg.Config.checkpoint_depth)
          else None);
+      synced = None;
       rounds_since_ckpt = 0;
       rollbacks_done = 0;
       retries_at_newest = 0;
@@ -1109,11 +1116,21 @@ let publish_signatures t =
    they model a wide DMA/bulk-copy engine, plus a fixed quiesce cost. *)
 let ckpt_copy_cost words = (words / 32) + Config.ckpt_quiesce_cycles
 
-let capture t ~kind =
-  Checkpoint.capture (mem t) t.lay ~kind ~cycle:(now t)
+let capture ?base t ~kind =
+  Checkpoint.capture ?base (mem t) t.lay ~kind ~cycle:(now t)
     ~round_seq:t.round_seq ~ticks:t.ticks ~prim:t.prim
     ~replicas:
       (List.map (fun r -> (r.rid, r.kern, r.finished)) (live_replicas t))
+
+(* A standalone [Full] image, replay's chunk cut: captured against the
+   synced image, so the host copies only the pages written since, and
+   memory is then synced to it. Ring snapshots ([take_checkpoint]) are
+   captured from memory alone and never synced to: a later fold may
+   mutate a ring entry. *)
+let capture_image t =
+  let snap = capture ?base:t.synced t ~kind:Checkpoint.Full in
+  t.synced <- Some snap;
+  snap
 
 (* Charge the copy stall of a capture that copied [words] to every live
    replica and account it; returns the stall. *)
@@ -1166,9 +1183,17 @@ let maybe_checkpoint t =
    image. *)
 let restore_snap t ?ring (snap : Checkpoint.snap) =
   Array.iter (fun r -> tp_end t r) t.replicas;
+  (* A ring entry is written back whole; a standalone image only where
+     memory differs from the synced snapshot, which it then replaces (a
+     ring entry may be mutated by a later fold, so it is never synced
+     to). *)
   (match ring with
-  | Some ck -> Checkpoint.restore_memory (mem t) t.lay ck snap
-  | None -> Checkpoint.restore_image (mem t) t.lay snap);
+  | Some ck ->
+      Checkpoint.restore_memory (mem t) t.lay ck snap;
+      t.synced <- None
+  | None ->
+      Checkpoint.restore_image ?synced:t.synced (mem t) t.lay snap;
+      t.synced <- Some snap);
   (* Memory now equals the restored snapshot: it is the baseline the
      next delta capture is relative to. *)
   if t.cfg.Config.checkpoint_mode = Config.Incremental then

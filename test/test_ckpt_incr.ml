@@ -137,6 +137,62 @@ let test_signature_add_words_identity () =
           (Mem.page_is_dirty ma ~addr:0))
     checksum_sizes
 
+(* --- page-sum digests ------------------------------------------------------ *)
+
+(* Block sums compose into the digest [add_words] computes over the
+   concatenated words: block by block with a last block shorter than a
+   page, then through a captured image's pages and through live memory
+   against that image. The words carry bits above 32, which the sums
+   fold away, so a composition that skipped the fold would differ. *)
+let test_page_sum_digest () =
+  let high i = (i * 0x9E3779B97F4A7C1) lxor (i lsl 40) in
+  let start () =
+    let f = Fletcher.create () in
+    Fletcher.add_word f 0xDEADBEEF;
+    f
+  in
+  let check_same label want got =
+    Alcotest.(check (pair int int)) label (Fletcher.value want) (Fletcher.value got)
+  in
+  let n = (3 * psz) + 100 in
+  let ws = Array.init n high in
+  let whole = start () and composed = start () in
+  Fletcher.add_words whole ws;
+  let rec feed pos =
+    if pos < n then begin
+      let len = min psz (n - pos) in
+      Fletcher.add_block composed ~len (Fletcher.block_sums ws ~pos ~len);
+      feed (pos + len)
+    end
+  in
+  feed 0;
+  check_same "blocks compose to add_words" whole composed;
+  (* The same through a checkpoint's pages: the shared region of a bare
+     layout, mostly zero pages plus pages of high words. *)
+  let lay = Rcoe_kernel.Layout.compute ~nreplicas:1 ~user_words:psz in
+  let sh = lay.Rcoe_kernel.Layout.shared in
+  let base = sh.Rcoe_kernel.Layout.s_base and len = sh.Rcoe_kernel.Layout.s_words in
+  let mem = Mem.create lay.Rcoe_kernel.Layout.total_words in
+  Mem.write_block mem (base + 5) (Array.init ((2 * psz) + 9) high);
+  let snap =
+    Checkpoint.capture mem lay ~kind:Checkpoint.Full ~cycle:0 ~round_seq:0
+      ~ticks:0 ~prim:0 ~replicas:[]
+  in
+  let live () =
+    let f = start () in
+    Fletcher.add_words f (Mem.read_block mem base len);
+    f
+  in
+  let image = start () in
+  Checkpoint.add_sums ~base image snap.Checkpoint.s_shared;
+  check_same "an image's page sums compose to add_words" (live ()) image;
+  Mem.write mem (base + (4 * psz) + 3) (high 77);
+  Mem.write mem (base + len - 1) (high 78);
+  let against = start () in
+  Checkpoint.add_sums ~mem ~base against snap.Checkpoint.s_shared;
+  check_same "live memory against its image composes to add_words" (live ())
+    against
+
 (* --- delta-chain ring eviction (fold-on-evict) --------------------------- *)
 
 (* Drive a real workload through three quiescent cuts, capturing each
@@ -342,6 +398,7 @@ let suite =
       test_fletcher_add_words_identity;
     Alcotest.test_case "signature add_words identity" `Quick
       test_signature_add_words_identity;
+    Alcotest.test_case "page-sum digest identity" `Quick test_page_sum_digest;
     Alcotest.test_case "ring eviction folds base" `Quick
       test_ring_eviction_folds_base;
     Alcotest.test_case "full=incr sweep LC-DMR" `Slow test_sweep_lc_dmr;

@@ -248,6 +248,57 @@ let test_transient_fault_recovered () =
         (counter sys "replay.chunks_verified"))
     [ Config.Interp; Config.Blocks ]
 
+(* --- a flip into a page the guest never writes ---------------------------- *)
+
+(* Each image shares with the previous one every page not written since,
+   and a restore skips the pages memory already holds. The signature
+   word's page is written by the kernel anyway, so only a flip into a
+   page the guest never writes shows a wrong sharing rule: the flip is
+   the page's only write. The page is found on the same configuration
+   without replay, with the write tracking reset after set-up; the
+   replay run must detect the flip, roll back, restore the word and
+   finish with the fault-free output. *)
+let test_flip_in_unwritten_page () =
+  let mem sys = (System.machine sys).Machine.mem in
+  List.iter
+    (fun backend ->
+      let name = Config.exec_backend_to_string backend ^ ": " in
+      let config = replay_config ~backend () in
+      let plain =
+        System.create
+          ~config:{ config with Config.detection = Config.Lockstep }
+          ~program:(md5 ())
+      in
+      Mem.clear_dirty (mem plain);
+      System.run plain ~max_cycles:200_000_000;
+      let p = (System.layout plain).Rcoe_kernel.Layout.partitions.(0) in
+      let last = p.Rcoe_kernel.Layout.p_base + p.Rcoe_kernel.Layout.p_words in
+      let rec unwritten page =
+        if page < p.Rcoe_kernel.Layout.p_base then
+          Alcotest.fail "the guest writes every page of its partition"
+        else if Mem.page_is_dirty (mem plain) ~addr:page then
+          unwritten (page - Mem.page_size)
+        else page
+      in
+      let addr = unwritten (last - Mem.page_size) + 17 in
+      let sys = System.create ~config ~program:(md5 ()) in
+      System.run sys ~max_cycles:60_000;
+      let word = Mem.read (mem sys) addr in
+      Mem.flip_bit (mem sys) ~addr ~bit:7;
+      System.run sys ~max_cycles:200_000_000;
+      Alcotest.(check bool) (name ^ "finished") true (System.finished sys);
+      Alcotest.(check bool) (name ^ "recovered, not halted") true
+        (System.halted sys = None);
+      Alcotest.(check int) (name ^ "one mismatch") 1
+        (counter sys "replay.mismatches");
+      Alcotest.(check int) (name ^ "one rollback") 1
+        (List.length (System.rollbacks sys));
+      Alcotest.(check int) (name ^ "the word restored") word
+        (Mem.read (mem sys) addr);
+      Alcotest.(check string) (name ^ "fault-free output")
+        (System.output plain 0) (System.output sys 0))
+    [ Config.Interp; Config.Blocks ]
+
 (* --- detection-lag bound ------------------------------------------------- *)
 
 let test_detection_lag_bound () =
@@ -371,6 +422,8 @@ let suite =
       test_stop_and_resume;
     Alcotest.test_case "transient fault recovered" `Quick
       test_transient_fault_recovered;
+    Alcotest.test_case "flip into a page the guest never writes" `Quick
+      test_flip_in_unwritten_page;
     Alcotest.test_case "detection-lag bound" `Quick test_detection_lag_bound;
     Alcotest.test_case "netted burst cycle identity" `Quick
       test_netted_burst_cycle_identity;
