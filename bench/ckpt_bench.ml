@@ -5,14 +5,14 @@
    the same cut twice into two private rings:
 
    - a Full snapshot (dirty flags left untouched), and
-   - an Incremental snapshot (Full only for the ring's base, Delta
-     afterwards, clearing the dirty flags — the engine's protocol).
+   - an Incremental snapshot (the engine's protocol: Full for the
+     ring's first image, then Delta against the ring's newest image,
+     clearing the dirty flags).
 
    Both kinds therefore see the identical machine state, so the copied
    word counts are deterministic and the wall times are directly
    comparable. The bench also cross-checks the contract on the final
-   capture: the resolved incremental image must be bit-for-bit the full
-   image.
+   capture: the incremental image must be bit-for-bit the full image.
 
    A second, end-to-end phase runs the same workload with the engine's
    own checkpointing (checkpoint_every > 0) under both
@@ -40,7 +40,7 @@ type side = {
 
 let mk_side () = { ring = Checkpoint.create ~depth:4; words = 0; wall = 0. }
 
-let capture_into side ?clear_dirty ~kind sys =
+let capture_into side ?clear_dirty ?base ~kind sys =
   let mem = (System.machine sys).Rcoe_machine.Machine.mem in
   let replicas =
     List.map
@@ -49,7 +49,7 @@ let capture_into side ?clear_dirty ~kind sys =
   in
   let snap, wall =
     Schema.timed (fun () ->
-        Checkpoint.capture ?clear_dirty mem (System.layout sys) ~kind
+        Checkpoint.capture ?clear_dirty ?base mem (System.layout sys) ~kind
           ~cycle:(System.now sys) ~round_seq:0 ~ticks:0
           ~prim:(System.primary sys) ~replicas)
   in
@@ -66,15 +66,15 @@ let capture_pair ~full ~incr sys =
     if Checkpoint.count incr.ring = 0 then Checkpoint.Full
     else Checkpoint.Delta
   in
-  let isnap = capture_into incr ~kind sys in
+  let isnap = capture_into incr ?base:(Checkpoint.newest incr.ring) ~kind sys in
   (fsnap, isnap)
 
-let check_identical ~name full incr (fsnap, isnap) =
+let check_identical ~name (fsnap, isnap) =
   List.iter
     (fun (img : Checkpoint.replica_image) ->
       let rid = img.Checkpoint.i_rid in
-      let a = Checkpoint.resolve_partition full.ring fsnap ~rid in
-      let b = Checkpoint.resolve_partition incr.ring isnap ~rid in
+      let a = Checkpoint.partition_words fsnap ~rid in
+      let b = Checkpoint.partition_words isnap ~rid in
       if a <> b then
         failwith
           (Printf.sprintf
@@ -95,7 +95,7 @@ let capture_run ~name ~drive () =
         taken := !taken + 1
       end);
   (match !last with
-  | Some pair -> check_identical ~name full incr pair
+  | Some pair -> check_identical ~name pair
   | None -> failwith (Printf.sprintf "ckpt bench: %s took no captures" name));
   (full, incr, !taken)
 

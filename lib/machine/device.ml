@@ -6,29 +6,3 @@ type t = {
   irq_pending : unit -> bool;
   irq_ack : unit -> unit;
 }
-
-let null dev_name =
-  {
-    dev_name;
-    read_reg = (fun _ -> 0);
-    write_reg = (fun _ _ -> ());
-    dev_tick = (fun ~now:_ -> ());
-    irq_pending = (fun () -> false);
-    irq_ack = (fun () -> ());
-  }
-
-let console () =
-  let buf = Buffer.create 256 in
-  let dev =
-    {
-      dev_name = "console";
-      read_reg = (fun _ -> 0);
-      write_reg =
-        (fun off v ->
-          if off = 0 then Buffer.add_char buf (Char.chr (v land 0x7F)));
-      dev_tick = (fun ~now:_ -> ());
-      irq_pending = (fun () -> false);
-      irq_ack = (fun () -> ());
-    }
-  in
-  (dev, buf)

@@ -3,10 +3,7 @@
     A device occupies one or more device pages; user code reaches it
     through page-table entries with the device bit set (only the primary
     replica's driver is mapped to real devices — other replicas see
-    aliased RAM, per the paper's sphere-of-replication boundary).
-
-    Devices are records of closures so tests can build synthetic devices
-    easily. *)
+    aliased RAM, per the paper's sphere-of-replication boundary). *)
 
 type t = {
   dev_name : string;
@@ -18,10 +15,3 @@ type t = {
   irq_pending : unit -> bool;
   irq_ack : unit -> unit;
 }
-
-val null : string -> t
-(** A device that reads 0, ignores writes, never interrupts. *)
-
-val console : unit -> t * Buffer.t
-(** A write-only character console; returns the device and the buffer
-    collecting output. Register 0: write a character code. *)

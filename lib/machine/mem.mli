@@ -12,8 +12,8 @@
     {!page_size}-word physical page, set by every mutating operation
     ([write], [write_block], [blit], [fill] and, through [write],
     [flip_bit]). The checkpoint layer reads the flags with
-    {!snapshot_dirty} at quiescent points to capture O(dirty) delta
-    snapshots instead of full images, and resets them with
+    {!snapshot_dirty} at quiescent points to copy only the pages written
+    since the previous image, and resets them with
     {!clear_dirty} — the software analogue of the paging-hardware
     dirty bit the paper's platforms expose. Reads never touch the
     flags. Under the parallel engine each worker domain writes only its

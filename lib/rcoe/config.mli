@@ -85,14 +85,19 @@ type detection =
 
 (** How {!checkpoint_every} captures state. *)
 type checkpoint_mode =
-  | Full  (** Copy every live partition + shared + DMA outright. *)
+  | Full
+      (** Every capture copies every live partition, the shared region
+          and the DMA window outright (the host shares all-zero pages),
+          and every restore writes every page: the reference that reads
+          no write tracking. *)
   | Incremental
-      (** Delta snapshots over {!Rcoe_machine.Mem}'s per-page write
-          tracking: copy only pages dirtied since the previous capture,
-          O(dirty words) per checkpoint. Restores are bit-for-bit
-          identical to [Full] — the chain is reconstructed down to the
-          ring's base image. The default; [Full] is kept for
-          differential testing and as the conservative fallback. *)
+      (** Each capture is taken against the image memory was last
+          synced to, over {!Rcoe_machine.Mem}'s per-page write tracking:
+          it copies and is priced at only the pages dirtied since and
+          shares the rest, O(dirty pages) per checkpoint; a restore
+          writes only the pages that are dirty or differ. Restored
+          memory is bit-for-bit what [Full] restores. The default;
+          [Full] is kept for differential testing. *)
 
 type t = {
   engine : engine;  (** Default [Sequential]. See {!parallel_ineligibility}. *)
@@ -171,7 +176,8 @@ type t = {
           [mode = Base], [engine = Sequential] (the checker domains are
           owned by the replay engine itself), [checkpoint_every = 0]
           (chunks cut their own images), and [checkpoint_mode =
-          Incremental] (each cut is priced as a delta checkpoint). *)
+          Incremental] (each cut is a [Delta] capture against the image
+          memory was last synced to, which [Full] never keeps). *)
   replay_chunk_ticks : int;
       (** Replay chunk length in preemption ticks (>= 1, default 1):
           a chunk spans [replay_chunk_ticks * tick_interval] cycles. *)

@@ -4,9 +4,9 @@
    The primary runs *unreplicated*, at near-Base speed, through
    [Window.run] (quiet-cycle skips included), whose [before] hook cuts
    the chunks. Every [replay_chunk_ticks] preemption ticks it cuts a
-   chunk: one image of the cut ([cut_state]: a standalone full
-   snapshot plus the outside-SoR state), its capture stall priced as a
-   delta checkpoint, and the input log drained since the previous cut.
+   chunk: one image of the cut ([cut_state]: a snapshot plus the
+   outside-SoR state), its capture stall priced as a delta checkpoint,
+   and the input log drained since the previous cut.
    Closed chunks enter a bounded in-flight queue; checker domains
    concurrently restore each chunk's start image into a private shadow
    system, re-execute it — re-injecting the logged host inputs at the
@@ -76,7 +76,7 @@ let region_sig t =
   | None -> invalid_arg "Engine_replay: no restored image to digest against"
 
 (* Freeze the complete execution point as one image around [snap], a
-   full snapshot of the primary just taken. Runs on the primary's domain
+   snapshot of the primary just taken. Runs on the primary's domain
    at a quiescent inter-cycle boundary. [stall] is the cut's capture
    stall, charged after [snap] was taken (0 for the setup image and the
    re-seed after a rollback). *)
@@ -93,7 +93,7 @@ let cut_state t ~stall (snap : Checkpoint.snap) =
     cs_net = Option.map Netdev.snapshot t.net;
   }
 
-let image t = cut_state t ~stall:0 (capture_image t)
+let image t = cut_state t ~stall:0 (capture_image t ~kind:Checkpoint.Full)
 let cut_cycle cs = cs.cs_snap.Checkpoint.s_cycle
 
 (* Rewind the state outside the sphere of replication ("outside-SoR")
@@ -236,16 +236,15 @@ let release_shadow rp inf =
    chunk into the in-flight queue, and enforce the queue bound (blocking
    on the oldest verdict — backpressure). *)
 let rec do_cut t rp =
-  (* The stall is priced as the delta checkpoint a ring would take (the
-     dirty pages, counted before the full capture clears them) and
+  (* The stall is priced as a delta checkpoint (the dirty pages) and
      stored in the image: the restored start state of the *next* chunk
      has to contain it, or a replay of that chunk would run ahead of the
      primary's timeline, while a rollback restores the image without
      it. *)
-  let words = Checkpoint.delta_words (mem t) t.lay ~rids:(live t) in
-  let snap = capture_image t in
+  let snap = capture_image t ~kind:Checkpoint.Delta in
   let stall =
-    charge_checkpoint t ~words ~skipped:(Checkpoint.total_words snap - words)
+    charge_checkpoint t ~words:(Checkpoint.words snap)
+      ~skipped:(Checkpoint.skipped_words snap)
   in
   let cut = cut_state t ~stall snap in
   let closed =
@@ -351,7 +350,7 @@ and on_mismatch t rp inf rest =
        retransmission path redelivers them. *)
     restore_outside_sor t start;
     (* Pipeline reset: a fresh image of the rolled-back state starts
-       the next chunk; its full capture also re-baselines the
+       the next chunk; its capture also re-baselines the
        dirty-page tracking the next cut is priced by. *)
     rp.rp_cut <- image t;
     rp.rp_seq <- rp.rp_seq + 1;

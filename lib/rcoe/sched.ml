@@ -185,9 +185,9 @@ and async_round = {
 (* A chunk cut: one image of everything a machine needs to restart
    execution at this exact point, bit for bit — the rollback source on
    the primary and the start state of every checker's shadow. The
-   standalone full snapshot covers the replicated cut; the fields here
-   additionally freeze the outside-SoR state a snapshot deliberately
-   does not capture — device queues, the floating-point bus credit, the
+   snapshot covers the replicated cut; the fields here additionally
+   freeze the outside-SoR state a snapshot deliberately does not
+   capture — device queues, the floating-point bus credit, the
    jitter RNG — which replay needs but lockstep rollback does not
    (re-execution after a lockstep rollback is *new* time; a replayed
    chunk re-lives the *same* time). Immutable once taken, so checker
@@ -246,10 +246,10 @@ type t = {
      uses only the counters. *)
   ckpts : Checkpoint.t option;
   mutable synced : Checkpoint.snap option;
-      (* The standalone image memory was last synced to by
-         [capture_image] or [restore_snap]: every page clean in the write
-         tracking still holds its words, so the next image shares them
-         and a standalone restore skips them. Replay only. *)
+      (* The image memory was last synced to by [capture_image] or
+         [restore_snap]: every page clean in the write tracking still
+         holds its words, so the next image shares them and a restore
+         skips them. Always [None] under [checkpoint_mode = Full]. *)
   mutable rounds_since_ckpt : int;
   mutable rollbacks_done : int;
   mutable retries_at_newest : int;
@@ -1116,20 +1116,21 @@ let publish_signatures t =
    they model a wide DMA/bulk-copy engine, plus a fixed quiesce cost. *)
 let ckpt_copy_cost words = (words / 32) + Config.ckpt_quiesce_cycles
 
-let capture ?base t ~kind =
-  Checkpoint.capture ?base (mem t) t.lay ~kind ~cycle:(now t)
-    ~round_seq:t.round_seq ~ticks:t.ticks ~prim:t.prim
-    ~replicas:
-      (List.map (fun r -> (r.rid, r.kern, r.finished)) (live_replicas t))
-
-(* A standalone [Full] image, replay's chunk cut: captured against the
-   synced image, so the host copies only the pages written since, and
-   memory is then synced to it. Ring snapshots ([take_checkpoint]) are
-   captured from memory alone and never synced to: a later fold may
-   mutate a ring entry. *)
-let capture_image t =
-  let snap = capture ?base:t.synced t ~kind:Checkpoint.Full in
-  t.synced <- Some snap;
+(* Capture every live replica against the image memory was last synced
+   to, so the host copies only the pages written since; [kind] sets the
+   cost basis. Under incremental checkpointing memory is then synced to
+   the new image. Under [Full] nothing is synced, so every capture
+   copies every non-zero page and every restore writes every page: the
+   tracking-free reference. *)
+let capture_image t ~kind =
+  let snap =
+    Checkpoint.capture ?base:t.synced (mem t) t.lay ~kind ~cycle:(now t)
+      ~round_seq:t.round_seq ~ticks:t.ticks ~prim:t.prim
+      ~replicas:
+        (List.map (fun r -> (r.rid, r.kern, r.finished)) (live_replicas t))
+  in
+  if t.cfg.Config.checkpoint_mode = Config.Incremental then
+    t.synced <- Some snap;
   snap
 
 (* Charge the copy stall of a capture that copied [words] to every live
@@ -1144,16 +1145,16 @@ let charge_checkpoint t ~words ~skipped =
   Trace.checkpoint t.trace ~words ~skipped ~cost;
   cost
 
-(* Capture every live replica into the ring. The ring's base must be
-   self-contained, so the first capture is always a full copy; after
-   that the configured mode decides. *)
+(* Capture every live replica into the ring. The first capture has no
+   image to be taken against, so it is always a full copy; after that
+   the configured mode decides. *)
 let take_checkpoint t ck =
   let kind =
     if t.cfg.Config.checkpoint_mode = Config.Full || Checkpoint.count ck = 0
     then Checkpoint.Full
     else Checkpoint.Delta
   in
-  let snap = capture t ~kind in
+  let snap = capture_image t ~kind in
   Checkpoint.push ck snap;
   (* A fresh verified snapshot is forward progress: reset escalation. *)
   t.retries_at_newest <- 0;
@@ -1177,27 +1178,18 @@ let maybe_checkpoint t =
       end
 
 (* Rewind the replicated cut to [snap]: memory, kernels, replica roles
-   and the engine's logical clocks. This is the one restore path:
-   lockstep rollback resolves a ring entry through [ring]; replay
-   rollback and the replay checkers' shadows restore a standalone chunk
-   image. *)
-let restore_snap t ?ring (snap : Checkpoint.snap) =
+   and the engine's logical clocks. This is the one restore path, for
+   lockstep rollbacks, replay rollbacks and the replay checkers'
+   shadows. *)
+let restore_snap t (snap : Checkpoint.snap) =
   Array.iter (fun r -> tp_end t r) t.replicas;
-  (* A ring entry is written back whole; a standalone image only where
-     memory differs from the synced snapshot, which it then replaces (a
-     ring entry may be mutated by a later fold, so it is never synced
-     to). *)
-  (match ring with
-  | Some ck ->
-      Checkpoint.restore_memory (mem t) t.lay ck snap;
-      t.synced <- None
-  | None ->
-      Checkpoint.restore_image ?synced:t.synced (mem t) t.lay snap;
-      t.synced <- Some snap);
-  (* Memory now equals the restored snapshot: it is the baseline the
-     next delta capture is relative to. *)
-  if t.cfg.Config.checkpoint_mode = Config.Incremental then
-    Mem.clear_dirty (mem t);
+  (* Only where memory differs from the synced image; memory then
+     equals [snap], the image the next capture is taken against. *)
+  Checkpoint.restore_image ?synced:t.synced (mem t) t.lay snap;
+  if t.cfg.Config.checkpoint_mode = Config.Incremental then begin
+    t.synced <- Some snap;
+    Mem.clear_dirty (mem t)
+  end;
   List.iter
     (fun (img : Checkpoint.replica_image) ->
       let r = t.replicas.(img.Checkpoint.i_rid) in
@@ -1224,15 +1216,15 @@ let restore_snap t ?ring (snap : Checkpoint.snap) =
    cycles never rewind — re-execution is *new* time, which is exactly
    the recovery latency the campaign measures — and the restore stall
    is charged to the survivors. *)
-let roll_back t ?ring (snap : Checkpoint.snap) =
+let roll_back t (snap : Checkpoint.snap) =
   t.rollbacks_done <- t.rollbacks_done + 1;
   t.retries_at_newest <- t.retries_at_newest + 1;
   observe_detection t;
   let detected_at = now t in
-  restore_snap t ?ring snap;
+  restore_snap t snap;
   t.next_tick <- now t + t.cfg.Config.tick_interval;
-  (* Restore writes the whole cut back regardless of how it was
-     captured, so the stall scales with the resolved size. *)
+  (* The simulated restore writes the whole cut back, however many
+     pages the host skipped, so the stall scales with its size. *)
   let cost = ckpt_copy_cost (Checkpoint.total_words snap) in
   List.iter (fun r -> charge r cost) (live_replicas t);
   Metrics.incr t.ms.m_rollbacks;
@@ -1265,7 +1257,7 @@ let try_rollback t =
         match Checkpoint.newest ck with
         | None -> false
         | Some snap ->
-            roll_back t ~ring:ck snap;
+            roll_back t snap;
             true
       end
 

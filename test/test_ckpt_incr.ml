@@ -1,7 +1,8 @@
 (* Tests for dirty-page incremental checkpointing: Mem write tracking
    and its first-out-of-range Abort payloads, the deferred-reduction
-   checksum fast paths, delta-chain ring
-   eviction (fold-on-evict), and the acceptance sweep proving that
+   checksum fast paths, page-shared ring images (eviction, and a
+   rollback through a page the guest never writes), and the acceptance
+   sweep proving that
    Config.Incremental restores bit-for-bit identically to Config.Full
    across LC/CC x DMR/TMR on both engines, at strictly lower charged
    checkpoint cost. *)
@@ -193,15 +194,15 @@ let test_page_sum_digest () =
   check_same "live memory against its image composes to add_words" (live ())
     against
 
-(* --- delta-chain ring eviction (fold-on-evict) --------------------------- *)
+(* --- ring images outlive eviction ----------------------------------------- *)
 
-(* Drive a real workload through three quiescent cuts, capturing each
-   cut both as Full (reference) and incrementally (engine protocol:
-   Full base, then deltas, clearing dirty flags). Pushing the third
-   incremental snapshot into a depth-2 ring evicts the base and folds
-   it into the middle delta, which must then restore bit-for-bit like
-   the Full snapshot of the same cut. *)
-let test_ring_eviction_folds_base () =
+(* Drive a real workload through four quiescent cuts, capturing each cut
+   both as Full from memory alone (the reference) and incrementally
+   (the engine's protocol: Full first, then Delta against the ring's
+   newest image, clearing the dirty flags). Pushing four images into a
+   depth-2 ring drops two, yet every handle, the dropped ones included,
+   restores the same memory as its Full twin. *)
+let test_ring_images_outlive_eviction () =
   let config =
     {
       (Runner.config_for ~mode:Config.CC ~nreplicas:2 ~arch:x86 ~seed:9 ())
@@ -215,87 +216,145 @@ let test_ring_eviction_folds_base () =
   let sys = System.create ~config ~program in
   let mem = (System.machine sys).Machine.mem in
   let lay = System.layout sys in
-  let capture ?clear_dirty ~kind () =
+  let capture ?clear_dirty ?base ~kind () =
     let replicas =
       List.map
         (fun rid -> (rid, System.kernel sys rid, System.replica_done sys rid))
         (System.live sys)
     in
-    Checkpoint.capture ?clear_dirty mem lay ~kind ~cycle:(System.now sys)
+    Checkpoint.capture ?clear_dirty ?base mem lay ~kind ~cycle:(System.now sys)
       ~round_seq:0 ~ticks:0 ~prim:(System.primary sys) ~replicas
   in
-  let fullring = Checkpoint.create ~depth:3 in
   let incr = Checkpoint.create ~depth:2 in
   let cuts =
     List.map
       (fun i ->
-        System.run sys ~max_cycles:30_000;
+        System.run sys ~max_cycles:25_000;
         Alcotest.(check bool)
           (Printf.sprintf "cut %d is mid-run" i)
           true
           ((not (System.finished sys)) && System.halted sys = None);
         let f = capture ~clear_dirty:false ~kind:Checkpoint.Full () in
-        Checkpoint.push fullring f;
         let kind =
           if Checkpoint.count incr = 0 then Checkpoint.Full
           else Checkpoint.Delta
         in
-        let d = capture ~kind () in
+        let d = capture ?base:(Checkpoint.newest incr) ~kind () in
         Checkpoint.push incr d;
         (f, d))
-      [ 1; 2; 3 ]
+      [ 1; 2; 3; 4 ]
   in
-  (* Depth 2 held: the base was evicted and folded into cut 2's delta. *)
   Alcotest.(check int) "ring bounded" 2 (Checkpoint.count incr);
-  (match Checkpoint.to_list incr with
-  | [ newest; folded ] ->
-      Alcotest.(check bool) "newest still a delta" true
-        (Checkpoint.kind newest = Checkpoint.Delta);
-      Alcotest.(check bool) "folded base is self-contained" true
-        (Checkpoint.kind folded = Checkpoint.Full)
-  | l -> Alcotest.failf "ring holds %d snapshots" (List.length l));
-  (* The surviving ring snapshots (the fold replaced cut 2's delta with
-     a new self-contained snap, so resolve through the ring itself)
-     restore the same replica partitions as the Full snapshots of their
-     cuts - including the folded base, which absorbed cut 1's pages. *)
-  let f2, _ = List.nth cuts 1 and f3, _ = List.nth cuts 2 in
-  let ring_newest, ring_folded =
-    match Checkpoint.to_list incr with
-    | [ a; b ] -> (a, b)
-    | _ -> assert false
-  in
-  List.iter
-    (fun (label, f, d) ->
-      List.iter
-        (fun rid ->
-          let a = Checkpoint.resolve_partition fullring f ~rid in
-          let b = Checkpoint.resolve_partition incr d ~rid in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s replica %d identical" label rid)
-            true (a = b))
-        (System.live sys))
-    [ ("folded cut 2", f2, ring_folded); ("cut 3", f3, ring_newest) ];
-  (* And a memory-level restore agrees end-to-end, not just per slot. *)
-  Checkpoint.restore_memory mem lay fullring f3;
-  let img_full = Mem.read_block mem 0 (Mem.size mem) in
-  Checkpoint.restore_memory mem lay incr ring_newest;
-  let img_incr = Mem.read_block mem 0 (Mem.size mem) in
-  Alcotest.(check bool) "restored memory identical" true
-    (img_full = img_incr);
-  (* The O(dirty) claim: the delta captures copied strictly fewer words
-     than their Full twins, and accounting balances. *)
+  Alcotest.(check int) "ring counts every push" 4 (Checkpoint.taken incr);
+  let memory () = Mem.read_block mem 0 (Mem.size mem) in
   List.iteri
     (fun i (f, d) ->
+      let label = Printf.sprintf "cut %d%s" (i + 1) (if i < 2 then " (dropped)" else "") in
+      List.iter
+        (fun rid ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s replica %d identical" label rid)
+            true
+            (Checkpoint.partition_words f ~rid = Checkpoint.partition_words d ~rid))
+        (System.live sys);
+      Checkpoint.restore_image mem lay f;
+      let want = memory () in
+      Checkpoint.restore_image mem lay d;
+      Alcotest.(check bool) (label ^ ": restored memory identical") true
+        (want = memory ());
+      (* The O(dirty) claim: the delta captures copied strictly fewer
+         words than their Full twins, and accounting balances. *)
       Alcotest.(check int)
-        (Printf.sprintf "cut %d words accounting" (i + 1))
-        (Checkpoint.total_words f)
-        (Checkpoint.total_words d);
+        (label ^ ": words accounting")
+        (Checkpoint.total_words f) (Checkpoint.total_words d);
       if i > 0 then
-        Alcotest.(check bool)
-          (Printf.sprintf "cut %d delta is smaller" (i + 1))
-          true
+        Alcotest.(check bool) (label ^ ": delta is smaller") true
           (Checkpoint.words d < Checkpoint.words f))
-    cuts
+    cuts;
+  (* A Delta without a base holds only the dirty pages: no ring or
+     restore takes it, and a refused restore writes nothing. *)
+  Mem.clear_dirty mem;
+  let hole = capture ~kind:Checkpoint.Delta () in
+  Alcotest.check_raises "push refuses a baseless delta"
+    (Invalid_argument "Checkpoint.push: a Delta captured without a base")
+    (fun () -> Checkpoint.push incr hole);
+  let before = memory () in
+  Alcotest.check_raises "restore refuses a baseless delta"
+    (Invalid_argument "Checkpoint.restore_image: a Delta captured without a base")
+    (fun () -> Checkpoint.restore_image mem lay hole);
+  Alcotest.(check bool) "refused restore wrote nothing" true (before = memory ());
+  Alcotest.(check int) "refused push stored nothing" 4 (Checkpoint.taken incr)
+
+(* --- a ring rollback restores a page the guest never writes ------------ *)
+
+(* Ring images share every page not written since the image before, and
+   a rollback writes only the pages that are dirty or differ. A bit
+   flipped in a page replica 1's guest never writes, together with its
+   signature word, is still undone: the flip itself marks the page
+   dirty. *)
+let test_ring_rollback_unwritten_page () =
+  let mem sys = (System.machine sys).Machine.mem in
+  let program () =
+    Md5sum.program ~message_words:96 ~iters:8 ~seed:6 ~branch_count:false ()
+  in
+  List.iter
+    (fun backend ->
+      let name = Config.exec_backend_to_string backend ^ ": " in
+      let config =
+        {
+          (Runner.config_for ~mode:Config.CC ~nreplicas:2 ~arch:x86 ~seed:11 ())
+          with
+          Config.exec_backend = backend;
+          exception_barriers = true;
+          masking = false;
+          barrier_timeout = 600_000;
+          checkpoint_every = 2;
+          checkpoint_depth = 3;
+          max_rollbacks = 8;
+        }
+      in
+      (* Without checkpoints nothing clears the dirty flags, so the
+         pages still clean at the end are the ones the run never
+         writes. *)
+      let plain =
+        System.create
+          ~config:{ config with Config.checkpoint_every = 0 }
+          ~program:(program ())
+      in
+      Mem.clear_dirty (mem plain);
+      System.run plain ~max_cycles:60_000_000;
+      let p = (System.layout plain).Rcoe_kernel.Layout.partitions.(1) in
+      let last = p.Rcoe_kernel.Layout.p_base + p.Rcoe_kernel.Layout.p_words in
+      let rec unwritten page =
+        if page < p.Rcoe_kernel.Layout.p_base then
+          Alcotest.fail "the guest writes every page of its partition"
+        else if Mem.page_is_dirty (mem plain) ~addr:page then
+          unwritten (page - Mem.page_size)
+        else page
+      in
+      let addr = unwritten (last - Mem.page_size) + 17 in
+      let sys = System.create ~config ~program:(program ()) in
+      System.run sys ~max_cycles:60_000;
+      Alcotest.(check bool) (name ^ "checkpointed before the flip") true
+        (System.checkpoints_taken sys > 0);
+      let word = Mem.read (mem sys) addr in
+      Mem.flip_bit (mem sys) ~addr ~bit:7;
+      Mem.flip_bit (mem sys) ~addr:(System.sig_base sys 1 + 1) ~bit:7;
+      System.run sys ~max_cycles:60_000_000;
+      Alcotest.(check bool) (name ^ "finished") true (System.finished sys);
+      Alcotest.(check bool) (name ^ "recovered, not halted") true
+        (System.halted sys = None);
+      Alcotest.(check bool) (name ^ "rolled back") true
+        (System.rollbacks sys <> []);
+      Alcotest.(check int) (name ^ "the word restored") word
+        (Mem.read (mem sys) addr);
+      List.iter
+        (fun rid ->
+          Alcotest.(check string)
+            (Printf.sprintf "%sfault-free output r%d" name rid)
+            (System.output plain rid) (System.output sys rid))
+        (System.live plain))
+    [ Config.Interp; Config.Blocks ]
 
 (* --- acceptance: Full vs Incremental, LC/CC x DMR/TMR, both engines ------ *)
 
@@ -399,8 +458,10 @@ let suite =
     Alcotest.test_case "signature add_words identity" `Quick
       test_signature_add_words_identity;
     Alcotest.test_case "page-sum digest identity" `Quick test_page_sum_digest;
-    Alcotest.test_case "ring eviction folds base" `Quick
-      test_ring_eviction_folds_base;
+    Alcotest.test_case "ring images outlive eviction" `Quick
+      test_ring_images_outlive_eviction;
+    Alcotest.test_case "ring rollback restores an unwritten page" `Quick
+      test_ring_rollback_unwritten_page;
     Alcotest.test_case "full=incr sweep LC-DMR" `Slow test_sweep_lc_dmr;
     Alcotest.test_case "full=incr sweep LC-TMR" `Slow test_sweep_lc_tmr;
     Alcotest.test_case "full=incr sweep CC-DMR" `Slow test_sweep_cc_dmr;

@@ -21,13 +21,12 @@ let x86 = Arch.X86
 
 let mk_snap cycle =
   {
-    Checkpoint.s_kind = Checkpoint.Full;
-    s_cycle = cycle;
+    Checkpoint.s_cycle = cycle;
     s_round_seq = cycle / 100;
     s_ticks = 0;
     s_prim = 0;
-    s_shared = Checkpoint.R_full [||];
-    s_dma = Checkpoint.R_full [||];
+    s_shared = Checkpoint.empty_region;
+    s_dma = Checkpoint.empty_region;
     s_replicas = [];
     s_words = 0;
     s_skipped_words = 0;
