@@ -31,7 +31,7 @@ val try_acquire : t -> int -> bool
 
 val rate : t -> float
 
-type state
+type state = private float
 (** The lane's mutable state at a point in time: its credit. *)
 
 val state : t -> state

@@ -86,7 +86,65 @@ let test_bus_advance_equals_ticks () =
           if Bus.state a <> Bus.state b then
             Alcotest.failf "rate %g: advance %d differs from %d ticks" rate k k)
         (List.init 51 Fun.id @ [ 100_000 ]))
-    [ 2.0 /. 3.0; 0.1; 1.6 /. 3.0 ]
+    [ 2.0 /. 3.0; 0.1; 1.6 /. 3.0 ];
+  (* Against a lane written here, refilled eagerly once per cycle as the
+     model states it, through seeded random interleavings of every
+     operation; every read compares the credit bit for bit. The rates
+     are the x86 DMR and TMR lanes, the Arm DMR and TMR lanes, and
+     three others, inexact ones included. *)
+  let max_credit = 4.0 in
+  let bits (s : Bus.state) = Int64.bits_of_float (s :> float) in
+  List.iter
+    (fun rate ->
+      for seed = 1 to 8 do
+        let rng = Rcoe_util.Rng.create seed in
+        let b = Bus.create ~rate and eager = ref max_credit in
+        let eager_tick () = eager := Float.min max_credit (!eager +. rate) in
+        (* Captured states, each with the eager credit of its cycle. *)
+        let saved = ref [ (Bus.state b, !eager) ] in
+        let fail step what =
+          Alcotest.failf "rate %g seed %d step %d: %s" rate seed step what
+        in
+        let check_state step =
+          let s = Bus.state b in
+          if bits s <> Int64.bits_of_float !eager then
+            fail step
+              (Printf.sprintf "credit %h, eager lane %h" (s :> float) !eager);
+          s
+        in
+        for step = 1 to 3_000 do
+          match Rcoe_util.Rng.int rng 10 with
+          | 0 | 1 | 2 ->
+              Bus.tick b;
+              eager_tick ()
+          | 3 | 4 ->
+              let k =
+                match Rcoe_util.Rng.int rng 20 with
+                | 0 -> Rcoe_util.Rng.int rng 1_000
+                | _ -> Rcoe_util.Rng.int rng 13
+              in
+              Bus.advance b ~cycles:k;
+              for _ = 1 to k do
+                eager_tick ()
+              done
+          | 5 | 6 | 7 ->
+              let n = Rcoe_util.Rng.int rng 5 in
+              let want = !eager >= float_of_int n in
+              if want then eager := !eager -. float_of_int n;
+              if Bus.try_acquire b n <> want then
+                fail step (Printf.sprintf "try_acquire %d <> %b" n want)
+          | 8 ->
+              let s = check_state step in
+              saved := (s, !eager) :: !saved
+          | _ ->
+              let l = !saved in
+              let s, e = List.nth l (Rcoe_util.Rng.int rng (List.length l)) in
+              Bus.set_state b s;
+              eager := e
+        done;
+        ignore (check_state 3_001 : Bus.state)
+      done)
+    [ 2.0; 1.0; 2.0 /. 3.0; 0.8; 1.6 /. 3.0; 0.5; 0.1 ]
 
 (* --- Page tables -------------------------------------------------------- *)
 
