@@ -530,12 +530,12 @@ let run t ~fuel ~at =
     while !running && !consumed < fuel do
       if c.Core.stall > 0 then begin
         let k = Int.min c.Core.stall (fuel - !consumed) in
-        Bus.advance bus ~cycles:k;
+        bus.Bus.owed <- bus.Bus.owed +. float_of_int k;
         consumed := !consumed + k;
         c.Core.stall <- c.Core.stall - k
       end
       else begin
-        Bus.tick bus;
+        bus.Bus.owed <- bus.Bus.owed +. 1.0;
         incr consumed;
         (* The resume flag re-arms once execution has left the
            breakpointed address. *)
