@@ -490,13 +490,13 @@ let invalidate_all t =
 (* --- stepping ----------------------------------------------------------- *)
 
 (* [Core.flush_bus_wait] for a burst: move the caller's trace clock to
-   burst cycle [k] first. The guard only skips calls that would be
-   no-ops ([flush_bus_wait] itself starts with the same test). *)
+   burst cycle [k] first. The callers' guard, [bus_wait > 0], only skips
+   calls that would be no-ops ([flush_bus_wait] itself starts with the
+   same test); it stays at the call sites, so an executed cycle without
+   a bus stall behind it makes no call. *)
 let flush_at c env ~at k =
-  if c.Core.bus_wait > 0 then begin
-    at k;
-    Core.flush_bus_wait c env
-  end
+  at k;
+  Core.flush_bus_wait c env
 
 (* [Kernel.step] — a lane tick, then [Core.step]'s shell — up to [fuel]
    cycles in one tight loop, with the decode replaced by the closure
@@ -524,6 +524,7 @@ let run t ~fuel ~at =
   else begin
     let code_len = Array.length t.ops in
     let bus = env.Core.bus in
+    let off = Rng.off in
     let consumed = ref 0 in
     let ev = ref None in
     let running = ref true in
@@ -574,13 +575,32 @@ let run t ~fuel ~at =
               | Core.Ran -> ()
               | Core.Event e -> ev := Some e)
           | Some _ as e ->
-              flush_at c env ~at !consumed;
+              if c.Core.bus_wait > 0 then flush_at c env ~at !consumed;
               ev := e;
               running := false
           | None ->
-              flush_at c env ~at !consumed;
-              if t.jitter_on && Rng.below c.Core.jitter t.jitter_thr then
-                c.Core.stall <- c.Core.stall + t.jitter_cycles
+              if c.Core.bus_wait > 0 then flush_at c env ~at !consumed;
+              if t.jitter_on then begin
+                (* [Rng.below c.jitter t.jitter_thr], written out. *)
+                let st = (c.Core.jitter :> Bytes.t) in
+                let s =
+                  Int64.add (Bytes.get_int64_le st off) 0x9E3779B97F4A7C15L
+                in
+                Bytes.set_int64_le st off s;
+                let z =
+                  Int64.(
+                    mul (logxor s (shift_right_logical s 30))
+                      0xBF58476D1CE4E5B9L)
+                in
+                let z =
+                  Int64.(
+                    mul (logxor z (shift_right_logical z 27))
+                      0x94D049BB133111EBL)
+                in
+                let z = Int64.(logxor z (shift_right_logical z 31)) in
+                if Int64.to_int (Int64.shift_right_logical z 11) < t.jitter_thr
+                then c.Core.stall <- c.Core.stall + t.jitter_cycles
+              end
         end
       end
     done;

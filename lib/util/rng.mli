@@ -9,7 +9,18 @@
     alone in its cache line, so generators drawn on different domains do
     not contend for one. *)
 
-type t
+type t = private Bytes.t
+(** The state is the little-endian [int64] at byte {!off}. The
+    representation is visible so that a hot loop in another module can
+    write {!below}'s step out on a generator it owns, in place, rather
+    than call it: the dev build inlines nothing across modules, and
+    [Blockc.run] draws once per executed instruction. Such a copy must
+    draw exactly what {!below} draws; the compiled backend's
+    differential tests hold the two equal. Generators are still made
+    only here. *)
+
+val off : int
+(** Byte offset of the state within {!t}. *)
 
 val create : int -> t
 (** [create seed] is a fresh generator. Equal seeds give equal streams. *)
