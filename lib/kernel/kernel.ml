@@ -74,8 +74,10 @@ let block_cache t = t.kbc
    created with: the interpreter, which is the oracle, or a one-cycle
    [Blockc.run], observably identical to it (enforced by
    test/test_exec_blocks.ml). Either way the core's own bus lane ticks
-   first; [Blockc.run] ticks none for a halted core, which therefore
-   takes the interpreter's path. The caller owns the trace clock. *)
+   first, in O(1): the tick is owed, and the core's next bus access
+   applies it ([Bus.try_acquire]). [Blockc.run] ticks none for a halted
+   core, which therefore takes the interpreter's path. The caller owns
+   the trace clock. *)
 let clock_unmoved (_ : int) = ()
 
 let step t =

@@ -24,19 +24,27 @@
    test_exec_blocks.ml and the `bench exec` baseline rows enforce this
    bit for bit.
 
-   An executed cycle allocates nothing: the jitter draw is
-   [Rng.below] against a threshold cached at creation, loads and stores
-   take [Core.load]/[Core.store]'s allocation-free RAM walk, and the
-   float closures do their own arithmetic and comparisons. The dev build
-   compiles every module with -opaque, so nothing is inlined across
-   modules, and a float or int64 passed to or returned from another
-   module's function (or from any function value) is boxed. That is why
-   the float arms match on the operation inside the closure instead of
-   calling [Core]'s or a per-operation function, why the FP load and
-   store convert through [Program.set_float_word]/[get_float_word], which
-   take the register array, and why [Rng.below] does the whole SplitMix64
-   step in one body. test/test_exec_blocks.ml pins zero minor words over
-   a burst that runs every compiled instruction kind.
+   An executed cycle allocates nothing, and its shell, outside the
+   compiled closure, calls no function of another module: the lane tick
+   is a field write to the lane's owed-tick count ([Bus.t]'s [owed]),
+   the jitter draw is [Rng.below]'s SplitMix64 step written out on the
+   core's own generator state against a threshold cached at creation,
+   and the bus-stall flush is called only when a stall run ends. Loads
+   and stores still go through [Core.load]/[Core.store]'s
+   allocation-free RAM walk, whose [Bus.try_acquire] applies the owed
+   ticks. The float closures do their own arithmetic and comparisons.
+   The dev build compiles every module with -opaque, so nothing is
+   inlined across modules: each call to another module is a real call,
+   and a float or int64 passed to or returned from another module's
+   function (or from any function value) is boxed. That is why the float
+   arms match on the operation inside the closure instead of calling
+   [Core]'s or a per-operation function, why the FP load and store
+   convert through [Program.set_float_word]/[get_float_word], which take
+   the register array, and why the draw is written out here rather than
+   called (the interpreter calls [Rng.below], which does the same step in
+   one body; the differential tests hold the two draw for draw).
+   test/test_exec_blocks.ml pins zero minor words over a burst that runs
+   every compiled instruction kind.
 
    Invalidation: the only mutable input of the compiler is the kernel's
    private code array. Translations, operand values and memory contents
@@ -503,13 +511,14 @@ let flush_at c env ~at k =
    dispatch: any observable difference from the oracle here is a bug,
    so compare side by side when touching either. Returns at the first
    event, or when the fuel runs out; the caller reads the consumed
-   cycles off [Core.cycles]. Each cycle first refills the core's own
-   bus lane, so bus-credit state interleaves with memory accesses
-   precisely as it would under per-cycle stepping.
+   cycles off [Core.cycles]. Each cycle first ticks the core's own bus
+   lane — [Bus.tick], written as a bump of the lane's owed count — so
+   the next memory access's [Bus.try_acquire] applies exactly the ticks
+   per-cycle stepping would have by then.
 
-   A stalled cycle only refills the lane and decrements [stall], so a
-   run of [k] stalled cycles is taken in one step: [Bus.advance] by [k]
-   and [stall - k].
+   A stalled cycle only ticks the lane and decrements [stall], so a run
+   of [k] stalled cycles is taken in one step: the lane is owed [k] more
+   ticks ([Bus.advance]) and [stall] drops by [k].
 
    A cycle allocates nothing unless it ends the run with an event.
 

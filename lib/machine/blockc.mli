@@ -80,14 +80,19 @@ val run : t -> fuel:int -> at:(int -> unit) -> Core.event option
     cycle charge, same stall/breakpoint/fault/event outcomes, same trace
     emissions, same RNG consumption. A run of [n] cycles is therefore
     [n] calls of [Kernel.step] on the interpreter. A run of stalled
-    cycles is taken in one step ({!Bus.advance}). The cycles consumed,
-    the cycle of a terminating event included, are added to the core's
-    [cycles], where the caller reads them; the lane ticks once for each
-    of them. A halted core consumes nothing, ticks nothing and returns
-    [Ev_halt]. Lazily compiles each page on first entry. On a decoded
-    page a cycle allocates nothing unless it ends the run with an
-    event: the jitter draw is [Rng.below], loads and stores walk the
-    page table with {!Page_table.ram_addr}, and no float is boxed.
+    cycles is taken in one step (the lane is owed them at once, as
+    {!Bus.advance} would). The cycles consumed, the cycle of a
+    terminating event included, are added to the core's [cycles], where
+    the caller reads them; the lane ticks once for each of them. A
+    halted core consumes nothing, ticks nothing and returns [Ev_halt].
+    Lazily compiles each page on first entry. On a decoded page a cycle
+    allocates nothing unless it ends the run with an event, and outside
+    the instruction's compiled closure it calls no function of another
+    module: the lane tick bumps the lane's owed count ({!Bus.t}), whose
+    next {!Bus.try_acquire} applies it; the jitter draw is
+    {!Rcoe_util.Rng.below}'s step written out on the core's generator;
+    loads and stores walk the page table with {!Page_table.ram_addr};
+    and no float is boxed.
 
     The trace events a run emits are a breakpoint fire and the
     bus-stall span of {!Core.flush_bus_wait}. Their stamps read the

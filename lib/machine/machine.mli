@@ -18,7 +18,10 @@ type t = {
           domains. A single-core machine keeps the full rate. The
           machine does not tick the lanes: each moves with its core,
           through [Kernel.step], {!Blockc.run} and the replica
-          scheduler's step (see {!Bus.tick}). *)
+          scheduler's step (see {!Bus.tick}). A tick only counts a
+          refill the lane is owed; its core's next bus access (or a
+          replay cut's {!Bus.state}) applies the owed refills in order,
+          so the credits are those of a lane refilled every cycle. *)
   cores : Core.t array;
   mutable devices : Device.t array;  (** Index = device page id. *)
   mutable now : int;  (** Global cycle counter. *)
